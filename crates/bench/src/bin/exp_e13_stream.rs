@@ -1,7 +1,7 @@
 //! E13 — event-driven output emission: first-output-byte latency and
-//! peak resident output state (buffered frames) of
-//! `Engine::transform_streaming`, against the tree-at-root-close
-//! reference on the same documents. Prints the table and writes
+//! peak resident output state (buffered frames) of `Engine::run_doc`
+//! in `stream` mode, against the `tree`-mode reference (whole output
+//! tree first) on the same documents. Prints the table and writes
 //! `BENCH_stream.json` for the CI gate.
 //!
 //! ```console

@@ -17,7 +17,7 @@ fn main() {
 
     let json = serde_json::json!({
         "experiment": "E17",
-        "description": "pipeline execution strategies: statically composed dtop vs chained streaming cascade through Engine::transform_chain (guarded, XML), best-of-rounds over a deterministic corpus; chooser audit against the full-corpus streaming measurement; jump-table shrink from fixed-input-schema stage specialization",
+        "description": "pipeline execution strategies: statically composed dtop vs chained streaming cascade through Engine::run_batch (guarded, XML), best-of-rounds over a deterministic corpus; chooser audit against the full-corpus streaming measurement; jump-table shrink from fixed-input-schema stage specialization",
         "rows": rows,
         "chooser": choices,
         "schema_specialization": schema,

@@ -1,9 +1,8 @@
 //! E10 — throughput of the `xtt-engine` execution layers vs the research
 //! evaluator, on the established bench families (flip / library / copying).
 //!
-//! Shared by the `exp_e10_engine` binary (which also writes
-//! `BENCH_engine.json`) and the `engine_throughput` criterion bench, so
-//! both time the same code paths on the same corpora.
+//! Run by the `exp_e10_engine` binary, which also writes
+//! `BENCH_engine.json`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -1,6 +1,6 @@
 //! E17 — pipeline execution strategies: the statically composed product
 //! vs the chained streaming cascade, through the engine's public
-//! `transform_chain` entry point (guarded, XML in / XML out), on 2- and
+//! `run_batch` core (guarded, XML in / XML out), on 2- and
 //! 3-stage pipelines. Also reports the jump-table shrink a fixed input
 //! schema buys via stage specialization, and checks the planner's
 //! probe-based chooser against the full-corpus measurement.
@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use xtt_engine::{tree_to_xml, DocFormat, Engine, EngineOptions, EvalMode};
+use xtt_engine::{tree_to_xml, DocFormat, Engine, EngineOptions, EvalMode, Request};
 use xtt_pipeline::{plan, Plan, StageDef, Strategy, StrategyChoice};
 use xtt_transducer::{domain_dtta, parse_dtop};
 use xtt_trees::{gen, RankedAlphabet};
@@ -128,8 +128,10 @@ fn measure(p: &Plan, strategy: Strategy, mode: EvalMode, docs: &[String], rounds
     let stages = p.stages_for(strategy);
     let run = |check: bool| {
         for doc in docs {
-            let out = engine
-                .transform_chain(stages, doc, mode, DocFormat::Xml, Some(p.guard()), None)
+            let req = Request::new(stages, Some(p.guard()), &DocFormat::Xml, mode);
+            let out = engine.run_batch(std::slice::from_ref(doc), req).pop();
+            let out = out
+                .expect("one result per document")
                 .unwrap_or_else(|e| panic!("{strategy:?}/{mode:?} rejected {doc}: {e}"));
             if check {
                 assert!(!out.is_empty());

@@ -1,4 +1,5 @@
-//! E13 — event-driven output emission (`Engine::transform_streaming`).
+//! E13 — event-driven output emission (`Engine::run_doc` in `stream`
+//! mode).
 //!
 //! Measures what tree-at-root-close cannot deliver: the **first output
 //! byte** leaves while the input is still being read, and the resident
@@ -56,8 +57,8 @@ pub struct StreamRow {
     pub first_byte_micros: u128,
     /// Latency start → document complete, streaming emission.
     pub total_micros: u128,
-    /// Same document through the batch path (tree at root close, then
-    /// serialize) — its first byte leaves only after this long.
+    /// Same document through `tree` mode (the whole output tree first,
+    /// then serialize) — its first byte leaves only after this long.
     pub batch_micros: u128,
     pub order_preserving: bool,
 }
@@ -211,11 +212,15 @@ pub fn run_e13(workloads: &[StreamWorkload], rounds: usize) -> Vec<StreamRow> {
     });
     let mut rows = Vec::new();
     for w in workloads {
-        // Batch reference: same evaluation, tree at root close.
+        // Batch reference: `tree` mode, the whole output tree first.
         let (batch_out, batch_time) = {
             let t0 = Instant::now();
+            let doc = std::slice::from_ref(&w.doc);
+            let format = w.format.clone();
             let out = engine
-                .transform_with(&w.dtop, &w.doc, EvalMode::Streaming, w.format.clone())
+                .transform_batch_with_validation(&w.dtop, doc, EvalMode::Compiled, format, false)
+                .pop()
+                .expect("one result per document")
                 .expect("batch transform succeeds");
             (out, t0.elapsed())
         };
@@ -364,23 +369,28 @@ mod tests {
     #[test]
     fn corpus_parses_and_transforms() {
         let engine = Engine::new(EngineOptions::default());
-        let out = engine
-            .transform_with(
+        let mut out = Vec::new();
+        engine
+            .transform_streaming_with(
                 &chain_identity(),
                 &chain_doc(3),
-                EvalMode::Streaming,
                 DocFormat::Term,
+                false,
+                &mut out,
             )
             .expect("chain doc in domain");
-        assert_eq!(out, "f(f(f(e)))");
-        let out = engine
-            .transform_with(
+        assert_eq!(out, b"f(f(f(e)))");
+        let mut out = Vec::new();
+        engine
+            .transform_streaming_with(
                 &fcns_prune(),
                 &deep_xml(2),
-                EvalMode::Streaming,
                 DocFormat::parse("fcns").expect("fcns"),
+                false,
+                &mut out,
             )
             .expect("xml doc in domain");
+        let out = String::from_utf8(out).expect("XML output is UTF-8");
         assert!(!out.contains("<b>"), "prune drops every <b>: {out}");
     }
 }

@@ -20,7 +20,9 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use xtt_engine::{compile, ranked_tree_from_xml_bounded, tree_to_xml, EvalScratch};
+use xtt_engine::{
+    compile, ranked_tree_from_xml_bounded, tree_to_xml, EvalScratch, GuardedSource, XmlRankedEvents,
+};
 use xtt_transducer::{eval as walk_eval, examples};
 use xtt_trees::Tree;
 use xtt_typecheck::{domain_guard, GuardedEvents};
@@ -153,7 +155,9 @@ pub fn failfast_rows(rounds: usize) -> Vec<FailFastRow> {
             });
             let guarded_stream = best_of(rounds, || {
                 for d in &docs {
-                    black_box(stream.eval_xml_guarded(&compiled, &guard, d).is_err());
+                    let mut source = GuardedSource::new(&guard, XmlRankedEvents::bounded(d));
+                    black_box(stream.eval_source(&compiled, &mut source));
+                    black_box(source.take_violation().is_some());
                 }
             });
             FailFastRow {

@@ -1,16 +1,18 @@
-//! The serving layer: a worker pool over the compiled evaluator with an
-//! LRU cache of compiled transducers.
+//! The execution core. Every document runs as **source → stages → sink**:
+//! its [`DocFormat`] supplies the event source that reads it and the
+//! serializer its output streams into; the stages are a chain of
+//! [`ChainStage`]s with an optional guard of the whole chain
+//! ([`Request`]) — a single transducer is a one-stage chain
+//! ([`Engine::resolve`]). `tree` mode collects and guards the input tree
+//! and evaluates it stage by stage; `stream` mode runs the guard in
+//! lockstep with the source and cascades committed output events through
+//! every stage into the sink.
 //!
-//! [`Engine::transform_batch`] takes documents as *text* (term syntax or
-//! XML) and returns transformed text, which keeps the API `Send`-clean —
-//! the `Rc`-based [`xtt_trees::Tree`] never crosses a thread boundary;
-//! each worker parses, evaluates (with its own warm [`EvalScratch`] /
-//! [`StreamEvaluator`]), and serializes locally. Work is distributed by an
-//! atomic cursor, so skewed document sizes cannot starve workers.
-//!
-//! Compiled transducers are cached by [`crate::fingerprint`] in a small
-//! LRU behind a mutex and shared as `Arc<CompiledDtop>`; repeat traffic
-//! for the same transducer never recompiles.
+//! [`Engine::run_doc`] writes one document's bytes; [`Engine::run_batch`]
+//! aims the same routine at a buffer per document and shards the batch
+//! across a worker pool. The `Rc`-based [`Tree`] never crosses a thread
+//! boundary. Compiled transducers and guards live in LRU caches keyed by
+//! [`crate::fingerprint`], so repeat traffic never recompiles.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,7 +20,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use xtt_obs::{EvalObserver, Stage};
-use xtt_transducer::{eval as walk_eval, Dtop};
+use xtt_transducer::Dtop;
 use xtt_trees::{parse_tree, DagId, Symbol, Tree, TreeDag, TreeEvent};
 use xtt_typecheck::{domain_guard, CompiledDtta, TypeError};
 use xtt_unranked::{UnrankedError, UnrankedEvents, XmlCodec, XmlWriter};
@@ -26,40 +28,35 @@ use xtt_unranked::{UnrankedError, UnrankedEvents, XmlCodec, XmlWriter};
 use crate::compile::{compile, fingerprint, CompileError, CompiledDtop};
 use crate::eval::EvalScratch;
 use crate::stream::{
-    tree_to_xml, ChainedEvaluator, EmitStats, GuardedSource, IterEvents, OutputSink,
-    StreamEvaluator, TreeCollector, TreeEventSource, XmlRankedEvents,
+    ChainedEvaluator, EmitStats, GuardedSource, IterEvents, OutputSink, TreeEventSource,
+    XmlRankedEvents,
 };
 
-/// Which evaluator the engine runs.
+/// How the stages run over a document (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalMode {
-    /// Flatten the document and run the compiled interpreter (fastest).
+    /// Collect the input tree, guard it, run the compiled evaluator per
+    /// stage, replay the output tree into the sink.
     #[default]
     Compiled,
-    /// Run over the event stream, keeping only the spine in memory.
+    /// One pass over the event stream: lockstep guard, chained streaming
+    /// stages, output bytes written as their prefixes commit.
     Streaming,
-    /// Evaluate into a [`TreeDag`] arena (shared subtrees built once) and
-    /// extract; worthwhile for copying transducers with large outputs.
-    Dag,
-    /// The research evaluator `xtt_transducer::eval` (baseline).
-    TreeWalk,
 }
 
 impl EvalMode {
-    /// Parses the names used by the CLI and the HTTP API
-    /// (`tree`/`compiled`, `stream`, `dag`, `walk`).
+    /// Parses the names used by the CLI and the HTTP API (`tree` or
+    /// `compiled`, `stream` or `streaming`).
     pub fn parse(name: &str) -> Option<EvalMode> {
         match name {
             "tree" | "compiled" => Some(EvalMode::Compiled),
             "stream" | "streaming" => Some(EvalMode::Streaming),
-            "dag" => Some(EvalMode::Dag),
-            "walk" | "treewalk" => Some(EvalMode::TreeWalk),
             _ => None,
         }
     }
 }
 
-/// How documents are parsed and results serialized.
+/// How documents are read and results written.
 #[derive(Clone, Debug, Default)]
 pub enum DocFormat {
     /// The workspace term syntax, e.g. `root(a(#,#),b(#,#))`.
@@ -67,7 +64,7 @@ pub enum DocFormat {
     Term,
     /// XML read as a ranked tree directly (elements = symbols of their
     /// child arity, text = whitespace-separated leaf tokens), via
-    /// [`crate::xml_ranked_events`].
+    /// [`XmlRankedEvents`].
     Xml,
     /// [`DocFormat::Xml`] with attributes surfaced: an element with
     /// attributes gains an `@attrs` first child (one `@name` node per
@@ -79,8 +76,8 @@ pub enum DocFormat {
     /// Genuine unranked XML through a ranked encoding
     /// ([`xtt_unranked::XmlCodec`]): documents are encoded
     /// *incrementally* off the SAX tokenizer (fc/ns or a DTD-based
-    /// encoding — in streaming mode with no intermediate tree at all)
-    /// and output trees are decoded back to unranked XML text.
+    /// encoding — in `stream` mode with no intermediate tree at all) and
+    /// output events are decoded back to unranked XML text.
     Encoded(XmlCodec),
 }
 
@@ -104,33 +101,23 @@ impl DocFormat {
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
-    /// Worker threads for [`Engine::transform_batch`]; 0 = one per
-    /// available CPU.
+    /// Worker threads for [`Engine::run_batch`]; 0 = one per available
+    /// CPU.
     pub workers: usize,
-    /// Capacity of the compiled-transducer LRU cache.
+    /// Capacity of the compiled-transducer and domain-guard LRU caches.
     pub cache_capacity: usize,
+    /// Default mode of [`Engine::transform`] (and of serving layers).
     pub mode: EvalMode,
+    /// Default format of [`Engine::transform`] (and of serving layers).
     pub format: DocFormat,
-    /// When set, documents whose *output tree* would exceed this many
-    /// nodes fail with [`EngineError::OutputTooLarge`] instead of being
-    /// materialized. The bound is checked with a linear-time DAG
-    /// pre-flight (copying transducers produce exponentially large
-    /// outputs from tiny inputs — a server must not materialize them).
-    /// `None` = unbounded (library/CLI default).
-    ///
-    /// Trade-off: the pre-flight needs the input tree, so with a bound
-    /// configured `EvalMode::Streaming` over XML materializes the input
-    /// (the output was never spine-only — it is built in full in every
-    /// mode) instead of running directly over the tokenizer events.
+    /// Documents whose *output tree* would exceed this many nodes fail
+    /// with [`EngineError::OutputTooLarge`] instead of being materialized:
+    /// `tree` mode measures with a linear-time DAG pre-flight, `stream`
+    /// mode counts output nodes as they pass. `None` = unbounded.
     pub max_output_nodes: Option<u64>,
-    /// Guarded evaluation: run every document through the transducer's
-    /// compiled domain guard (`xtt-typecheck`). Out-of-domain documents
-    /// fail with a typed [`EngineError::Type`] diagnostic naming the
-    /// first violating node — as a pre-flight in tree/dag/walk modes, and
-    /// in lockstep with the event stream in streaming mode (where an
-    /// out-of-domain document is rejected without consuming the rest of
-    /// its events). Can be overridden per request via
-    /// [`Engine::transform_with_validation`].
+    /// Default validation of [`Engine::transform`] (and of serving
+    /// layers): out-of-domain documents fail with a typed
+    /// [`EngineError::Type`] that names the first violating node.
     pub validate: bool,
 }
 
@@ -150,7 +137,8 @@ impl Default for EngineOptions {
 /// Per-document failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// The document is not parseable in the configured [`DocFormat`].
+    /// The document is not parseable in the configured [`DocFormat`] (or
+    /// its output has no form in it).
     Parse(String),
     /// The document is outside `dom(⟦M⟧)`.
     Undefined,
@@ -164,17 +152,17 @@ pub enum EngineError {
     /// XML under the output encoding.
     Encoding(String),
     /// The output tree exceeds [`EngineOptions::max_output_nodes`]
-    /// (`.0` is the measured size, saturating at `u64::MAX`).
+    /// (`.0` is the measured size — in `stream` mode, the count when the
+    /// bound tripped — saturating at `u64::MAX`).
     OutputTooLarge(u64),
     /// Guarded evaluation rejected the document: it is outside
     /// `dom(⟦M⟧)`, and the diagnostic names the first violating node.
-    /// Only produced when validation is enabled (otherwise out-of-domain
+    /// Only produced when a guard is attached (otherwise out-of-domain
     /// documents surface as [`EngineError::Undefined`]).
     Type(TypeError),
-    /// Streaming emission ([`Engine::transform_streaming`]): the output
-    /// writer failed mid-document. `kind` preserves the [`io::ErrorKind`]
-    /// so a serving layer can distinguish a slow client
-    /// (`TimedOut`/`WouldBlock`) from a disconnect.
+    /// [`Engine::run_doc`]: the output writer failed mid-document. `kind`
+    /// preserves the [`io::ErrorKind`] so a serving layer can distinguish
+    /// a slow client (`TimedOut`/`WouldBlock`) from a disconnect.
     Write {
         kind: io::ErrorKind,
         message: String,
@@ -199,6 +187,27 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+fn parse_error(e: impl ToString) -> EngineError {
+    EngineError::Parse(e.to_string())
+}
+
+fn write_error(e: io::Error) -> EngineError {
+    EngineError::Write {
+        kind: e.kind(),
+        message: e.to_string(),
+    }
+}
+
+/// Maps an encoded-source failure onto the engine's error taxonomy: XML
+/// syntax errors are parse errors, DTD/encoding mismatches are encoding
+/// errors.
+fn encoded_error(e: UnrankedError) -> EngineError {
+    match e {
+        UnrankedError::Xml(x) => parse_error(x),
+        UnrankedError::Encode(x) => EngineError::Encoding(x.to_string()),
+    }
+}
 
 struct LruEntry<V> {
     fp: u64,
@@ -309,38 +318,72 @@ pub struct ValidationStats {
     pub guards_compiled: u64,
 }
 
-#[derive(Default)]
-struct ValidationCounters {
-    validated: AtomicU64,
-    rejected: AtomicU64,
-}
-
-/// What one [`Engine::transform_streaming`] run did (per-document
-/// observability; `xtt-serve` aggregates these into `/stats`).
+/// What one [`Engine::run_doc`] did (per-document observability;
+/// `xtt-serve` aggregates these into `/stats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamOutcome {
     /// Bytes handed to the output writer.
     pub bytes_written: u64,
-    /// Output events emitted before the input was fully consumed.
+    /// Output events emitted before the input was fully consumed (always
+    /// 0 in `tree` mode).
     pub events_emitted_early: u64,
     /// Total output events.
     pub events_total: u64,
     /// High-water mark of buffered (permuting/copying) output frames;
-    /// 0 on a fully order-preserving run.
+    /// 0 on a fully order-preserving run (and in `tree` mode).
     pub peak_buffered_frames: usize,
     /// Deleted subtrees fast-forwarded at the tokenizer.
     pub skipped_subtrees: u64,
 }
 
-/// One pre-compiled stage of an executable pipeline chain (built by
-/// `xtt-pipeline`, executed by the [`Engine::transform_batch_chain`] /
-/// [`Engine::transform_streaming_chain`] entry points). Stages carry
-/// their own compiled form — the engine's transducer LRU is not
-/// consulted; the pipeline layer caches whole plans instead.
+/// One pre-compiled stage of an executable chain — built by
+/// `xtt-pipeline` for a pipeline plan, or by [`Engine::resolve`] for a
+/// single transducer.
 #[derive(Clone)]
 pub struct ChainStage {
-    pub dtop: Arc<Dtop>,
     pub compiled: Arc<CompiledDtop>,
+}
+
+impl AsRef<CompiledDtop> for ChainStage {
+    fn as_ref(&self) -> &CompiledDtop {
+        &self.compiled
+    }
+}
+
+/// Everything an execution depends on besides the documents.
+pub struct Request<'a> {
+    /// The chain τₙ ∘ … ∘ τ₁, `stages[0]` first; at least one stage.
+    pub stages: &'a [ChainStage],
+    /// The domain guard of the **whole chain**; `Some` = guarded
+    /// evaluation, counted in [`Engine::validation_stats`].
+    pub guard: Option<&'a CompiledDtta>,
+    pub format: &'a DocFormat,
+    pub mode: EvalMode,
+    /// Stamped at every stage boundary a document crosses (fused work is
+    /// charged to the stage it ends in); `None` costs nothing.
+    pub observer: Option<&'a mut dyn EvalObserver>,
+    /// Receives `(stage index, output events)` per document and stage —
+    /// from several worker threads at once in a sharded batch.
+    pub stage_events: Option<&'a (dyn Fn(usize, u64) + Sync)>,
+}
+
+impl<'a> Request<'a> {
+    /// A request without observer or stage tap.
+    pub fn new(
+        stages: &'a [ChainStage],
+        guard: Option<&'a CompiledDtta>,
+        format: &'a DocFormat,
+        mode: EvalMode,
+    ) -> Request<'a> {
+        Request {
+            stages,
+            guard,
+            format,
+            mode,
+            observer: None,
+            stage_events: None,
+        }
+    }
 }
 
 /// A reusable transformation service; see the module docs.
@@ -348,9 +391,11 @@ pub struct Engine {
     opts: EngineOptions,
     cache: Mutex<LruCache<Arc<CompiledDtop>>>,
     guards: Mutex<LruCache<Arc<CompiledDtta>>>,
-    validation: ValidationCounters,
+    /// Guarded documents, and the ones their guard rejected.
+    validated: AtomicU64,
+    rejected: AtomicU64,
     /// Deleted subtrees fast-forwarded at the tokenizer, across all
-    /// documents and eval paths that stream their input.
+    /// documents this engine streamed.
     skips: AtomicU64,
 }
 
@@ -366,7 +411,8 @@ impl Engine {
             opts,
             cache: Mutex::new(LruCache::default()),
             guards: Mutex::new(LruCache::default()),
-            validation: ValidationCounters::default(),
+            validated: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
             skips: AtomicU64::new(0),
         }
     }
@@ -385,23 +431,14 @@ impl Engine {
     /// fingerprint was seen before (hits are verified against the exact
     /// rendered structure, not just the hash).
     pub fn compiled(&self, dtop: &Dtop) -> Result<Arc<CompiledDtop>, CompileError> {
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.get_or_insert_with(
-            fingerprint(dtop),
-            dtop.to_string(),
-            self.opts.cache_capacity,
-            || compile(dtop).map(Arc::new),
-        )
+        cached(&self.cache, dtop, self.opts.cache_capacity, || {
+            compile(dtop).map(Arc::new)
+        })
     }
 
     /// Cache counters (for observability and tests).
     pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        CacheStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            entries: cache.entries.len(),
-        }
+        self.cache.lock().unwrap_or_else(|e| e.into_inner()).stats()
     }
 
     /// The compiled domain guard of `dtop`, from its own LRU cache (same
@@ -410,206 +447,148 @@ impl Engine {
     /// capacity overrun surfaces as [`EngineError::Compile`] instead of
     /// taking the process down.
     pub fn guard(&self, dtop: &Dtop) -> Result<Arc<CompiledDtta>, EngineError> {
-        let mut guards = self.guards.lock().unwrap_or_else(|e| e.into_inner());
-        guards.get_or_insert_with(
-            fingerprint(dtop),
-            dtop.to_string(),
-            self.opts.cache_capacity,
-            || {
-                catch_unwind(AssertUnwindSafe(|| domain_guard(dtop)))
-                    .map_err(|_| EngineError::Compile("domain guard construction blew up".into()))?
-                    .map(Arc::new)
-                    .map_err(|e| EngineError::Compile(e.to_string()))
-            },
-        )
+        cached(&self.guards, dtop, self.opts.cache_capacity, || {
+            catch_unwind(AssertUnwindSafe(|| domain_guard(dtop)))
+                .map_err(|_| EngineError::Compile("domain guard construction blew up".into()))?
+                .map(Arc::new)
+                .map_err(|e| EngineError::Compile(e.to_string()))
+        })
+    }
+
+    /// `dtop` as a one-stage chain: its compiled form from the transducer
+    /// LRU and, when `validate`, its domain guard from the guard LRU —
+    /// what a [`Request`] for a single transducer carries.
+    pub fn resolve(
+        &self,
+        dtop: &Dtop,
+        validate: bool,
+    ) -> Result<(ChainStage, Option<Arc<CompiledDtta>>), EngineError> {
+        let compiled = self
+            .compiled(dtop)
+            .map_err(|e| EngineError::Compile(e.to_string()))?;
+        let guard = validate.then(|| self.guard(dtop)).transpose()?;
+        Ok((ChainStage { compiled }, guard))
     }
 
     /// Guarded-evaluation counters (for `/stats` and tests).
     pub fn validation_stats(&self) -> ValidationStats {
         ValidationStats {
-            docs_validated: self.validation.validated.load(Ordering::Relaxed),
-            docs_rejected_pre_eval: self.validation.rejected.load(Ordering::Relaxed),
+            docs_validated: self.validated.load(Ordering::Relaxed),
+            docs_rejected_pre_eval: self.rejected.load(Ordering::Relaxed),
             guards_compiled: self.guards.lock().unwrap_or_else(|e| e.into_inner()).misses,
         }
     }
 
-    /// Deleted subtrees fast-forwarded at the tokenizer (the PR-5 skip
-    /// fast path), totalled across every document this engine streamed —
-    /// raw-XML and encoded paths alike.
+    /// Deleted subtrees fast-forwarded at the tokenizer, totalled across
+    /// every document this engine streamed — raw-XML and encoded sources
+    /// alike.
     pub fn skipped_subtrees(&self) -> u64 {
         self.skips.load(Ordering::Relaxed)
     }
 
-    /// Counts one batch's guard activity into the violation counters.
-    /// Documents that never reached a guard (parse or compile failures)
-    /// do not count as validated.
+    /// Counts guarded documents into the violation counters. Documents
+    /// that never reached a guard (parse or compile failures) do not
+    /// count as validated.
     fn record_validation<T>(&self, results: &[Result<T, EngineError>]) {
-        let validated = results
-            .iter()
-            .filter(|r| !matches!(r, Err(EngineError::Parse(_) | EngineError::Compile(_))))
-            .count() as u64;
-        let rejected = results
-            .iter()
-            .filter(|r| matches!(r, Err(EngineError::Type(_))))
-            .count() as u64;
-        self.validation
-            .validated
-            .fetch_add(validated, Ordering::Relaxed);
-        self.validation
-            .rejected
-            .fetch_add(rejected, Ordering::Relaxed);
+        let count =
+            |f: fn(&Result<T, EngineError>) -> bool| results.iter().filter(|r| f(r)).count();
+        let validated =
+            count(|r| !matches!(r, Err(EngineError::Parse(_) | EngineError::Compile(_))));
+        let rejected = count(|r| matches!(r, Err(EngineError::Type(_))));
+        self.validated
+            .fetch_add(validated as u64, Ordering::Relaxed);
+        self.rejected.fetch_add(rejected as u64, Ordering::Relaxed);
     }
 
-    /// Transforms one document with the engine's configured mode/format
-    /// (no thread pool; uses a transient scratch).
-    pub fn transform(&self, dtop: &Dtop, doc: &str) -> Result<String, EngineError> {
-        self.transform_with(dtop, doc, self.opts.mode, self.opts.format.clone())
-    }
-
-    /// Transforms one document with an explicit mode/format — the
-    /// per-request override used by `xtt-serve`'s `?mode=`/`?format=`.
-    /// Validation follows [`EngineOptions::validate`].
-    pub fn transform_with(
+    /// Runs a batch and returns every document's output text (its
+    /// [`Engine::run_doc`] bytes) in input order; failures — even
+    /// evaluator panics — are per-document and positional. Documents are
+    /// sharded across [`EngineOptions::workers`] threads by an atomic
+    /// cursor, unless the request carries an observer: then one worker
+    /// runs them in order and the stamps accumulate into one breakdown.
+    pub fn run_batch<D: AsRef<str> + Sync>(
         &self,
-        dtop: &Dtop,
-        doc: &str,
-        mode: EvalMode,
-        format: DocFormat,
-    ) -> Result<String, EngineError> {
-        self.transform_with_validation(dtop, doc, mode, format, self.opts.validate)
-    }
-
-    /// [`Engine::transform_with`] with an explicit validation override
-    /// (the `?validate=` request parameter of `xtt-serve`).
-    pub fn transform_with_validation(
-        &self,
-        dtop: &Dtop,
-        doc: &str,
-        mode: EvalMode,
-        format: DocFormat,
-        validate: bool,
-    ) -> Result<String, EngineError> {
-        self.transform_observed(dtop, doc, mode, format, validate, None)
-    }
-
-    /// [`Engine::transform_with_validation`] with a pipeline observer:
-    /// `obs` is stamped at every stage boundary the document crosses
-    /// (tokenize → encode → guard → evaluate → emit). `None` is the
-    /// production path and costs nothing — not even a clock read.
-    pub fn transform_observed(
-        &self,
-        dtop: &Dtop,
-        doc: &str,
-        mode: EvalMode,
-        format: DocFormat,
-        validate: bool,
-        obs: Option<&mut dyn EvalObserver>,
-    ) -> Result<String, EngineError> {
-        let compiled = self
-            .compiled(dtop)
-            .map_err(|e| EngineError::Compile(e.to_string()))?;
-        let guard = if validate {
-            Some(self.guard(dtop)?)
-        } else {
-            None
-        };
-        let limit = self.opts.max_output_nodes;
-        let result = Worker::new().transform(
-            &compiled,
-            dtop,
-            doc,
-            mode,
-            &format,
-            limit,
-            guard.as_deref(),
-            &self.skips,
-            obs,
-        );
-        if validate {
-            self.record_validation(std::slice::from_ref(&result));
-        }
-        result
-    }
-
-    /// Sequential batch transformation with a pipeline observer — the
-    /// sampled-request path of `xtt-serve`. One warm [`Worker`] runs the
-    /// documents in order (panic-isolated per document, like
-    /// [`Engine::transform_batch_with_validation`]); repeated stage
-    /// stamps accumulate in the observer, so the trace reports where the
-    /// whole request spent its time. Tracing is 1-in-N, so forgoing the
-    /// batch pool's parallelism here does not move throughput.
-    pub fn transform_batch_observed(
-        &self,
-        dtop: &Dtop,
-        docs: &[String],
-        mode: EvalMode,
-        format: DocFormat,
-        validate: bool,
-        mut obs: Option<&mut dyn EvalObserver>,
+        docs: &[D],
+        mut req: Request<'_>,
     ) -> Vec<Result<String, EngineError>> {
-        let compiled = match self.compiled(dtop) {
-            Ok(c) => c,
-            Err(e) => {
-                let err = EngineError::Compile(e.to_string());
-                return docs.iter().map(|_| Err(err.clone())).collect();
-            }
+        let workers = match req.observer {
+            Some(_) => 1,
+            None => effective_workers(self.opts.workers, docs.len()),
         };
-        let guard = if validate {
-            match self.guard(dtop) {
-                Ok(g) => Some(g),
-                Err(e) => return docs.iter().map(|_| Err(e.clone())).collect(),
-            }
+        let results = if workers <= 1 {
+            let mut worker = Worker::new();
+            docs.iter()
+                .map(|d| worker.text(self, d.as_ref(), &mut req))
+                .collect()
         } else {
-            None
+            // No observer here: every thread gets its own copy.
+            let (stages, guard, format, mode) = (req.stages, req.guard, req.format, req.mode);
+            let stage_events = req.stage_events;
+            let next = AtomicUsize::new(0);
+            let mut results =
+                vec![Err(EngineError::Internal("result was never produced".into())); docs.len()];
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut worker = Worker::new();
+                            let mut req = Request {
+                                stage_events,
+                                ..Request::new(stages, guard, format, mode)
+                            };
+                            let mut done = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(doc) = docs.get(i) else { break done };
+                                done.push((i, worker.text(self, doc.as_ref(), &mut req)));
+                            }
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    for (i, r) in handle.join().expect("engine worker panicked") {
+                        results[i] = r;
+                    }
+                }
+            });
+            results
         };
-        let limit = self.opts.max_output_nodes;
-        let mut worker = Worker::new();
-        let results: Vec<Result<String, EngineError>> = docs
-            .iter()
-            .map(|d| {
-                worker.transform_caught(
-                    &compiled,
-                    dtop,
-                    d,
-                    mode,
-                    &format,
-                    limit,
-                    guard.as_deref(),
-                    &self.skips,
-                    obs.as_deref_mut(),
-                )
-            })
-            .collect();
-        if validate {
+        if req.guard.is_some() {
             self.record_validation(&results);
         }
         results
     }
 
-    /// Event-driven transformation: output **bytes** flow to `out` as
-    /// they are produced, instead of a tree materializing at root-close.
-    /// Order-preserving regions of the transducer stream straight through
-    /// (the first output byte leaves before the input is fully read);
-    /// permuting/copying regions buffer only their own subtree. Uses the
-    /// engine's configured format and validation; evaluation is always
-    /// streaming.
-    ///
-    /// On `Err`, a partial output prefix may already have been written —
-    /// inherent to streaming emission. [`EngineError::Write`] carries the
-    /// writer's [`io::ErrorKind`] so serving layers can classify slow
-    /// clients vs disconnects.
-    pub fn transform_streaming(
+    /// Runs one document, writing its output bytes to `out` as the
+    /// format's sink produces them — in `stream` mode, before the input
+    /// is fully read, so on `Err` a partial prefix may already be out.
+    pub fn run_doc(
         &self,
-        dtop: &Dtop,
         doc: &str,
         out: &mut dyn io::Write,
+        mut req: Request<'_>,
     ) -> Result<StreamOutcome, EngineError> {
-        self.transform_streaming_with(dtop, doc, self.opts.format.clone(), self.opts.validate, out)
+        let result = Worker::new().run(self, doc, out, &mut req);
+        if req.guard.is_some() {
+            self.record_validation(std::slice::from_ref(&result));
+        }
+        result
     }
 
-    /// [`Engine::transform_streaming`] with explicit format and
-    /// validation overrides (the `?format=`/`?validate=` request
-    /// parameters of `xtt-serve`'s `mode=stream`).
+    /// Transforms one document with the engine's configured mode, format
+    /// and validation — [`Engine::run_batch`] on `dtop` as a one-stage
+    /// chain.
+    pub fn transform(&self, dtop: &Dtop, doc: &str) -> Result<String, EngineError> {
+        let (stage, guard) = self.resolve(dtop, self.opts.validate)?;
+        let stages = std::slice::from_ref(&stage);
+        let req = Request::new(stages, guard.as_deref(), &self.opts.format, self.opts.mode);
+        self.run_batch(&[doc], req)
+            .pop()
+            .expect("one result per document")
+    }
+
+    /// [`Engine::run_doc`] in `stream` mode on `dtop` as a one-stage chain.
+    /// Kept, with this signature, for the calls in `perfbench/src/layers.rs`.
     pub fn transform_streaming_with(
         &self,
         dtop: &Dtop,
@@ -618,76 +597,14 @@ impl Engine {
         validate: bool,
         out: &mut dyn io::Write,
     ) -> Result<StreamOutcome, EngineError> {
-        self.transform_streaming_observed(dtop, doc, format, validate, out, None)
+        let (stage, guard) = self.resolve(dtop, validate)?;
+        let stages = std::slice::from_ref(&stage);
+        let req = Request::new(stages, guard.as_deref(), &format, EvalMode::Streaming);
+        self.run_doc(doc, out, req)
     }
 
-    /// [`Engine::transform_streaming_with`] with a pipeline observer (see
-    /// [`Engine::transform_observed`]). The streamed paths fuse
-    /// tokenize/guard/evaluate into one pass, so the fused work is
-    /// charged to `eval`; any post-run serialization is charged to
-    /// `emit`.
-    pub fn transform_streaming_observed(
-        &self,
-        dtop: &Dtop,
-        doc: &str,
-        format: DocFormat,
-        validate: bool,
-        out: &mut dyn io::Write,
-        obs: Option<&mut dyn EvalObserver>,
-    ) -> Result<StreamOutcome, EngineError> {
-        let compiled = self
-            .compiled(dtop)
-            .map_err(|e| EngineError::Compile(e.to_string()))?;
-        let guard = if validate {
-            Some(self.guard(dtop)?)
-        } else {
-            None
-        };
-        let result = Worker::new().transform_streaming(
-            &[&*compiled],
-            doc,
-            &format,
-            guard.as_deref(),
-            self.opts.max_output_nodes,
-            out,
-            &self.skips,
-            obs,
-        );
-        if validate {
-            self.record_validation(std::slice::from_ref(&result));
-        }
-        result
-    }
-
-    /// Transforms a batch of documents, sharded across the worker pool.
-    /// Results are in input order; each document fails independently.
-    pub fn transform_batch(
-        &self,
-        dtop: &Dtop,
-        docs: &[String],
-    ) -> Vec<Result<String, EngineError>> {
-        self.transform_batch_with(dtop, docs, self.opts.mode, self.opts.format.clone())
-    }
-
-    /// [`Engine::transform_batch`] with an explicit mode/format.
-    /// Validation follows [`EngineOptions::validate`].
-    pub fn transform_batch_with(
-        &self,
-        dtop: &Dtop,
-        docs: &[String],
-        mode: EvalMode,
-        format: DocFormat,
-    ) -> Vec<Result<String, EngineError>> {
-        self.transform_batch_with_validation(dtop, docs, mode, format, self.opts.validate)
-    }
-
-    /// [`Engine::transform_batch_with`] with an explicit validation
-    /// override.
-    ///
-    /// Failure is strictly per-document and positional: parse errors,
-    /// out-of-domain inputs (typed violations under validation), and even
-    /// evaluator panics surface as `Err` at the failing document's index
-    /// while every other document still completes.
+    /// [`Engine::run_batch`] on `dtop` as a one-stage chain. Kept, with
+    /// this signature, for the calls in `perfbench/src/layers.rs`.
     pub fn transform_batch_with_validation(
         &self,
         dtop: &Dtop,
@@ -696,126 +613,17 @@ impl Engine {
         format: DocFormat,
         validate: bool,
     ) -> Vec<Result<String, EngineError>> {
-        let compiled = match self.compiled(dtop) {
-            Ok(c) => c,
-            Err(e) => {
-                let err = EngineError::Compile(e.to_string());
-                return docs.iter().map(|_| Err(err.clone())).collect();
+        match self.resolve(dtop, validate) {
+            Ok((stage, guard)) => {
+                let stages = std::slice::from_ref(&stage);
+                self.run_batch(docs, Request::new(stages, guard.as_deref(), &format, mode))
             }
-        };
-        let guard = if validate {
-            match self.guard(dtop) {
-                Ok(g) => Some(g),
-                Err(e) => return docs.iter().map(|_| Err(e.clone())).collect(),
-            }
-        } else {
-            None
-        };
-        let guard = guard.as_deref();
-        let limit = self.opts.max_output_nodes;
-        let workers = effective_workers(self.opts.workers, docs.len());
-        let format = &format;
-        let skips = &self.skips;
-        let results = if workers <= 1 {
-            let mut worker = Worker::new();
-            docs.iter()
-                .map(|d| {
-                    worker.transform_caught(
-                        &compiled, dtop, d, mode, format, limit, guard, skips, None,
-                    )
-                })
-                .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let chunks: Vec<Vec<(usize, Result<String, EngineError>)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            let compiled = &compiled;
-                            let next = &next;
-                            scope.spawn(move || {
-                                let mut out = Vec::new();
-                                let mut worker = Worker::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= docs.len() {
-                                        break;
-                                    }
-                                    out.push((
-                                        i,
-                                        worker.transform_caught(
-                                            compiled, dtop, &docs[i], mode, format, limit, guard,
-                                            skips, None,
-                                        ),
-                                    ));
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("engine worker panicked"))
-                        .collect()
-                });
-            let mut results =
-                vec![Err(EngineError::Internal("result was never produced".into())); docs.len()];
-            for chunk in chunks {
-                for (i, r) in chunk {
-                    results[i] = r;
-                }
-            }
-            results
-        };
-        if validate {
-            self.record_validation(&results);
+            Err(e) => vec![Err(e); docs.len()],
         }
-        results
     }
 
-    /// Executes a pre-compiled pipeline chain τₙ ∘ … ∘ τ₁ on one
-    /// document (`stages[0]` runs first). `guard` is the domain guard of
-    /// the **whole chain** — `xtt-pipeline` builds it from the composed
-    /// transducer, with the input schema folded in — so rejection
-    /// surfaces as a positioned [`EngineError::Type`] exactly like
-    /// single-transducer validation. In [`EvalMode::Streaming`] with no
-    /// output bound the stages are fused: stage i's committed output
-    /// events feed stage i+1 without materializing intermediate trees;
-    /// the other modes evaluate stage by stage. The output-node bound
-    /// applies to the **final** stage's output only (the chain's output
-    /// — intermediate sizes are an execution detail the statically
-    /// composed strategy never sees). `stage_events`, when given,
-    /// receives each stage's output event count.
-    pub fn transform_chain(
-        &self,
-        stages: &[ChainStage],
-        doc: &str,
-        mode: EvalMode,
-        format: DocFormat,
-        guard: Option<&CompiledDtta>,
-        stage_events: Option<&dyn Fn(usize, u64)>,
-    ) -> Result<String, EngineError> {
-        let limit = self.opts.max_output_nodes;
-        let result = Worker::new().transform_chain_caught(
-            stages,
-            doc,
-            mode,
-            &format,
-            limit,
-            guard,
-            &self.skips,
-            stage_events,
-        );
-        if guard.is_some() {
-            self.record_validation(std::slice::from_ref(&result));
-        }
-        result
-    }
-
-    /// [`Engine::transform_chain`] over a batch, sharded across the
-    /// worker pool exactly like [`Engine::transform_batch`]: results in
-    /// input order, strictly per-document failure. `stage_events` may be
-    /// called from several worker threads concurrently.
+    /// [`Engine::run_batch`] on a pre-compiled chain. Kept, with this
+    /// signature, for the calls in `perfbench/src/layers.rs`.
     pub fn transform_batch_chain(
         &self,
         stages: &[ChainStage],
@@ -825,192 +633,74 @@ impl Engine {
         guard: Option<&CompiledDtta>,
         stage_events: Option<&(dyn Fn(usize, u64) + Sync)>,
     ) -> Vec<Result<String, EngineError>> {
-        let limit = self.opts.max_output_nodes;
-        let workers = effective_workers(self.opts.workers, docs.len());
-        let format = &format;
-        let skips = &self.skips;
-        let results = if workers <= 1 {
-            let mut worker = Worker::new();
-            docs.iter()
-                .map(|d| {
-                    worker.transform_chain_caught(
-                        stages,
-                        d,
-                        mode,
-                        format,
-                        limit,
-                        guard,
-                        skips,
-                        stage_events.map(|cb| cb as &dyn Fn(usize, u64)),
-                    )
-                })
-                .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let chunks: Vec<Vec<(usize, Result<String, EngineError>)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            let next = &next;
-                            scope.spawn(move || {
-                                let mut out = Vec::new();
-                                let mut worker = Worker::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= docs.len() {
-                                        break;
-                                    }
-                                    out.push((
-                                        i,
-                                        worker.transform_chain_caught(
-                                            stages,
-                                            &docs[i],
-                                            mode,
-                                            format,
-                                            limit,
-                                            guard,
-                                            skips,
-                                            stage_events.map(|cb| cb as &dyn Fn(usize, u64)),
-                                        ),
-                                    ));
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("engine worker panicked"))
-                        .collect()
-                });
-            let mut results =
-                vec![Err(EngineError::Internal("result was never produced".into())); docs.len()];
-            for chunk in chunks {
-                for (i, r) in chunk {
-                    results[i] = r;
-                }
-            }
-            results
-        };
-        if guard.is_some() {
-            self.record_validation(&results);
-        }
-        results
-    }
-
-    /// Event-driven chain execution: like
-    /// [`Engine::transform_streaming`], but through every stage of a
-    /// pre-compiled pipeline — output **bytes** leave as the final
-    /// stage's prefix commits, and no intermediate tree materializes
-    /// outside buffered (permuting/copying) regions.
-    pub fn transform_streaming_chain(
-        &self,
-        stages: &[ChainStage],
-        doc: &str,
-        format: DocFormat,
-        guard: Option<&CompiledDtta>,
-        out: &mut dyn io::Write,
-        stage_events: Option<&dyn Fn(usize, u64)>,
-    ) -> Result<StreamOutcome, EngineError> {
-        let refs: Vec<&CompiledDtop> = stages.iter().map(|s| &*s.compiled).collect();
-        let mut worker = Worker::new();
-        let result = worker.transform_streaming(
-            &refs,
-            doc,
-            &format,
-            guard,
-            self.opts.max_output_nodes,
-            out,
-            &self.skips,
-            None,
-        );
-        if let (Ok(outcome), Some(cb)) = (&result, stage_events) {
-            if refs.len() > 1 {
-                for (i, st) in worker.chain.stage_stats().enumerate() {
-                    cb(i, st.events_total);
-                }
-            } else {
-                cb(0, outcome.events_total);
-            }
-        }
-        if guard.is_some() {
-            self.record_validation(std::slice::from_ref(&result));
-        }
-        result
-    }
-}
-
-/// Maps a streaming-pipeline failure onto the engine's error taxonomy:
-/// XML syntax errors are parse errors, DTD/encoding mismatches are
-/// encoding errors.
-fn encoded_error(e: UnrankedError) -> EngineError {
-    match e {
-        UnrankedError::Xml(x) => EngineError::Parse(x.to_string()),
-        UnrankedError::Encode(x) => EngineError::Encoding(x.to_string()),
+        let req = Request::new(stages, guard, &format, mode);
+        self.run_batch(
+            docs,
+            Request {
+                stage_events,
+                ..req
+            },
+        )
     }
 }
 
 /// [`TreeEventSource`] over the codec's incremental encoder
 /// ([`UnrankedEvents`]), with the raw fast-forward wired through and the
-/// first pipeline error captured for the caller to classify.
+/// first pipeline error captured for the verdict.
 struct EncodedSource<'a> {
     inner: UnrankedEvents<'a>,
     error: Option<UnrankedError>,
 }
 
-impl<'a> EncodedSource<'a> {
-    fn new(inner: UnrankedEvents<'a>) -> EncodedSource<'a> {
-        EncodedSource { inner, error: None }
-    }
-}
-
 impl TreeEventSource for EncodedSource<'_> {
     fn next_event(&mut self) -> Option<TreeEvent> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.inner.next()? {
-            Ok(event) => Some(event),
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
+        let event = self.inner.next().filter(|_| self.error.is_none())?;
+        event.map_err(|e| self.error = Some(e)).ok()
     }
 
     fn skip_subtree(&mut self) -> bool {
-        match self.inner.skip_subtree() {
-            Ok(engaged) => engaged,
-            Err(e) => {
-                // The fast-forward hit a structural error: the stream is
-                // over either way. Report the skip as taken; the next
-                // `next_event` returns `None` and the error surfaces.
-                self.error = Some(e);
-                true
-            }
-        }
+        // A structural error inside the fast-forward ends the stream
+        // either way: report the skip as taken, and the next
+        // `next_event` returns `None` so the error surfaces.
+        self.inner.skip_subtree().unwrap_or_else(|e| {
+            self.error = Some(e);
+            true
+        })
     }
 }
 
-/// [`OutputSink`] that streams the output tree as term syntax,
-/// byte-identical to `Tree::to_string()`.
-struct TermSink<'w> {
+/// The output half of a [`DocFormat`]: its serializer over the caller's
+/// writer. An output with no form in the format stops it with `failure`.
+pub(crate) struct FormatSink<'w> {
     out: &'w mut dyn io::Write,
     bytes: u64,
-    /// An `Open`ed symbol whose leaf-vs-inner classification waits on the
-    /// next event.
-    pending: Option<Symbol>,
-    /// The next node at this position follows a sibling (needs a comma).
-    sep: bool,
+    failure: Option<EngineError>,
+    kind: SinkKind,
 }
 
-impl<'w> TermSink<'w> {
-    fn new(out: &'w mut dyn io::Write) -> TermSink<'w> {
-        TermSink {
+enum SinkKind {
+    /// Term syntax, as `Tree::to_string()`: the symbol awaiting leaf or
+    /// inner, and whether the next node follows a sibling.
+    Term(Option<Symbol>, bool),
+    Xml(XmlState),
+    /// Unranked XML decoded by the codec's incremental [`XmlWriter`],
+    /// each committed text prefix written as it is produced.
+    Encoded(Option<XmlWriter>),
+}
+
+impl<'w> FormatSink<'w> {
+    pub(crate) fn new(format: &DocFormat, out: &'w mut dyn io::Write) -> FormatSink<'w> {
+        let kind = match format {
+            DocFormat::Term => SinkKind::Term(None, false),
+            DocFormat::Xml => SinkKind::Xml(XmlState::new(false, true)),
+            DocFormat::XmlAttrs => SinkKind::Xml(XmlState::new(true, true)),
+            DocFormat::Encoded(codec) => SinkKind::Encoded(Some(codec.writer())),
+        };
+        FormatSink {
             out,
             bytes: 0,
-            pending: None,
-            sep: false,
+            failure: None,
+            kind,
         }
     }
 
@@ -1019,183 +709,246 @@ impl<'w> TermSink<'w> {
         self.bytes += s.len() as u64;
         Ok(())
     }
-}
 
-impl OutputSink for TermSink<'_> {
-    fn event(&mut self, ev: TreeEvent) -> io::Result<()> {
-        match ev {
-            TreeEvent::Open(sym) => {
-                if let Some(parent) = self.pending.take() {
-                    self.put(parent.name())?;
-                    self.put("(")?;
-                } else if self.sep {
-                    self.put(",")?;
-                }
-                self.pending = Some(sym);
-                self.sep = false;
-            }
-            TreeEvent::Close => {
-                match self.pending.take() {
-                    Some(leaf) => self.put(leaf.name())?,
-                    None => self.put(")")?,
-                }
-                self.sep = true;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// [`OutputSink`] that streams the output tree as ranked XML,
-/// byte-identical to [`tree_to_xml`]; inner symbols that are not XML
-/// names are rejected mid-stream (`failure`), matching the batch path's
-/// serializability check.
-struct RankedXmlSink<'w> {
-    out: &'w mut dyn io::Write,
-    bytes: u64,
-    pending: Option<Symbol>,
-    /// Per open element: was the previously written child a text leaf?
-    stack: Vec<(Symbol, bool)>,
-    failure: Option<String>,
-}
-
-impl<'w> RankedXmlSink<'w> {
-    fn new(out: &'w mut dyn io::Write) -> RankedXmlSink<'w> {
-        RankedXmlSink {
-            out,
-            bytes: 0,
-            pending: None,
-            stack: Vec::new(),
-            failure: None,
-        }
+    fn puts(&mut self, parts: &[&str]) -> io::Result<()> {
+        parts.iter().try_for_each(|s| self.put(s))
     }
 
-    fn put(&mut self, s: &str) -> io::Result<()> {
-        self.out.write_all(s.as_bytes())?;
-        self.bytes += s.len() as u64;
-        Ok(())
-    }
-}
-
-impl OutputSink for RankedXmlSink<'_> {
-    fn event(&mut self, ev: TreeEvent) -> io::Result<()> {
-        match ev {
-            TreeEvent::Open(sym) => {
-                if let Some(parent) = self.pending.take() {
-                    // The pending node has children: an inner element.
-                    let name = parent.name();
-                    if !crate::stream::is_xml_name(name) {
-                        self.failure = Some(
-                            "output has inner symbols that are not XML names; use the term format"
-                                .into(),
-                        );
-                        return Err(io::Error::other("output not XML-serializable"));
-                    }
-                    self.put("<")?;
-                    self.put(name)?;
-                    self.put(">")?;
-                    if let Some(top) = self.stack.last_mut() {
-                        top.1 = false;
-                    }
-                    self.stack.push((parent, false));
-                }
-                self.pending = Some(sym);
-            }
-            TreeEvent::Close => match self.pending.take() {
-                Some(leaf) => {
-                    let name = leaf.name();
-                    if crate::stream::is_xml_name(name) {
-                        self.put("<")?;
-                        self.put(name)?;
-                        self.put("/>")?;
-                        if let Some(top) = self.stack.last_mut() {
-                            top.1 = false;
-                        }
-                    } else {
-                        // A text token; adjacent text leaves stay
-                        // distinct tokens.
-                        if self.stack.last().is_some_and(|t| t.1) {
-                            self.put(" ")?;
-                        }
-                        self.put(&crate::stream::escape_text(name))?;
-                        if let Some(top) = self.stack.last_mut() {
-                            top.1 = true;
-                        }
-                    }
-                }
-                None => {
-                    let (sym, _) = self
-                        .stack
-                        .pop()
-                        .expect("the evaluator emits balanced events");
-                    self.put("</")?;
-                    self.put(sym.name())?;
-                    self.put(">")?;
-                }
-            },
-        }
-        Ok(())
-    }
-}
-
-/// [`OutputSink`] that decodes the output tree to unranked XML through
-/// the codec's incremental [`XmlWriter`], flushing each committed text
-/// prefix to the byte writer as it is produced.
-struct EncodedByteSink<'w> {
-    writer: Option<XmlWriter>,
-    out: &'w mut dyn io::Write,
-    bytes: u64,
-    failure: Option<UnrankedError>,
-}
-
-impl<'w> EncodedByteSink<'w> {
-    fn new(writer: XmlWriter, out: &'w mut dyn io::Write) -> EncodedByteSink<'w> {
-        EncodedByteSink {
-            writer: Some(writer),
-            out,
-            bytes: 0,
-            failure: None,
-        }
+    fn fail(&mut self, e: EngineError, why: &str) -> io::Result<()> {
+        self.failure = Some(e);
+        Err(io::Error::other(why))
     }
 
-    /// Validates completion and writes the decoder's remainder.
-    fn finish(&mut self) -> Result<(), EngineError> {
-        let writer = self.writer.take().expect("finished once");
+    /// Completes the output after the last event: validates the decoder's
+    /// end state and writes its remainder. `true` if the format has such
+    /// a tail (work charged to emit).
+    fn finish(&mut self) -> Result<bool, EngineError> {
+        let SinkKind::Encoded(writer) = &mut self.kind else {
+            return Ok(false);
+        };
+        let writer = writer.take().expect("finished once");
         let rest = writer
             .finish()
             .map_err(|e| EngineError::Encoding(e.to_string()))?;
-        if !rest.is_empty() {
-            self.out
-                .write_all(rest.as_bytes())
-                .map_err(|e| EngineError::Write {
-                    kind: e.kind(),
-                    message: e.to_string(),
-                })?;
-            self.bytes += rest.len() as u64;
+        self.put(&rest).map_err(write_error)?;
+        Ok(true)
+    }
+
+    fn symbol(&mut self, sym: Symbol) -> io::Result<()> {
+        if sym.needs_quoting() {
+            self.put(&sym.to_string())
+        } else {
+            self.put(sym.name())
         }
-        Ok(())
+    }
+
+    fn term(&mut self, ev: TreeEvent) -> io::Result<()> {
+        let SinkKind::Term(pending, sep) = &mut self.kind else {
+            unreachable!("dispatched on the kind")
+        };
+        let (prev, follows) = (pending.take(), *sep);
+        *sep = ev == TreeEvent::Close;
+        if let TreeEvent::Open(sym) = ev {
+            *pending = Some(sym);
+        }
+        match (ev, prev) {
+            (TreeEvent::Open(_), Some(parent)) => {
+                self.symbol(parent)?;
+                self.put("(")
+            }
+            (TreeEvent::Open(_), None) if follows => self.put(","),
+            (TreeEvent::Open(_), None) => Ok(()),
+            (TreeEvent::Close, Some(leaf)) => self.symbol(leaf),
+            (TreeEvent::Close, None) => self.put(")"),
+        }
     }
 }
 
-impl OutputSink for EncodedByteSink<'_> {
+impl OutputSink for FormatSink<'_> {
     fn event(&mut self, ev: TreeEvent) -> io::Result<()> {
-        let writer = self.writer.as_mut().expect("sink not finished");
-        if let Err(e) = writer.feed(ev) {
-            self.failure = Some(e);
-            return Err(io::Error::other("output not decodable"));
+        match &mut self.kind {
+            SinkKind::Term(..) => self.term(ev),
+            SinkKind::Xml(_) => self.xml(ev),
+            SinkKind::Encoded(writer) => {
+                let writer = writer.as_mut().expect("sink not finished");
+                if let Err(e) = writer.feed(ev) {
+                    let e = EngineError::Encoding(e.to_string());
+                    return self.fail(e, "output not decodable");
+                }
+                let chunk = writer.pending();
+                self.out.write_all(chunk.as_bytes())?;
+                self.bytes += chunk.len() as u64;
+                Ok(())
+            }
         }
-        let chunk = writer.pending();
-        if !chunk.is_empty() {
-            self.out.write_all(chunk.as_bytes())?;
-            self.bytes += chunk.len() as u64;
-        }
-        Ok(())
     }
+}
+
+const NOT_XML: &str = "output has inner symbols that are not XML names; use the term format";
+
+/// Where the XML writer is inside an `@attrs` block.
+#[derive(Clone, Copy)]
+enum Attr {
+    Outside,
+    /// Between attribute slots.
+    Block,
+    /// Inside a slot's value (`true` = no token written yet).
+    Slot(bool),
+    /// Inside a value token.
+    Token,
+}
+
+/// Ranked XML, the writer behind [`tree_to_xml`]. With `attrs`, an
+/// element's `@attrs` first child is written back as `name="value"`
+/// attributes (the inverse of [`XmlRankedEvents::attributes`]). A
+/// `strict` writer stops at the first output with no XML form (an inner
+/// symbol that is not an XML name, a malformed attribute block).
+struct XmlState {
+    attrs: bool,
+    strict: bool,
+    /// The symbol awaiting leaf or inner.
+    pending: Option<Symbol>,
+    /// Open elements, each with: was the last child a text token?
+    stack: Vec<(Symbol, bool)>,
+    /// The top element's start tag awaits `>` or `/>` (after attributes).
+    tag_open: bool,
+    attr: Attr,
+}
+
+impl XmlState {
+    fn new(attrs: bool, strict: bool) -> XmlState {
+        XmlState {
+            attrs,
+            strict,
+            pending: None,
+            stack: Vec::new(),
+            tag_open: false,
+            attr: Attr::Outside,
+        }
+    }
+}
+
+impl FormatSink<'_> {
+    fn xml(&mut self, ev: TreeEvent) -> io::Result<()> {
+        let SinkKind::Xml(st) = &mut self.kind else {
+            unreachable!("dispatched on the kind")
+        };
+        let not_xml = |sink: &mut Self| sink.fail(parse_error(NOT_XML), "output not XML");
+        match (st.attr, ev) {
+            (Attr::Block, TreeEvent::Open(slot)) => {
+                let Some(name) = slot.name().strip_prefix('@').filter(|n| is_xml_name(n)) else {
+                    return not_xml(self);
+                };
+                st.attr = Attr::Slot(true);
+                self.puts(&[" ", name, "=\""])
+            }
+            (Attr::Block, TreeEvent::Close) => {
+                st.attr = Attr::Outside;
+                Ok(())
+            }
+            (Attr::Slot(first), TreeEvent::Open(token)) => {
+                st.attr = Attr::Token;
+                let sep = if first { "" } else { " " };
+                self.puts(&[sep, &escape_attr(token.name())])
+            }
+            (Attr::Slot(_), TreeEvent::Close) => {
+                st.attr = Attr::Block;
+                self.put("\"")
+            }
+            (Attr::Token, TreeEvent::Open(_)) => not_xml(self),
+            (Attr::Token, TreeEvent::Close) => {
+                st.attr = Attr::Slot(false);
+                Ok(())
+            }
+            (Attr::Outside, TreeEvent::Open(sym)) => {
+                let Some(parent) = st.pending.replace(sym) else {
+                    // A next child: close a start tag left open by its
+                    // attribute block.
+                    return match std::mem::take(&mut st.tag_open) {
+                        true => self.put(">"),
+                        false => Ok(()),
+                    };
+                };
+                // The pending node has children: an element.
+                let name = parent.name();
+                if st.strict && !is_xml_name(name) {
+                    return not_xml(self);
+                }
+                if let Some(top) = st.stack.last_mut() {
+                    top.1 = false;
+                }
+                st.stack.push((parent, false));
+                let attrs = st.attrs && sym.name() == "@attrs";
+                if attrs {
+                    st.pending = None;
+                    st.tag_open = true;
+                    st.attr = Attr::Block;
+                }
+                self.puts(&["<", name, if attrs { "" } else { ">" }])
+            }
+            (Attr::Outside, TreeEvent::Close) => match st.pending.take() {
+                Some(leaf) => {
+                    let name = leaf.name();
+                    let text = !is_xml_name(name);
+                    // Adjacent text leaves stay distinct tokens.
+                    let space = text && st.stack.last().is_some_and(|t| t.1);
+                    if let Some(top) = st.stack.last_mut() {
+                        top.1 = text;
+                    }
+                    let sep = if space { " " } else { "" };
+                    match text {
+                        true => self.puts(&[sep, &escape_text(name)]),
+                        false => self.puts(&["<", name, "/>"]),
+                    }
+                }
+                None => {
+                    let (sym, _) = st.stack.pop().expect("output events are balanced");
+                    match std::mem::take(&mut st.tag_open) {
+                        true => self.put("/>"),
+                        false => self.puts(&["</", sym.name(), ">"]),
+                    }
+                }
+            },
+        }
+    }
+}
+
+/// Serializes a ranked tree as XML: XML-name symbols become elements,
+/// other leaves (like the paper's `#`) text tokens — the inverse of
+/// [`XmlRankedEvents::collect_tree`], iterative in depth. Inner symbols
+/// that are not XML names are written as they are.
+pub fn tree_to_xml(t: &Tree) -> String {
+    let mut out = Vec::new();
+    let mut sink = FormatSink::new(&DocFormat::Xml, &mut out);
+    sink.kind = SinkKind::Xml(XmlState::new(false, false));
+    sink.tree(t)
+        .expect("a lenient sink over a buffer cannot fail");
+    String::from_utf8(out).expect("symbol names are UTF-8")
+}
+
+fn is_xml_name(s: &str) -> bool {
+    let mut chars = s.chars();
+    match chars.next() {
+        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
+        _ => return false,
+    }
+    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':'))
+}
+
+fn escape_text(s: &str) -> String {
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
+}
+
+fn escape_attr(s: &str) -> String {
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('"', "&quot;")
 }
 
 /// Enforces [`EngineOptions::max_output_nodes`] on a streamed run by
-/// counting output nodes as they pass — the streaming analogue of the
-/// batch DAG pre-flight (which needs the whole input up front).
+/// counting output nodes as they pass to the sink.
 struct CapSink<'s> {
     inner: &'s mut dyn OutputSink,
     nodes: u64,
@@ -1229,7 +982,7 @@ impl OutputSink for CapSink<'_> {
     }
 }
 
-/// Everything one streamed evaluation produced, before classification.
+/// Everything one run produced, before classification.
 struct RunOutcome {
     result: io::Result<Option<EmitStats>>,
     violation: Option<TypeError>,
@@ -1237,63 +990,10 @@ struct RunOutcome {
     exceeded: bool,
 }
 
-/// The streaming executor behind [`run_stream`]: one evaluator, or a
-/// whole pipeline chain — the guard/cap/verdict plumbing is identical.
-enum ChainExec<'w> {
-    Single(&'w mut StreamEvaluator, &'w CompiledDtop),
-    Chain(&'w mut ChainedEvaluator, &'w [&'w CompiledDtop]),
-}
-
-impl ChainExec<'_> {
-    fn run(
-        &mut self,
-        source: &mut impl TreeEventSource,
-        sink: &mut dyn OutputSink,
-    ) -> io::Result<Option<EmitStats>> {
-        match self {
-            ChainExec::Single(stream, c) => stream.eval_streaming(c, source, sink),
-            ChainExec::Chain(chain, stages) => chain.eval_streaming(stages, source, sink),
-        }
-    }
-}
-
-/// Runs one streaming evaluation with the optional lockstep guard and
-/// the output-node cap composed in.
-fn run_stream<S: TreeEventSource>(
-    mut exec: ChainExec<'_>,
-    guard: Option<&CompiledDtta>,
-    source: &mut S,
-    sink: &mut dyn OutputSink,
-    limit: Option<u64>,
-) -> RunOutcome {
-    let mut cap = CapSink {
-        inner: sink,
-        nodes: 0,
-        limit: limit.unwrap_or(u64::MAX),
-        exceeded: false,
-    };
-    let (result, violation) = match guard {
-        Some(g) => {
-            let mut guarded = GuardedSource::new(g, source);
-            let result = exec.run(&mut guarded, &mut cap);
-            let violation = guarded.take_violation();
-            (result, violation)
-        }
-        None => (exec.run(source, &mut cap), None),
-    };
-    RunOutcome {
-        result,
-        violation,
-        nodes: cap.nodes,
-        exceeded: cap.exceeded,
-    }
-}
-
-/// Maps a [`RunOutcome`] onto the engine's error taxonomy. Priority: a
-/// guard violation wins (it cut the stream first), then the output-node
-/// cap, then the sink's semantic failure, then raw write errors; a clean
-/// `None` is a source error if one was recorded, `Undefined` otherwise.
-fn stream_verdict(
+/// Maps a run onto the engine's error taxonomy: a guard violation wins
+/// (it cut the stream first), then the output-node cap, the sink's
+/// failure, a write error; a clean `None` is the source's error, if any.
+fn verdict(
     run: RunOutcome,
     source_error: Option<EngineError>,
     sink_failure: Option<EngineError>,
@@ -1302,37 +1002,29 @@ fn stream_verdict(
         return Err(EngineError::Type(v));
     }
     match run.result {
-        Err(e) => {
-            if run.exceeded {
-                Err(EngineError::OutputTooLarge(run.nodes))
-            } else if let Some(f) = sink_failure {
-                Err(f)
-            } else {
-                Err(EngineError::Write {
-                    kind: e.kind(),
-                    message: e.to_string(),
-                })
-            }
-        }
+        Err(_) if run.exceeded => Err(EngineError::OutputTooLarge(run.nodes)),
+        Err(e) => Err(sink_failure.unwrap_or_else(|| write_error(e))),
         Ok(None) => Err(source_error.unwrap_or(EngineError::Undefined)),
         Ok(Some(stats)) => Ok(stats),
     }
 }
 
-fn outcome(stats: EmitStats, bytes: u64, skipped: u64) -> StreamOutcome {
-    StreamOutcome {
-        bytes_written: bytes,
-        events_emitted_early: stats.events_emitted_early,
-        events_total: stats.events_total,
-        peak_buffered_frames: stats.peak_buffered_frames,
-        skipped_subtrees: skipped,
-    }
+/// `dtop`'s entry in one of the engine's LRU caches, keyed by its
+/// structural fingerprint and verified against its rendering.
+fn cached<V: Clone, E>(
+    cache: &Mutex<LruCache<V>>,
+    dtop: &Dtop,
+    capacity: usize,
+    build: impl FnOnce() -> Result<V, E>,
+) -> Result<V, E> {
+    let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
+    cache.get_or_insert_with(fingerprint(dtop), dtop.to_string(), capacity, build)
 }
 
 /// Stamps a stage boundary on the observer, if one is attached. The
 /// `None` path is a single predictable branch — no clock read, no call.
 #[inline]
-fn stamp<'a, 'b>(obs: &mut Option<&'a mut (dyn EvalObserver + 'b)>, stage: Stage) {
+fn stamp(obs: &mut Option<&mut dyn EvalObserver>, stage: Stage) {
     if let Some(o) = obs.as_deref_mut() {
         o.stage(stage);
     }
@@ -1344,12 +1036,10 @@ fn effective_workers(configured: usize, docs: usize) -> usize {
     w.min(docs.max(1))
 }
 
-/// Per-thread evaluation state: warm scratches for every mode, plus the
-/// DAG arena for [`EvalMode::Dag`]. One per batch worker, recreated after
-/// a caught panic (a panic can leave the scratches inconsistent).
+/// Per-thread execution state, warm across documents; recreated after a
+/// caught panic (which can leave the scratches inconsistent).
 struct Worker {
-    scratch: EvalScratch<xtt_trees::Tree>,
-    stream: StreamEvaluator,
+    scratch: EvalScratch<Tree>,
     chain: ChainedEvaluator,
     dag: TreeDag,
     dag_scratch: EvalScratch<DagId>,
@@ -1359,43 +1049,44 @@ impl Worker {
     fn new() -> Worker {
         Worker {
             scratch: EvalScratch::new(),
-            stream: StreamEvaluator::new(),
             chain: ChainedEvaluator::new(),
             dag: TreeDag::new(),
             dag_scratch: EvalScratch::new(),
         }
     }
 
-    /// The streaming executor for a stage list: the plain evaluator for
-    /// a single stage (the existing hot path, untouched), the chained
-    /// evaluator for a real pipeline.
-    fn exec<'w>(&'w mut self, stages: &'w [&'w CompiledDtop]) -> ChainExec<'w> {
-        match stages {
-            [single] => ChainExec::Single(&mut self.stream, single),
-            _ => ChainExec::Chain(&mut self.chain, stages),
-        }
+    /// [`Worker::run`] into a buffer, as text. Turning the bytes into the
+    /// result is charged to emit.
+    fn text(
+        &mut self,
+        engine: &Engine,
+        doc: &str,
+        req: &mut Request<'_>,
+    ) -> Result<String, EngineError> {
+        let mut out = Vec::with_capacity(doc.len());
+        self.run(engine, doc, &mut out, req)?;
+        let text = String::from_utf8(out).map_err(|e| EngineError::Internal(e.to_string()))?;
+        stamp(&mut req.observer, Stage::Emit);
+        Ok(text)
     }
 
-    /// [`Worker::transform`] with panic isolation: a panicking document
-    /// yields `Err(EngineError::Internal)` instead of poisoning the whole
-    /// batch, and the worker continues with fresh scratch state.
-    #[allow(clippy::too_many_arguments)]
-    fn transform_caught(
+    /// The per-document routine: the format's sink over `out`, fed by the
+    /// mode's path through the stages. A panicking document yields
+    /// `Err(EngineError::Internal)`, and the worker starts afresh.
+    fn run(
         &mut self,
-        compiled: &CompiledDtop,
-        dtop: &Dtop,
+        engine: &Engine,
         doc: &str,
-        mode: EvalMode,
-        format: &DocFormat,
-        limit: Option<u64>,
-        guard: Option<&CompiledDtta>,
-        skips: &AtomicU64,
-        obs: Option<&mut (dyn EvalObserver + '_)>,
-    ) -> Result<String, EngineError> {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.transform(compiled, dtop, doc, mode, format, limit, guard, skips, obs)
+        out: &mut dyn io::Write,
+        req: &mut Request<'_>,
+    ) -> Result<StreamOutcome, EngineError> {
+        assert!(!req.stages.is_empty(), "a chain has at least one stage");
+        let mut sink = FormatSink::new(req.format, out);
+        let result = catch_unwind(AssertUnwindSafe(|| match req.mode {
+            EvalMode::Compiled => self.tree(engine, doc, &mut sink, req),
+            EvalMode::Streaming => self.stream(engine, doc, &mut sink, req),
         }));
-        result.unwrap_or_else(|panic| {
+        let (stats, skipped) = result.unwrap_or_else(|panic| {
             *self = Worker::new();
             let msg = panic
                 .downcast_ref::<&str>()
@@ -1403,552 +1094,177 @@ impl Worker {
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "evaluator panicked".to_owned());
             Err(EngineError::Internal(msg))
+        })?;
+        Ok(StreamOutcome {
+            bytes_written: sink.bytes,
+            events_emitted_early: stats.events_emitted_early,
+            events_total: stats.events_total,
+            peak_buffered_frames: stats.peak_buffered_frames,
+            skipped_subtrees: skipped,
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn transform(
+    /// `tree` mode: collect and guard the input, evaluate stage by stage
+    /// (the output-node bound pre-flights the **last** stage, the chain's
+    /// output), replay the output tree into the sink.
+    fn tree(
         &mut self,
-        compiled: &CompiledDtop,
-        dtop: &Dtop,
+        engine: &Engine,
         doc: &str,
-        mode: EvalMode,
-        format: &DocFormat,
-        limit: Option<u64>,
-        guard: Option<&CompiledDtta>,
-        skips: &AtomicU64,
-        mut obs: Option<&mut (dyn EvalObserver + '_)>,
-    ) -> Result<String, EngineError> {
-        let obs = &mut obs;
-        match format {
-            DocFormat::Term => {
-                let input = parse_tree(doc).map_err(|e| EngineError::Parse(e.to_string()))?;
-                stamp(obs, Stage::Tokenize);
-                if let Some(g) = guard {
-                    if mode == EvalMode::Streaming && limit.is_none() {
-                        // Lockstep with the event stream — identical
-                        // diagnostics (same DttaRun), exercised here so
-                        // term and XML streaming share one guarded path.
-                        // Guard and evaluation are fused; the pass is
-                        // charged to eval.
-                        let output = self.eval_stream_guarded(compiled, g, input.events())?;
-                        stamp(obs, Stage::Evaluate);
-                        let text = output.to_string();
-                        stamp(obs, Stage::Emit);
-                        return Ok(text);
-                    }
-                    g.check_tree(&input).map_err(EngineError::Type)?;
-                    stamp(obs, Stage::Guard);
-                }
-                let preflight = self.check_output_bound(compiled, &input, limit)?;
-                let output = self.eval_tree(compiled, dtop, &input, mode, preflight)?;
-                stamp(obs, Stage::Evaluate);
-                let text = output.to_string();
-                stamp(obs, Stage::Emit);
-                Ok(text)
-            }
+        sink: &mut FormatSink<'_>,
+        req: &mut Request<'_>,
+    ) -> Result<(EmitStats, u64), EngineError> {
+        let (mut current, read) = match req.format {
+            DocFormat::Term => (parse_tree(doc).map_err(parse_error)?, Stage::Tokenize),
             DocFormat::Xml | DocFormat::XmlAttrs => {
-                let with_attrs = matches!(format, DocFormat::XmlAttrs);
-                let output = match (mode, limit) {
-                    // The fully streaming path: the guard (when on) runs
-                    // in lockstep with the tokenizer, so an out-of-domain
-                    // document stops being tokenized at its first
-                    // violating node; deleted subtrees fast-forward the
-                    // raw reader (counted on the engine).
-                    (EvalMode::Streaming, None) => {
-                        // Tokenize, guard, and evaluate run fused in one
-                        // pass here; the whole pass is charged to eval.
-                        let mut source = XmlRankedEvents::bounded(doc).attributes(with_attrs);
-                        let result = match guard {
-                            Some(g) => {
-                                let mut guarded = GuardedSource::new(g, &mut source);
-                                let result = self.stream.eval_source(compiled, &mut guarded);
-                                let violation = guarded.take_violation();
-                                skips.fetch_add(source.skipped_subtrees(), Ordering::Relaxed);
-                                if let Some(v) = violation {
-                                    return Err(EngineError::Type(v));
-                                }
-                                result
-                            }
-                            None => {
-                                let result = self.stream.eval_source(compiled, &mut source);
-                                skips.fetch_add(source.skipped_subtrees(), Ordering::Relaxed);
-                                result
-                            }
-                        };
-                        if let Some(e) = source.take_error() {
-                            return Err(EngineError::Parse(e.to_string()));
-                        }
-                        let out = result.ok_or(EngineError::Undefined)?;
-                        stamp(obs, Stage::Evaluate);
-                        out
-                    }
-                    _ => {
-                        let input = XmlRankedEvents::bounded(doc)
-                            .attributes(with_attrs)
-                            .collect_tree()
-                            .map_err(|e| EngineError::Parse(e.to_string()))?;
-                        stamp(obs, Stage::Tokenize);
-                        if let Some(g) = guard {
-                            g.check_tree(&input).map_err(EngineError::Type)?;
-                            stamp(obs, Stage::Guard);
-                        }
-                        let preflight = self.check_output_bound(compiled, &input, limit)?;
-                        let out = match mode {
-                            EvalMode::Streaming => self
-                                .stream
-                                .eval_tree(compiled, &input)
-                                .ok_or(EngineError::Undefined)?,
-                            _ => self.eval_tree(compiled, dtop, &input, mode, preflight)?,
-                        };
-                        stamp(obs, Stage::Evaluate);
-                        out
-                    }
-                };
-                let serializable = if with_attrs {
-                    crate::stream::xml_serializable_attrs(&output)
-                } else {
-                    crate::stream::xml_serializable(&output)
-                };
-                if !serializable {
-                    return Err(EngineError::Parse(
-                        "output has inner symbols that are not XML names; use the term format"
-                            .into(),
-                    ));
-                }
-                let text = if with_attrs {
-                    crate::stream::tree_to_xml_attrs(&output)
-                } else {
-                    tree_to_xml(&output)
-                };
-                stamp(obs, Stage::Emit);
-                Ok(text)
+                let source = XmlRankedEvents::bounded(doc)
+                    .attributes(matches!(req.format, DocFormat::XmlAttrs));
+                (source.collect_tree().map_err(parse_error)?, Stage::Tokenize)
             }
             DocFormat::Encoded(codec) => {
-                let output = match (mode, limit) {
-                    // The fully streaming encoded path: tokenizer →
-                    // incremental encoder → (lockstep guard) →
-                    // evaluator; no intermediate tree of the input. All
-                    // fused — charged to eval.
-                    (EvalMode::Streaming, None) => {
-                        let out = self.eval_encoded_stream(compiled, guard, codec, doc, skips)?;
-                        stamp(obs, Stage::Evaluate);
-                        out
-                    }
-                    _ => {
-                        // The same streaming encoder, collected — every
-                        // mode validates documents identically. Tokenize
-                        // and encode are one fused pass, charged to
-                        // encode.
-                        let input = codec.ranked_tree(doc).map_err(encoded_error)?;
-                        stamp(obs, Stage::Encode);
-                        if let Some(g) = guard {
-                            g.check_tree(&input).map_err(EngineError::Type)?;
-                            stamp(obs, Stage::Guard);
-                        }
-                        let preflight = self.check_output_bound(compiled, &input, limit)?;
-                        let out = match mode {
-                            EvalMode::Streaming => self
-                                .stream
-                                .eval_tree(compiled, &input)
-                                .ok_or(EngineError::Undefined)?,
-                            _ => self.eval_tree(compiled, dtop, &input, mode, preflight)?,
-                        };
-                        stamp(obs, Stage::Evaluate);
-                        out
-                    }
-                };
-                let text = codec
-                    .decode_tree(&output)
-                    .map_err(|e| EngineError::Encoding(e.to_string()))?;
-                stamp(obs, Stage::Emit);
-                Ok(text)
-            }
-        }
-    }
-
-    /// Event-driven transformation to a byte writer: the format-specific
-    /// serializer runs as an [`OutputSink`] fed straight by the streaming
-    /// evaluator, so committed output bytes leave before the input is
-    /// fully consumed.
-    #[allow(clippy::too_many_arguments)]
-    fn transform_streaming(
-        &mut self,
-        stages: &[&CompiledDtop],
-        doc: &str,
-        format: &DocFormat,
-        guard: Option<&CompiledDtta>,
-        limit: Option<u64>,
-        out: &mut dyn io::Write,
-        skips: &AtomicU64,
-        mut obs: Option<&mut (dyn EvalObserver + '_)>,
-    ) -> Result<StreamOutcome, EngineError> {
-        // Event-driven emission fuses guard/evaluate/emit into one pass
-        // over the source; the fused pass is charged to eval, and any
-        // work after the run (tail serialization, decoder remainder) to
-        // emit.
-        let obs = &mut obs;
-        match format {
-            DocFormat::Term => {
-                let input = parse_tree(doc).map_err(|e| EngineError::Parse(e.to_string()))?;
-                stamp(obs, Stage::Tokenize);
-                let mut source = IterEvents(input.events());
-                let mut sink = TermSink::new(out);
-                let run = run_stream(self.exec(stages), guard, &mut source, &mut sink, limit);
-                let stats = stream_verdict(run, None, None)?;
-                stamp(obs, Stage::Evaluate);
-                Ok(outcome(stats, sink.bytes, 0))
-            }
-            DocFormat::Xml => {
-                let mut source = XmlRankedEvents::bounded(doc);
-                let mut sink = RankedXmlSink::new(out);
-                let run = run_stream(self.exec(stages), guard, &mut source, &mut sink, limit);
-                let skipped = source.skipped_subtrees();
-                skips.fetch_add(skipped, Ordering::Relaxed);
-                let source_error = source
-                    .take_error()
-                    .map(|e| EngineError::Parse(e.to_string()));
-                let sink_failure = sink.failure.take().map(EngineError::Parse);
-                let stats = stream_verdict(run, source_error, sink_failure)?;
-                stamp(obs, Stage::Evaluate);
-                Ok(outcome(stats, sink.bytes, skipped))
-            }
-            DocFormat::XmlAttrs => {
-                // The input streams exactly like `Xml` (skip fast path,
-                // lockstep guard), but an output start tag cannot commit
-                // before its `@attrs` block closes, so the output tree is
-                // collected and serialized when the run completes.
-                let mut source = XmlRankedEvents::bounded(doc).attributes(true);
-                let mut sink = TreeCollector::new();
-                let run = run_stream(self.exec(stages), guard, &mut source, &mut sink, limit);
-                let skipped = source.skipped_subtrees();
-                skips.fetch_add(skipped, Ordering::Relaxed);
-                let source_error = source
-                    .take_error()
-                    .map(|e| EngineError::Parse(e.to_string()));
-                let stats = stream_verdict(run, source_error, None)?;
-                stamp(obs, Stage::Evaluate);
-                let output = sink.into_tree().ok_or(EngineError::Undefined)?;
-                if !crate::stream::xml_serializable_attrs(&output) {
-                    return Err(EngineError::Parse(
-                        "output has inner symbols that are not XML names; use the term format"
-                            .into(),
-                    ));
-                }
-                let text = crate::stream::tree_to_xml_attrs(&output);
-                out.write_all(text.as_bytes())
-                    .map_err(|e| EngineError::Write {
-                        kind: e.kind(),
-                        message: e.to_string(),
-                    })?;
-                stamp(obs, Stage::Emit);
-                Ok(outcome(stats, text.len() as u64, skipped))
-            }
-            DocFormat::Encoded(codec) => {
-                let mut source = EncodedSource::new(codec.events(doc));
-                let mut sink = EncodedByteSink::new(codec.writer(), out);
-                let run = run_stream(self.exec(stages), guard, &mut source, &mut sink, limit);
-                let skipped = source.inner.skipped_subtrees();
-                skips.fetch_add(skipped, Ordering::Relaxed);
-                let source_error = source.error.take().map(encoded_error);
-                let sink_failure = sink
-                    .failure
-                    .take()
-                    .map(|e| EngineError::Encoding(e.to_string()));
-                let stats = stream_verdict(run, source_error, sink_failure)?;
-                stamp(obs, Stage::Evaluate);
-                sink.finish()?;
-                stamp(obs, Stage::Emit);
-                Ok(outcome(stats, sink.bytes, skipped))
-            }
-        }
-    }
-
-    /// Streaming evaluation with the domain guard in lockstep: the guard
-    /// sees every event first and cuts the stream at the first violation.
-    fn eval_stream_guarded(
-        &mut self,
-        compiled: &CompiledDtop,
-        guard: &CompiledDtta,
-        events: impl Iterator<Item = xtt_trees::TreeEvent>,
-    ) -> Result<xtt_trees::Tree, EngineError> {
-        let mut source = GuardedSource::new(guard, IterEvents(events));
-        let result = self.stream.eval_source(compiled, &mut source);
-        if let Some(violation) = source.take_violation() {
-            return Err(EngineError::Type(violation));
-        }
-        result.ok_or(EngineError::Undefined)
-    }
-
-    /// Streaming evaluation over an *encoded* unranked document: ranked
-    /// events are produced incrementally by the codec's encoder and fed
-    /// straight to the evaluator, with the domain guard composed in
-    /// lockstep when validation is on. A guard violation wins over a
-    /// later tokenizer/encoding error by construction (the guard cuts
-    /// the stream first). Deleted subtrees fast-forward the raw
-    /// tokenizer through [`UnrankedEvents::skip_subtree`] — they are
-    /// never tokenized, exactly like the raw-XML streaming path.
-    fn eval_encoded_stream(
-        &mut self,
-        compiled: &CompiledDtop,
-        guard: Option<&CompiledDtta>,
-        codec: &XmlCodec,
-        doc: &str,
-        skips: &AtomicU64,
-    ) -> Result<xtt_trees::Tree, EngineError> {
-        let mut source = EncodedSource::new(codec.events(doc));
-        let result = match guard {
-            Some(g) => {
-                let mut guarded = GuardedSource::new(g, &mut source);
-                let result = self.stream.eval_source(compiled, &mut guarded);
-                let violation = guarded.take_violation();
-                skips.fetch_add(source.inner.skipped_subtrees(), Ordering::Relaxed);
-                if let Some(v) = violation {
-                    return Err(EngineError::Type(v));
-                }
-                result
-            }
-            None => {
-                let result = self.stream.eval_source(compiled, &mut source);
-                skips.fetch_add(source.inner.skipped_subtrees(), Ordering::Relaxed);
-                result
+                let input = codec.ranked_tree(doc).map_err(encoded_error)?;
+                (input, Stage::Encode)
             }
         };
-        if let Some(e) = source.error {
-            return Err(encoded_error(e));
+        stamp(&mut req.observer, read);
+        if let Some(g) = req.guard {
+            g.check_tree(&current).map_err(EngineError::Type)?;
+            stamp(&mut req.observer, Stage::Guard);
         }
-        result.ok_or(EngineError::Undefined)
+        for (i, stage) in req.stages.iter().enumerate() {
+            if i + 1 == req.stages.len() {
+                self.check_output_bound(&stage.compiled, &current, engine.opts.max_output_nodes)?;
+            }
+            current = stage
+                .compiled
+                .eval(&current, &mut self.scratch)
+                .ok_or(EngineError::Undefined)?;
+            if let Some(cb) = req.stage_events {
+                cb(i, current.size().saturating_mul(2));
+            }
+        }
+        stamp(&mut req.observer, Stage::Evaluate);
+        let stats = EmitStats {
+            events_total: current.size().saturating_mul(2),
+            ..EmitStats::default()
+        };
+        let run = RunOutcome {
+            result: sink.tree(&current).map(|()| Some(stats)),
+            violation: None,
+            nodes: 0,
+            exceeded: false,
+        };
+        let failure = sink.failure.take();
+        let stats = verdict(run, None, failure)?;
+        sink.finish()?;
+        stamp(&mut req.observer, Stage::Emit);
+        Ok((stats, 0))
     }
 
-    /// Enforces [`EngineOptions::max_output_nodes`]: a linear-time DAG
-    /// evaluation measures the output-tree size *without materializing
-    /// it* (the DAG is small even when the tree is exponential), so an
-    /// over-limit document is rejected before any large allocation.
-    /// Returns the DAG root id when a bound was evaluated, so Dag mode
-    /// can reuse it instead of evaluating twice.
+    /// `stream` mode: one pass, source → lockstep guard → chained
+    /// evaluator → output-node cap → sink. The fused pass is charged to
+    /// eval, a tail written after it (the decoder's remainder) to emit.
+    fn stream(
+        &mut self,
+        engine: &Engine,
+        doc: &str,
+        sink: &mut FormatSink<'_>,
+        req: &mut Request<'_>,
+    ) -> Result<(EmitStats, u64), EngineError> {
+        let limit = engine.opts.max_output_nodes.unwrap_or(u64::MAX);
+        let (run, skipped, source_error) = match req.format {
+            DocFormat::Term => {
+                let input = parse_tree(doc).map_err(parse_error)?;
+                stamp(&mut req.observer, Stage::Tokenize);
+                let run = self.pump(req, &mut IterEvents(input.events()), sink, limit);
+                (run, 0, None)
+            }
+            DocFormat::Xml | DocFormat::XmlAttrs => {
+                let mut source = XmlRankedEvents::bounded(doc)
+                    .attributes(matches!(req.format, DocFormat::XmlAttrs));
+                let run = self.pump(req, &mut source, sink, limit);
+                let error = source.take_error().map(parse_error);
+                (run, source.skipped_subtrees(), error)
+            }
+            DocFormat::Encoded(codec) => {
+                let mut source = EncodedSource {
+                    inner: codec.events(doc),
+                    error: None,
+                };
+                let run = self.pump(req, &mut source, sink, limit);
+                let error = source.error.take().map(encoded_error);
+                (run, source.inner.skipped_subtrees(), error)
+            }
+        };
+        engine.skips.fetch_add(skipped, Ordering::Relaxed);
+        let failure = sink.failure.take();
+        let stats = verdict(run, source_error, failure)?;
+        stamp(&mut req.observer, Stage::Evaluate);
+        if sink.finish()? {
+            stamp(&mut req.observer, Stage::Emit);
+        }
+        if let Some(cb) = req.stage_events {
+            for (i, st) in self.chain.stage_stats().enumerate() {
+                cb(i, st.events_total);
+            }
+        }
+        Ok((stats, skipped))
+    }
+
+    /// Streams `source` through the chain with the optional lockstep
+    /// guard and the output-node cap composed in.
+    fn pump(
+        &mut self,
+        req: &Request<'_>,
+        source: &mut impl TreeEventSource,
+        sink: &mut dyn OutputSink,
+        limit: u64,
+    ) -> RunOutcome {
+        let mut cap = CapSink {
+            inner: sink,
+            nodes: 0,
+            limit,
+            exceeded: false,
+        };
+        let (result, violation) = match req.guard {
+            Some(g) => {
+                let mut guarded = GuardedSource::new(g, source);
+                let result = self
+                    .chain
+                    .eval_streaming(req.stages, &mut guarded, &mut cap);
+                (result, guarded.take_violation())
+            }
+            None => (
+                self.chain.eval_streaming(req.stages, source, &mut cap),
+                None,
+            ),
+        };
+        RunOutcome {
+            result,
+            violation,
+            nodes: cap.nodes,
+            exceeded: cap.exceeded,
+        }
+    }
+
+    /// `tree` mode's [`EngineOptions::max_output_nodes`]: a DAG evaluation
+    /// measures the output size without materializing the tree.
     fn check_output_bound(
         &mut self,
         compiled: &CompiledDtop,
-        input: &xtt_trees::Tree,
+        input: &Tree,
         limit: Option<u64>,
-    ) -> Result<Option<DagId>, EngineError> {
+    ) -> Result<(), EngineError> {
         let Some(limit) = limit else {
-            return Ok(None);
+            return Ok(());
         };
         let id = compiled
             .eval_dag(input, &mut self.dag_scratch, &mut self.dag)
             .ok_or(EngineError::Undefined)?;
-        let size = self.dag.tree_size(id);
-        if size > limit {
-            return Err(EngineError::OutputTooLarge(size));
+        match self.dag.tree_size(id) {
+            size if size > limit => Err(EngineError::OutputTooLarge(size)),
+            _ => Ok(()),
         }
-        Ok(Some(id))
-    }
-
-    fn eval_tree(
-        &mut self,
-        compiled: &CompiledDtop,
-        dtop: &Dtop,
-        input: &xtt_trees::Tree,
-        mode: EvalMode,
-        preflight: Option<DagId>,
-    ) -> Result<xtt_trees::Tree, EngineError> {
-        match mode {
-            EvalMode::Compiled => compiled.eval(input, &mut self.scratch),
-            EvalMode::Streaming => self.stream.eval_tree(compiled, input),
-            // The bound pre-flight (if any) already ran this exact DAG
-            // evaluation; reuse its root instead of evaluating again.
-            EvalMode::Dag => preflight
-                .or_else(|| compiled.eval_dag(input, &mut self.dag_scratch, &mut self.dag))
-                .map(|id| self.dag.extract(id)),
-            EvalMode::TreeWalk => walk_eval(dtop, input),
-        }
-        .ok_or(EngineError::Undefined)
-    }
-
-    /// [`Worker::transform_chain`] with the same panic isolation as
-    /// [`Worker::transform_caught`].
-    #[allow(clippy::too_many_arguments)]
-    fn transform_chain_caught(
-        &mut self,
-        stages: &[ChainStage],
-        doc: &str,
-        mode: EvalMode,
-        format: &DocFormat,
-        limit: Option<u64>,
-        guard: Option<&CompiledDtta>,
-        skips: &AtomicU64,
-        stage_events: Option<&dyn Fn(usize, u64)>,
-    ) -> Result<String, EngineError> {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.transform_chain(stages, doc, mode, format, limit, guard, skips, stage_events)
-        }));
-        result.unwrap_or_else(|panic| {
-            *self = Worker::new();
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "evaluator panicked".to_owned());
-            Err(EngineError::Internal(msg))
-        })
-    }
-
-    /// Executes a pipeline chain on one document, returning text. See
-    /// [`Engine::transform_chain`] for the mode semantics; the chain
-    /// paths carry no pipeline observer (per-stage event counts go
-    /// through `stage_events` instead).
-    #[allow(clippy::too_many_arguments)]
-    fn transform_chain(
-        &mut self,
-        stages: &[ChainStage],
-        doc: &str,
-        mode: EvalMode,
-        format: &DocFormat,
-        limit: Option<u64>,
-        guard: Option<&CompiledDtta>,
-        skips: &AtomicU64,
-        stage_events: Option<&dyn Fn(usize, u64)>,
-    ) -> Result<String, EngineError> {
-        assert!(
-            !stages.is_empty(),
-            "a pipeline chain has at least one stage"
-        );
-        if mode == EvalMode::Streaming && limit.is_none() {
-            // Fused chained streaming: input events cascade through every
-            // stage; intermediate trees never materialize outside
-            // buffered regions, and deleted subtrees fast-forward the
-            // tokenizer exactly like the single-transducer path.
-            let output = match format {
-                DocFormat::Term => {
-                    let input = parse_tree(doc).map_err(|e| EngineError::Parse(e.to_string()))?;
-                    self.eval_chain_collect(stages, guard, &mut IterEvents(input.events()))?
-                        .ok_or(EngineError::Undefined)?
-                }
-                DocFormat::Xml | DocFormat::XmlAttrs => {
-                    let with_attrs = matches!(format, DocFormat::XmlAttrs);
-                    let mut source = XmlRankedEvents::bounded(doc).attributes(with_attrs);
-                    let result = self.eval_chain_collect(stages, guard, &mut source);
-                    skips.fetch_add(source.skipped_subtrees(), Ordering::Relaxed);
-                    if let Some(e) = source.take_error() {
-                        return Err(EngineError::Parse(e.to_string()));
-                    }
-                    result?.ok_or(EngineError::Undefined)?
-                }
-                DocFormat::Encoded(codec) => {
-                    let mut source = EncodedSource::new(codec.events(doc));
-                    let result = self.eval_chain_collect(stages, guard, &mut source);
-                    skips.fetch_add(source.inner.skipped_subtrees(), Ordering::Relaxed);
-                    if let Some(e) = source.error.take() {
-                        return Err(encoded_error(e));
-                    }
-                    result?.ok_or(EngineError::Undefined)?
-                }
-            };
-            if let Some(cb) = stage_events {
-                for (i, st) in self.chain.stage_stats().enumerate() {
-                    cb(i, st.events_total);
-                }
-            }
-            return render_output(format, &output);
-        }
-        // Materialized path (tree/dag/walk modes, or a configured output
-        // bound): parse the input once, evaluate stage by stage. The
-        // output-node bound pre-flights the **final** stage only — the
-        // chain's output is what the bound protects; intermediate trees
-        // are an execution detail the composed strategy never builds.
-        let input = parse_input(format, doc)?;
-        if let Some(g) = guard {
-            g.check_tree(&input).map_err(EngineError::Type)?;
-        }
-        let mut current = input;
-        for (i, stage) in stages.iter().enumerate() {
-            let last = i + 1 == stages.len();
-            let preflight = self.check_output_bound(
-                &stage.compiled,
-                &current,
-                if last { limit } else { None },
-            )?;
-            current = self.eval_tree(&stage.compiled, &stage.dtop, &current, mode, preflight)?;
-            if let Some(cb) = stage_events {
-                cb(i, 2 * current.size());
-            }
-        }
-        render_output(format, &current)
-    }
-
-    /// Runs the chained streaming evaluator over `source` into a
-    /// collected tree, with the optional chain guard in lockstep (the
-    /// guard cuts the stream at the first violation, so a rejected
-    /// document's tail is never produced upstream).
-    fn eval_chain_collect(
-        &mut self,
-        stages: &[ChainStage],
-        guard: Option<&CompiledDtta>,
-        source: &mut impl TreeEventSource,
-    ) -> Result<Option<xtt_trees::Tree>, EngineError> {
-        let refs: Vec<&CompiledDtop> = stages.iter().map(|s| &*s.compiled).collect();
-        let mut sink = TreeCollector::new();
-        let result = match guard {
-            Some(g) => {
-                let mut guarded = GuardedSource::new(g, source);
-                let result = self.chain.eval_streaming(&refs, &mut guarded, &mut sink);
-                if let Some(v) = guarded.take_violation() {
-                    return Err(EngineError::Type(v));
-                }
-                result
-            }
-            None => self.chain.eval_streaming(&refs, source, &mut sink),
-        };
-        match result {
-            Ok(Some(_)) => Ok(sink.into_tree()),
-            // A TreeCollector never fails a write; Err is unreachable,
-            // and Ok(None) is an out-of-domain input.
-            _ => Ok(None),
-        }
-    }
-}
-
-/// Parses one document into a ranked input tree per the format — the
-/// materialized half of the chain execution paths (the single-transducer
-/// paths keep their fused parse-and-stamp arms).
-fn parse_input(format: &DocFormat, doc: &str) -> Result<xtt_trees::Tree, EngineError> {
-    match format {
-        DocFormat::Term => parse_tree(doc).map_err(|e| EngineError::Parse(e.to_string())),
-        DocFormat::Xml | DocFormat::XmlAttrs => XmlRankedEvents::bounded(doc)
-            .attributes(matches!(format, DocFormat::XmlAttrs))
-            .collect_tree()
-            .map_err(|e| EngineError::Parse(e.to_string())),
-        DocFormat::Encoded(codec) => codec.ranked_tree(doc).map_err(encoded_error),
-    }
-}
-
-/// Serializes an output tree per the format, with the same
-/// serializability checks as the single-transducer paths.
-fn render_output(format: &DocFormat, output: &xtt_trees::Tree) -> Result<String, EngineError> {
-    match format {
-        DocFormat::Term => Ok(output.to_string()),
-        DocFormat::Xml | DocFormat::XmlAttrs => {
-            let with_attrs = matches!(format, DocFormat::XmlAttrs);
-            let serializable = if with_attrs {
-                crate::stream::xml_serializable_attrs(output)
-            } else {
-                crate::stream::xml_serializable(output)
-            };
-            if !serializable {
-                return Err(EngineError::Parse(
-                    "output has inner symbols that are not XML names; use the term format".into(),
-                ));
-            }
-            Ok(if with_attrs {
-                crate::stream::tree_to_xml_attrs(output)
-            } else {
-                tree_to_xml(output)
-            })
-        }
-        DocFormat::Encoded(codec) => codec
-            .decode_tree(output)
-            .map_err(|e| EngineError::Encoding(e.to_string())),
     }
 }
 
@@ -1956,6 +1272,33 @@ fn render_output(format: &DocFormat, output: &xtt_trees::Tree) -> Result<String,
 mod tests {
     use super::*;
     use xtt_transducer::examples;
+
+    const MODES: [EvalMode; 2] = [EvalMode::Compiled, EvalMode::Streaming];
+
+    /// One document through the batch call, `dtop` as a one-stage chain.
+    fn run_one(
+        engine: &Engine,
+        dtop: &Dtop,
+        doc: &str,
+        mode: EvalMode,
+        format: &DocFormat,
+        validate: bool,
+        trace: Option<&mut xtt_obs::Trace>,
+    ) -> Result<String, EngineError> {
+        let (stage, guard) = engine.resolve(dtop, validate)?;
+        let stages = std::slice::from_ref(&stage);
+        let req = Request {
+            observer: trace.map(|t| t as &mut dyn EvalObserver),
+            ..Request::new(stages, guard.as_deref(), format, mode)
+        };
+        engine.run_batch(&[doc], req).pop().unwrap()
+    }
+
+    /// The batch call with the engine's default mode, format, validation.
+    fn batch(engine: &Engine, dtop: &Dtop, docs: &[String]) -> Vec<Result<String, EngineError>> {
+        let o = engine.options();
+        engine.transform_batch_with_validation(dtop, docs, o.mode, o.format.clone(), o.validate)
+    }
 
     fn flip_docs(n: usize) -> Vec<String> {
         (0..n)
@@ -1971,7 +1314,7 @@ mod tests {
             ..EngineOptions::default()
         });
         let docs = flip_docs(101);
-        let results = engine.transform_batch(&fix.dtop, &docs);
+        let results = batch(&engine, &fix.dtop, &docs);
         assert_eq!(results.len(), docs.len());
         let mut scratch = EvalScratch::new();
         let compiled = engine.compiled(&fix.dtop).unwrap();
@@ -1997,7 +1340,7 @@ mod tests {
             "((".to_owned(),             // unparseable
             "root(#,#)".to_owned(),
         ];
-        let results = engine.transform_batch(&fix.dtop, &docs);
+        let results = batch(&engine, &fix.dtop, &docs);
         assert!(results[0].is_ok());
         assert_eq!(results[1], Err(EngineError::Undefined));
         assert!(matches!(results[2], Err(EngineError::Parse(_))));
@@ -2009,22 +1352,15 @@ mod tests {
         let fix = examples::flip();
         let docs = flip_docs(40);
         let mut outputs: Vec<Vec<Result<String, EngineError>>> = Vec::new();
-        for mode in [
-            EvalMode::Compiled,
-            EvalMode::Streaming,
-            EvalMode::Dag,
-            EvalMode::TreeWalk,
-        ] {
+        for mode in MODES {
             let engine = Engine::new(EngineOptions {
                 workers: 3,
                 mode,
                 ..EngineOptions::default()
             });
-            outputs.push(engine.transform_batch(&fix.dtop, &docs));
+            outputs.push(batch(&engine, &fix.dtop, &docs));
         }
         assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[0], outputs[2]);
-        assert_eq!(outputs[0], outputs[3]);
     }
 
     /// An attached observer sees the pipeline stages in flow order in
@@ -2035,26 +1371,20 @@ mod tests {
         let fix = examples::flip();
         let engine = Engine::new(EngineOptions::default());
         let doc = "root(a(#,#),b(#,#))";
-        for mode in [
-            EvalMode::Compiled,
-            EvalMode::Streaming,
-            EvalMode::Dag,
-            EvalMode::TreeWalk,
-        ] {
-            let plain = engine
-                .transform_with_validation(&fix.dtop, doc, mode, DocFormat::Term, true)
-                .unwrap();
+        for mode in MODES {
+            let plain =
+                run_one(&engine, &fix.dtop, doc, mode, &DocFormat::Term, true, None).unwrap();
             let mut trace = xtt_obs::Trace::new(1);
-            let observed = engine
-                .transform_observed(
-                    &fix.dtop,
-                    doc,
-                    mode,
-                    DocFormat::Term,
-                    true,
-                    Some(&mut trace),
-                )
-                .unwrap();
+            let observed = run_one(
+                &engine,
+                &fix.dtop,
+                doc,
+                mode,
+                &DocFormat::Term,
+                true,
+                Some(&mut trace),
+            )
+            .unwrap();
             assert_eq!(plain, observed);
             let names: Vec<&str> = trace.stages().iter().map(|(n, _)| *n).collect();
             if mode == EvalMode::Streaming {
@@ -2078,30 +1408,26 @@ mod tests {
         let engine = Engine::new(EngineOptions::default());
         let mut out = Vec::new();
         let mut trace = xtt_obs::Trace::new(2);
+        let (stage, _) = engine.resolve(&fix.dtop, false).unwrap();
+        let stages = std::slice::from_ref(&stage);
+        let req = Request {
+            observer: Some(&mut trace),
+            ..Request::new(stages, None, &DocFormat::Term, EvalMode::Streaming)
+        };
         engine
-            .transform_streaming_observed(
-                &fix.dtop,
-                "root(a(#,#),b(#,#))",
-                DocFormat::Term,
-                false,
-                &mut out,
-                Some(&mut trace),
-            )
+            .run_doc("root(a(#,#),b(#,#))", &mut out, req)
             .unwrap();
         let names: Vec<&str> = trace.stages().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["tokenize", "eval"]);
 
         let docs = flip_docs(8);
         let mut trace = xtt_obs::Trace::new(3);
-        let observed = engine.transform_batch_observed(
-            &fix.dtop,
-            &docs,
-            EvalMode::Compiled,
-            DocFormat::Term,
-            false,
-            Some(&mut trace),
-        );
-        let plain = engine.transform_batch(&fix.dtop, &docs);
+        let req = Request {
+            observer: Some(&mut trace),
+            ..Request::new(stages, None, &DocFormat::Term, EvalMode::Compiled)
+        };
+        let observed = engine.run_batch(&docs, req);
+        let plain = batch(&engine, &fix.dtop, &docs);
         assert_eq!(observed, plain);
         let names: Vec<&str> = trace.stages().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["tokenize", "eval", "emit"], "stages accumulate");
@@ -2118,19 +1444,14 @@ mod tests {
         docs[13] = "root(".to_owned(); // malformed
         docs[57] = "root(b(#,#),#)".to_owned(); // outside the domain
         docs[99] = "((".to_owned(); // malformed
-        for mode in [
-            EvalMode::Compiled,
-            EvalMode::Streaming,
-            EvalMode::Dag,
-            EvalMode::TreeWalk,
-        ] {
+        for mode in MODES {
             for workers in [1, 4] {
                 let engine = Engine::new(EngineOptions {
                     workers,
                     mode,
                     ..EngineOptions::default()
                 });
-                let results = engine.transform_batch(&fix.dtop, &docs);
+                let results = batch(&engine, &fix.dtop, &docs);
                 assert_eq!(results.len(), docs.len());
                 assert!(matches!(results[13], Err(EngineError::Parse(_))));
                 assert_eq!(results[57], Err(EngineError::Undefined));
@@ -2157,13 +1478,14 @@ mod tests {
             deep = format!("f({deep})"); // output ~2^201 nodes, saturates u64
         }
         let docs = vec!["f(f(e))".to_owned(), deep, "e".to_owned()];
-        for mode in [
-            EvalMode::Compiled,
-            EvalMode::Streaming,
-            EvalMode::Dag,
-            EvalMode::TreeWalk,
-        ] {
-            let results = engine.transform_batch_with(&copier, &docs, mode, DocFormat::Term);
+        for mode in MODES {
+            let results = engine.transform_batch_with_validation(
+                &copier,
+                &docs,
+                mode,
+                DocFormat::Term,
+                false,
+            );
             assert_eq!(results[0].as_deref(), Ok("g(g(e,e),g(e,e))"), "{mode:?}");
             assert!(
                 matches!(results[1], Err(EngineError::OutputTooLarge(n)) if n > 10_000),
@@ -2181,20 +1503,24 @@ mod tests {
     fn per_request_mode_and_format_override_engine_defaults() {
         let fix = examples::flip();
         let engine = Engine::shared(EngineOptions::default()); // Term + Compiled
-        let out = engine
-            .transform_with(
-                &fix.dtop,
-                "<root><a># #</a><b># #</b></root>",
-                EvalMode::Streaming,
-                DocFormat::Xml,
-            )
-            .unwrap();
+        let doc = "<root><a># #</a><b># #</b></root>";
+        let out = run_one(
+            &engine,
+            &fix.dtop,
+            doc,
+            EvalMode::Streaming,
+            &DocFormat::Xml,
+            false,
+            None,
+        )
+        .unwrap();
         assert_eq!(out, "<root><b># #</b><a># #</a></root>");
-        let batch = engine.transform_batch_with(
+        let batch = engine.transform_batch_with_validation(
             &fix.dtop,
             &["root(a(#,#),b(#,#))".to_owned()],
-            EvalMode::Dag,
+            EvalMode::Streaming,
             DocFormat::Term,
+            false,
         );
         assert_eq!(batch[0].as_deref(), Ok("root(b(#,#),a(#,#))"));
     }
@@ -2229,17 +1555,13 @@ mod tests {
         let bad = "root(a(#,b(#,#)),b(#,#))"; // violation at node 1.2
         let good = "root(a(#,#),b(#,#))";
         let mut rendered: Vec<String> = Vec::new();
-        for mode in [
-            EvalMode::Compiled,
-            EvalMode::Streaming,
-            EvalMode::Dag,
-            EvalMode::TreeWalk,
-        ] {
-            let results = engine.transform_batch_with(
+        for mode in MODES {
+            let results = engine.transform_batch_with_validation(
                 &fix.dtop,
                 &[good.to_owned(), bad.to_owned()],
                 mode,
                 DocFormat::Term,
+                true,
             );
             assert_eq!(results[0].as_deref(), Ok("root(b(#,#),a(#,#))"), "{mode:?}");
             match &results[1] {
@@ -2252,10 +1574,10 @@ mod tests {
         }
         rendered.dedup();
         assert_eq!(rendered.len(), 1, "diagnostics differ across modes");
-        // Violation counters: 8 validated, 4 rejected.
+        // Violation counters: 4 validated, 2 rejected.
         let stats = engine.validation_stats();
-        assert_eq!(stats.docs_validated, 8);
-        assert_eq!(stats.docs_rejected_pre_eval, 4);
+        assert_eq!(stats.docs_validated, 4);
+        assert_eq!(stats.docs_rejected_pre_eval, 2);
         assert_eq!(stats.guards_compiled, 1, "guard cache must hit");
     }
 
@@ -2268,34 +1590,31 @@ mod tests {
         let fix = examples::flip();
         let engine = Engine::new(EngineOptions::default()); // validate off
         let bad_xml = "<root><a># <b># #</b></a><b># #</b></root>";
-        let unguarded = engine
-            .transform_with(&fix.dtop, bad_xml, EvalMode::Streaming, DocFormat::Xml)
-            .unwrap_err();
-        assert_eq!(unguarded, EngineError::Undefined);
-        let guarded = engine
-            .transform_with_validation(
+        let run = |doc: &str, mode: EvalMode, validate: bool| {
+            run_one(
+                &engine,
                 &fix.dtop,
-                bad_xml,
-                EvalMode::Streaming,
-                DocFormat::Xml,
-                true,
+                doc,
+                mode,
+                &DocFormat::Xml,
+                validate,
+                None,
             )
-            .unwrap_err();
+        };
+        let unguarded = run(bad_xml, EvalMode::Streaming, false).unwrap_err();
+        assert_eq!(unguarded, EngineError::Undefined);
+        let guarded = run(bad_xml, EvalMode::Streaming, true).unwrap_err();
         let EngineError::Type(e) = &guarded else {
             panic!("expected a type error, got {guarded:?}");
         };
         assert_eq!(e.path().to_string(), "1.2");
         // Same violation through the tree-based XML path.
-        let walked = engine
-            .transform_with_validation(&fix.dtop, bad_xml, EvalMode::TreeWalk, DocFormat::Xml, true)
-            .unwrap_err();
-        assert_eq!(walked, guarded);
+        let tree = run(bad_xml, EvalMode::Compiled, true).unwrap_err();
+        assert_eq!(tree, guarded);
         // Deleted junk stays accepted under validation (guard ≡ eval).
         let junk_xml = "<root><a>zzz-not-in-alphabet<a># #</a></a><b># #</b></root>";
         for mode in [EvalMode::Streaming, EvalMode::Compiled] {
-            let out = engine
-                .transform_with_validation(&fix.dtop, junk_xml, mode, DocFormat::Xml, true)
-                .unwrap();
+            let out = run(junk_xml, mode, true).unwrap();
             assert_eq!(out, "<root><b># #</b><a>#<a># #</a></a></root>");
         }
     }
@@ -2321,8 +1640,9 @@ mod tests {
             deep,
             "f(zzz)".to_owned(), // out of domain at 1
         ];
-        for mode in [EvalMode::Compiled, EvalMode::Streaming, EvalMode::Dag] {
-            let results = engine.transform_batch_with(&copier, &docs, mode, DocFormat::Term);
+        for mode in MODES {
+            let results =
+                engine.transform_batch_with_validation(&copier, &docs, mode, DocFormat::Term, true);
             assert_eq!(results[0].as_deref(), Ok("g(g(e,e),g(e,e))"), "{mode:?}");
             assert!(
                 matches!(results[1], Err(EngineError::OutputTooLarge(_))),
@@ -2368,12 +1688,7 @@ mod tests {
         ];
         let mut outputs: Vec<Vec<Result<String, ()>>> = Vec::new();
         for validate in [false, true] {
-            for mode in [
-                EvalMode::Compiled,
-                EvalMode::Streaming,
-                EvalMode::Dag,
-                EvalMode::TreeWalk,
-            ] {
+            for mode in MODES {
                 let engine = Engine::new(EngineOptions {
                     workers: 1,
                     max_output_nodes: if validate { Some(10_000) } else { None },
@@ -2459,23 +1774,15 @@ mod tests {
         let doc = r#"<root a="p q" b="z"><x/><x/></root>"#;
         let format = DocFormat::parse("xml+attrs").unwrap();
         for validate in [false, true] {
-            for mode in [
-                EvalMode::Compiled,
-                EvalMode::Streaming,
-                EvalMode::Dag,
-                EvalMode::TreeWalk,
-            ] {
+            for mode in MODES {
                 let engine = Engine::new(EngineOptions {
                     workers: 1,
                     ..EngineOptions::default()
                 });
-                let stripped = engine
-                    .transform_with_validation(&strip, doc, mode, format.clone(), validate)
-                    .unwrap();
+                let stripped =
+                    run_one(&engine, &strip, doc, mode, &format, validate, None).unwrap();
                 assert_eq!(stripped, "<root><x/><x/><z/></root>", "{mode:?}");
-                let kept = engine
-                    .transform_with_validation(&keep, doc, mode, format.clone(), validate)
-                    .unwrap();
+                let kept = run_one(&engine, &keep, doc, mode, &format, validate, None).unwrap();
                 assert_eq!(kept, doc, "{mode:?} validate={validate}");
             }
         }
@@ -2483,7 +1790,15 @@ mod tests {
         // children and the arity-3 rules leave the document undefined.
         let engine = Engine::new(EngineOptions::default());
         assert_eq!(
-            engine.transform_with(&strip, doc, EvalMode::Compiled, DocFormat::Xml),
+            run_one(
+                &engine,
+                &strip,
+                doc,
+                EvalMode::Compiled,
+                &DocFormat::Xml,
+                false,
+                None
+            ),
             Err(EngineError::Undefined)
         );
     }
@@ -2504,20 +1819,12 @@ mod tests {
             workers: 1,
             ..EngineOptions::default()
         });
-        for mode in [
-            EvalMode::Compiled,
-            EvalMode::Streaming,
-            EvalMode::Dag,
-            EvalMode::TreeWalk,
-        ] {
-            let out = engine
-                .transform_with(&m, "<root><a/><a/><b/></root>", mode, format.clone())
-                .unwrap();
+        for mode in MODES {
+            let run = |doc: &str| run_one(&engine, &m, doc, mode, &format, false, None);
+            let out = run("<root><a/><a/><b/></root>").unwrap();
             assert_eq!(out, "<root><b/><a/><a/></root>", "{mode:?}");
             // A DTD-invalid document is an encoding error, positionally.
-            let bad = engine
-                .transform_with(&m, "<root><b/><a/></root>", mode, format.clone())
-                .unwrap_err();
+            let bad = run("<root><b/><a/></root>").unwrap_err();
             assert!(matches!(bad, EngineError::Encoding(_)), "{mode:?}: {bad:?}");
         }
     }
@@ -2538,8 +1845,8 @@ mod tests {
         // position: a typed violation, not an opaque Undefined.
         let bad = "<root><a/><c/><a/></root>";
         let mut rendered: Vec<String> = Vec::new();
-        for mode in [EvalMode::Streaming, EvalMode::Compiled, EvalMode::TreeWalk] {
-            match engine.transform_with(&prune, bad, mode, format.clone()) {
+        for mode in [EvalMode::Streaming, EvalMode::Compiled] {
+            match run_one(&engine, &prune, bad, mode, &format, true, None) {
                 Err(EngineError::Type(e)) => rendered.push(e.to_string()),
                 other => panic!("{mode:?}: expected a type error, got {other:?}"),
             }
@@ -2574,9 +1881,16 @@ mod tests {
             ),
         ];
         for (dtop, format, doc) in cases {
-            let batch = engine
-                .transform_with(dtop, doc, EvalMode::Streaming, format.clone())
-                .unwrap();
+            let batch = run_one(
+                &engine,
+                dtop,
+                doc,
+                EvalMode::Streaming,
+                &format,
+                false,
+                None,
+            )
+            .unwrap();
             let mut bytes = Vec::new();
             let out = engine
                 .transform_streaming_with(dtop, doc, format.clone(), false, &mut bytes)
@@ -2617,9 +1931,16 @@ mod tests {
         // fc/ns encoding if it were tokenized (undeclared depth is fine,
         // but the skip counter is the direct evidence).
         let doc = "<root><b><a><a/><a/></a></b><a/></root>";
-        let out = engine
-            .transform_with(&prune, doc, EvalMode::Streaming, format.clone())
-            .unwrap();
+        let out = run_one(
+            &engine,
+            &prune,
+            doc,
+            EvalMode::Streaming,
+            &format,
+            false,
+            None,
+        )
+        .unwrap();
         assert_eq!(out, "<root><a/></root>");
         assert!(
             engine.skipped_subtrees() >= 1,
@@ -2754,5 +2075,40 @@ mod tests {
         assert_eq!(stats.misses, 3);
         engine.compiled(&m2).unwrap(); // was evicted → miss
         assert_eq!(engine.cache_stats().misses, 4);
+    }
+
+    /// A 200,000-deep document through the identity returns its own
+    /// bytes in both modes, for both XML formats, with and without an
+    /// output bound — on a spawned thread's default stack. Every output
+    /// is rendered by the iterative sinks; a recursive tree writer
+    /// overflows the stack here and aborts the process.
+    #[test]
+    fn deep_xml_round_trips_in_every_mode() {
+        std::thread::spawn(|| {
+            let identity =
+                xtt_transducer::parse_dtop("ax = <q,x0>\nq(f(x1)) -> f(<q,x1>)\nq(g) -> g\n")
+                    .unwrap();
+            let depth = 200_000;
+            let doc = format!("{}<g/>{}", "<f>".repeat(depth), "</f>".repeat(depth));
+            for bound in [None, Some(2 * depth as u64)] {
+                let engine = Engine::new(EngineOptions {
+                    max_output_nodes: bound,
+                    ..EngineOptions::default()
+                });
+                for format in [DocFormat::Xml, DocFormat::XmlAttrs] {
+                    for mode in MODES {
+                        let out = run_one(&engine, &identity, &doc, mode, &format, false, None);
+                        let ok = out.as_deref() == Ok(doc.as_str());
+                        assert!(
+                            ok,
+                            "{mode:?} {format:?} bound {bound:?}: {:?}",
+                            out.map(|o| o.len())
+                        );
+                    }
+                }
+            }
+        })
+        .join()
+        .expect("the deep document must transform");
     }
 }

@@ -18,14 +18,22 @@
 //! * [`eval`] / [`stream`] — two executions of the same instruction set:
 //!   the **compiled evaluator** (flatten the document once, dense memo
 //!   table, reusable [`EvalScratch`], optional [`TreeDag`] output for
-//!   exponentially large results), and the **streaming front end**
-//!   ([`StreamEvaluator`]) which runs directly over SAX-style events and
+//!   exponentially large results), and the **streaming evaluator**
+//!   ([`StreamEvaluator`], chained stage to stage by
+//!   [`ChainedEvaluator`]) which runs directly over SAX-style events and
 //!   keeps only the spine of the input — deleted subtrees are skipped,
 //!   not built.
-//! * [`engine`] — the batch/serving API: [`Engine::transform_batch`]
-//!   shards newline-delimited documents across a worker pool, with an LRU
-//!   cache of compiled transducers keyed by structural [`fingerprint`].
-//!   The `xtt-transform` binary is a thin CLI over it.
+//! * [`engine`] — one execution core: a [`Request`] names the stages
+//!   (a chain of [`ChainStage`]s; a single transducer is a chain of
+//!   length one), an optional domain guard, the [`DocFormat`] and the
+//!   [`EvalMode`], and every document runs as source → stages → sink —
+//!   the format reads the document and serializes the output, the mode
+//!   (`tree` or `stream`) decides what runs in between.
+//!   [`Engine::run_doc`] writes one document's bytes;
+//!   [`Engine::run_batch`] returns text for a batch sharded across a
+//!   worker pool; LRU caches of compiled transducers and guards are keyed
+//!   by structural [`fingerprint`]. The `xtt-transform` binary and
+//!   `xtt-serve` are thin layers over it.
 //!
 //! Semantics are bit-for-bit Definition 1: for every input, every layer
 //! returns exactly what `xtt_transducer::eval::eval` returns (including
@@ -40,15 +48,13 @@ pub mod stream;
 
 pub use compile::{compile, fingerprint, CompileError, CompiledDtop, Instr};
 pub use engine::{
-    CacheStats, ChainStage, DocFormat, Engine, EngineError, EngineOptions, EvalMode, LruCache,
-    StreamOutcome, ValidationStats,
+    tree_to_xml, CacheStats, ChainStage, DocFormat, Engine, EngineError, EngineOptions, EvalMode,
+    LruCache, Request, StreamOutcome, ValidationStats,
 };
 pub use eval::{DagSink, EvalScratch, Sink, TreeSink};
 pub use stream::{
-    ranked_tree_from_xml, ranked_tree_from_xml_bounded, tree_to_xml, tree_to_xml_attrs,
-    unknown_symbol, xml_ranked_events, xml_ranked_events_bounded, xml_serializable,
-    xml_serializable_attrs, ChainedEvaluator, EmitStats, Feed, FnSink, GuardedSource,
-    GuardedXmlError, IterEvents, OutputSink, StreamEvaluator, StreamRun, TreeCollector,
+    ranked_tree_from_xml_bounded, unknown_symbol, ChainedEvaluator, EmitStats, Feed, FnSink,
+    GuardedSource, IterEvents, OutputSink, StreamEvaluator, StreamRun, TreeCollector,
     TreeEventSource, XmlRankedEvents,
 };
 /// Re-exported from `xtt-typecheck`: the typed diagnostic carried by

@@ -14,9 +14,8 @@
 //!
 //! Memory is therefore `O(spine · |Q| · |output so far|)` instead of the
 //! whole document, and deleted subtrees cost one integer of bookkeeping.
-//! Combined with [`crate::xml_ranked_events`], an XML document is
-//! transformed while it is being tokenized, without ever building the
-//! input tree.
+//! Combined with [`XmlRankedEvents`], an XML document is transformed
+//! while it is being tokenized, without ever building the input tree.
 //!
 //! Partiality is exact: a live state without a rule for the node's symbol,
 //! or a call to a child the node does not have, aborts with `None` — the
@@ -86,10 +85,12 @@ enum LastOpen {
     Token,
 }
 
-/// [`TreeEventSource`] straight off the SAX tokenizer: the owning form
-/// of [`xml_ranked_events`] / [`xml_ranked_events_bounded`], with the
-/// raw fast-forward ([`XmlEventReader::skip_subtree`]) wired through —
-/// deleted subtrees are not tokenized at all.
+/// [`TreeEventSource`] straight off the SAX tokenizer: elements become
+/// symbols of their child count, character data one leaf per
+/// whitespace-separated token (so adjacent rank-0 symbols like the fc/ns
+/// `#` read as `# #`). The raw fast-forward
+/// ([`XmlEventReader::skip_subtree`]) is wired through — deleted subtrees
+/// are not tokenized at all.
 pub struct XmlRankedEvents<'a> {
     reader: XmlEventReader<'a>,
     queue: VecDeque<TreeEvent>,
@@ -101,7 +102,8 @@ pub struct XmlRankedEvents<'a> {
 }
 
 impl<'a> XmlRankedEvents<'a> {
-    /// Faithful symbol interning (trusted input).
+    /// Faithful symbol interning: every name is interned into the
+    /// process-global symbol table (trusted input only).
     pub fn new(xml: &'a str) -> XmlRankedEvents<'a> {
         XmlRankedEvents {
             reader: xml_events(xml),
@@ -152,13 +154,10 @@ impl<'a> XmlRankedEvents<'a> {
         self.skipped_subtrees
     }
 
-    /// Drains the source into a ranked tree (the non-streaming eval
-    /// modes; same mapping, same bounded/attrs configuration).
+    /// Drains the source into a ranked tree (`tree` mode; same mapping,
+    /// same bounded/attrs configuration).
     pub fn collect_tree(mut self) -> Result<Tree, XmlError> {
-        let mut events = Vec::new();
-        while let Some(ev) = self.next_event() {
-            events.push(ev);
-        }
+        let events: Vec<TreeEvent> = std::iter::from_fn(|| self.next_event()).collect();
         if let Some(e) = self.take_error() {
             return Err(e);
         }
@@ -296,11 +295,6 @@ impl<'g, S: TreeEventSource> GuardedSource<'g, S> {
     pub fn take_violation(&mut self) -> Option<TypeError> {
         self.violation.take()
     }
-
-    /// The wrapped source (e.g. to read its recorded tokenizer error).
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 impl<S: TreeEventSource> TreeEventSource for GuardedSource<'_, S> {
@@ -309,13 +303,9 @@ impl<S: TreeEventSource> TreeEventSource for GuardedSource<'_, S> {
             return None;
         }
         let event = self.inner.next_event()?;
-        match self.run.feed(event) {
-            Ok(()) => Some(event),
-            Err(violation) => {
-                self.violation = Some(violation);
-                None
-            }
-        }
+        let fed = self.run.feed(event).map(|()| event);
+        fed.map_err(|violation| self.violation = Some(violation))
+            .ok()
     }
 
     fn skip_subtree(&mut self) -> bool {
@@ -330,18 +320,6 @@ impl<S: TreeEventSource> TreeEventSource for GuardedSource<'_, S> {
         let _ = self.run.feed(TreeEvent::Close);
         true
     }
-}
-
-/// Failure of a *guarded* XML streaming evaluation. A violation wins
-/// over a tokenizer error by construction: the guard cuts the stream at
-/// the first violating node, so the tokenizer never reaches whatever
-/// would have failed later.
-#[derive(Debug)]
-pub enum GuardedXmlError {
-    /// The domain guard rejected the document (first violating node).
-    Type(TypeError),
-    /// The tokenizer failed before the guard saw a violation.
-    Xml(XmlError),
 }
 
 /// Where the streaming evaluator's output events go.
@@ -359,10 +337,7 @@ pub trait OutputSink {
     /// A whole completed subtree at the current position (a buffered
     /// region's result). Equivalent to replaying `t.events()`.
     fn tree(&mut self, t: &Tree) -> io::Result<()> {
-        for ev in t.events() {
-            self.event(ev)?;
-        }
-        Ok(())
+        t.events().try_for_each(|ev| self.event(ev))
     }
 }
 
@@ -392,11 +367,7 @@ impl TreeCollector {
 
     /// The collected tree, if a complete one was emitted.
     pub fn into_tree(self) -> Option<Tree> {
-        if self.stack.is_empty() {
-            self.done
-        } else {
-            None
-        }
+        self.done.filter(|_| self.stack.is_empty())
     }
 }
 
@@ -508,8 +479,10 @@ struct SFrame {
 /// The context above the root frame: the axiom, run live when it has
 /// exactly one call (its prefix is then emitted before the first input
 /// event), buffered otherwise.
+#[derive(Default)]
 enum Top {
     Live(LiveFrame),
+    #[default]
     Buffered,
 }
 
@@ -554,10 +527,12 @@ fn flush_tree<S: OutputSink + ?Sized>(
     t: &Tree,
     early: bool,
 ) -> io::Result<()> {
-    let events = 2 * t.size();
-    stats.events_total += events;
+    // Saturating: a copying transducer's shared output can have far
+    // more nodes than a u64 counts (the output-node cap rejects it).
+    let events = t.size().saturating_mul(2);
+    stats.events_total = stats.events_total.saturating_add(events);
     if early {
-        stats.events_emitted_early += events;
+        stats.events_emitted_early = stats.events_emitted_early.saturating_add(events);
     }
     sink.tree(t)
 }
@@ -676,12 +651,12 @@ pub enum Feed {
     Done,
 }
 
-/// One incremental streaming evaluation: the push-driven core behind
-/// [`StreamEvaluator::eval_streaming`], factored out so a driver that
-/// *receives* events — a pipeline stage fed by an upstream evaluator's
-/// committed output — can run the same coroutine machinery without
-/// owning a pull loop. Feed pre-order input events one at a time;
-/// committed output prefixes flow to the sink the moment they commit.
+/// One incremental streaming evaluation — one stage of a
+/// [`ChainedEvaluator`], which drives it from the source (the first
+/// stage) or from the upstream stage's committed output (every other).
+/// Feed pre-order input events one at a time; committed output prefixes
+/// flow to the sink the moment they commit.
+#[derive(Default)]
 pub struct StreamRun {
     frames: Vec<SFrame>,
     /// Scratch for rule execution (see [`StreamRun::exec_range`]).
@@ -698,30 +673,7 @@ pub struct StreamRun {
     top: Top,
 }
 
-impl Default for StreamRun {
-    fn default() -> StreamRun {
-        StreamRun {
-            frames: Vec::new(),
-            exec_vals: Vec::new(),
-            exec_frames: Vec::new(),
-            states_scratch: Vec::new(),
-            stats: EmitStats::default(),
-            buffered: 0,
-            skip_depth: 0,
-            root_skipped: false,
-            root_seen: false,
-            done: false,
-            rejected: false,
-            top: Top::Buffered,
-        }
-    }
-}
-
 impl StreamRun {
-    pub fn new() -> StreamRun {
-        StreamRun::default()
-    }
-
     /// Resets the run for a fresh input and executes the axiom's
     /// committed prefix (emitted before the first input event when the
     /// axiom is live).
@@ -1013,33 +965,20 @@ impl StreamRun {
     }
 }
 
-/// Reusable streaming evaluator; create once per worker thread. Owns a
-/// [`StreamRun`] and drives it from a [`TreeEventSource`] pull loop.
+/// Reusable streaming evaluator of one compiled dtop — a
+/// [`ChainedEvaluator`] of length one; create once per worker thread.
 #[derive(Default)]
-pub struct StreamEvaluator {
-    run: StreamRun,
-}
+pub struct StreamEvaluator(ChainedEvaluator);
 
 impl StreamEvaluator {
     pub fn new() -> StreamEvaluator {
         StreamEvaluator::default()
     }
 
-    /// Evaluates `⟦M⟧` over a pre-order event stream. Returns `None` when
-    /// the input is outside the domain **or** the stream is not exactly
-    /// one well-nested tree.
-    pub fn eval<I>(&mut self, c: &CompiledDtop, events: I) -> Option<Tree>
-    where
-        I: IntoIterator<Item = TreeEvent>,
-    {
-        self.eval_source(c, &mut IterEvents(events.into_iter()))
-    }
-
-    /// [`StreamEvaluator::eval`] over a [`TreeEventSource`]: when a
-    /// subtree is deleted by the run (empty live state set), the source's
-    /// skip fast path is taken — over XML this fast-forwards the raw
-    /// tokenizer, so deleted subtrees are never tokenized, let alone
-    /// built.
+    /// Evaluates `⟦M⟧` over a pre-order event stream into a tree; `None`
+    /// when the input is outside the domain **or** the stream is not
+    /// exactly one well-nested tree. Deleted subtrees take the source's
+    /// skip fast path.
     pub fn eval_source(
         &mut self,
         c: &CompiledDtop,
@@ -1074,65 +1013,13 @@ impl StreamEvaluator {
         source: &mut impl TreeEventSource,
         sink: &mut S,
     ) -> io::Result<Option<EmitStats>> {
-        self.run.start(c, sink)?;
-        while let Some(event) = source.next_event() {
-            match self.run.feed(c, event, sink)? {
-                Feed::More | Feed::Done => {}
-                Feed::SkipOpen => {
-                    if source.skip_subtree() {
-                        self.run.fast_forwarded();
-                    }
-                }
-                Feed::Rejected => return Ok(None),
-            }
-        }
-        self.run.finish(c, sink)
+        self.0.eval_streaming(&[c], source, &mut &mut *sink)
     }
 
     /// Convenience: stream a materialized tree (used by benches and the
     /// differential tests to exercise exactly the streaming code path).
     pub fn eval_tree(&mut self, c: &CompiledDtop, input: &Tree) -> Option<Tree> {
-        self.eval(c, input.events())
-    }
-
-    /// Transforms an XML document without building the input tree: XML
-    /// events are mapped to ranked-tree events
-    /// ([`xml_ranked_events_bounded`] — document text never grows the
-    /// symbol interner) and fed straight into the streaming run.
-    ///
-    /// `Err` is a tokenizer error; `Ok(None)` means the (well-formed)
-    /// document is outside the transduction's domain.
-    pub fn eval_xml(&mut self, c: &CompiledDtop, xml: &str) -> Result<Option<Tree>, XmlError> {
-        let mut source = XmlRankedEvents::bounded(xml);
-        let result = self.eval_source(c, &mut source);
-        match source.take_error() {
-            Some(e) => Err(e),
-            None => Ok(result),
-        }
-    }
-
-    /// [`StreamEvaluator::eval_xml`] with a domain guard in lockstep: the
-    /// guard sees every event first and cuts the stream at the first
-    /// violation, so a rejected document's tail is never tokenized.
-    /// `Ok(None)` means the (well-formed, guard-accepted) document is
-    /// outside the domain for a non-guard reason (e.g. not exactly one
-    /// tree). This is the single implementation behind the engine's
-    /// guarded streaming mode and the E11 benchmarks.
-    pub fn eval_xml_guarded(
-        &mut self,
-        c: &CompiledDtop,
-        guard: &CompiledDtta,
-        xml: &str,
-    ) -> Result<Option<Tree>, GuardedXmlError> {
-        let mut source = GuardedSource::new(guard, XmlRankedEvents::bounded(xml));
-        let result = self.eval_source(c, &mut source);
-        if let Some(violation) = source.take_violation() {
-            return Err(GuardedXmlError::Type(violation));
-        }
-        match source.into_inner().take_error() {
-            Some(e) => Err(GuardedXmlError::Xml(e)),
-            None => Ok(result),
-        }
+        self.eval_source(c, &mut IterEvents(input.events()))
     }
 }
 
@@ -1173,13 +1060,10 @@ impl StreamRun {
     }
 }
 
-/// [`OutputSink`] that queues events — the relay between chained
-/// pipeline stages.
-struct QueueSink<'a>(&'a mut VecDeque<TreeEvent>);
-
-impl OutputSink for QueueSink<'_> {
+/// The relay between chained stages: a queue of committed events.
+impl OutputSink for VecDeque<TreeEvent> {
     fn event(&mut self, ev: TreeEvent) -> io::Result<()> {
-        self.0.push_back(ev);
+        self.push_back(ev);
         Ok(())
     }
 }
@@ -1195,11 +1079,24 @@ impl OutputSink for QueueSink<'_> {
 /// Rejection anywhere rejects the chain (`Ok(None)`), exactly like
 /// evaluating the composed transducer: stage `i` rejects at the first
 /// event proving its input — stage `i-1`'s committed output — outside
-/// its domain.
+/// its domain. A single transducer is a chain of length one.
 #[derive(Default)]
 pub struct ChainedEvaluator {
     runs: Vec<StreamRun>,
     queues: Vec<VecDeque<TreeEvent>>,
+}
+
+/// Stage `i`'s output: the relay queue into stage `i+1`, or the caller's
+/// sink for the last stage.
+fn stage_out<'s>(
+    queues: &'s mut [VecDeque<TreeEvent>],
+    sink: &'s mut dyn OutputSink,
+    i: usize,
+) -> &'s mut dyn OutputSink {
+    match queues.get_mut(i) {
+        Some(queue) => queue,
+        None => sink,
+    }
 }
 
 impl ChainedEvaluator {
@@ -1216,69 +1113,50 @@ impl ChainedEvaluator {
     /// Drains the relay queues, downstream-first (so queued events move
     /// toward the sink before more are produced); `false` = some stage
     /// rejected its input.
-    fn pump<S: OutputSink + ?Sized>(
+    fn pump<C: AsRef<CompiledDtop>>(
         &mut self,
-        stages: &[&CompiledDtop],
-        sink: &mut S,
+        stages: &[C],
+        sink: &mut dyn OutputSink,
     ) -> io::Result<bool> {
-        loop {
-            let Some(i) = (0..self.queues.len()).rfind(|&i| !self.queues[i].is_empty()) else {
-                return Ok(true);
-            };
+        while let Some(i) = (0..self.queues.len()).rfind(|&i| !self.queues[i].is_empty()) {
             let ev = self.queues[i].pop_front().expect("checked nonempty");
-            let stage = i + 1;
-            let verdict = if stage + 1 == stages.len() {
-                self.runs[stage].feed(stages[stage], ev, sink)?
-            } else {
-                let mut relay = QueueSink(&mut self.queues[stage]);
-                self.runs[stage].feed(stages[stage], ev, &mut relay)?
-            };
-            if verdict == Feed::Rejected {
+            let out = stage_out(&mut self.queues, sink, i + 1);
+            if self.runs[i + 1].feed(stages[i + 1].as_ref(), ev, out)? == Feed::Rejected {
                 return Ok(false);
             }
         }
+        Ok(true)
     }
 
     /// Streams `source` through every stage (`stages[0]` first). Returns
     /// the **final** stage's emission stats on success (per-stage stats
     /// via [`ChainedEvaluator::stage_stats`]), `Ok(None)` when any stage
     /// rejects, `Err` only when the sink fails.
-    pub fn eval_streaming<S: OutputSink + ?Sized>(
+    pub fn eval_streaming<C: AsRef<CompiledDtop>>(
         &mut self,
-        stages: &[&CompiledDtop],
+        stages: &[C],
         source: &mut impl TreeEventSource,
-        sink: &mut S,
+        sink: &mut dyn OutputSink,
     ) -> io::Result<Option<EmitStats>> {
         assert!(!stages.is_empty(), "a pipeline has at least one stage");
         let n = stages.len();
-        self.runs.resize_with(n, StreamRun::new);
+        self.runs.resize_with(n, StreamRun::default);
         self.runs.truncate(n);
         self.queues.resize_with(n - 1, VecDeque::new);
         self.queues.truncate(n - 1);
-        for q in &mut self.queues {
-            q.clear();
-        }
+        self.queues.iter_mut().for_each(VecDeque::clear);
         // Start downstream-first, pumping between: every consumer is
         // live before an upstream axiom prefix reaches it.
         for i in (0..n).rev() {
-            if i + 1 == n {
-                self.runs[i].start(stages[i], sink)?;
-            } else {
-                let mut relay = QueueSink(&mut self.queues[i]);
-                self.runs[i].start(stages[i], &mut relay)?;
-            }
+            let out = stage_out(&mut self.queues, sink, i);
+            self.runs[i].start(stages[i].as_ref(), out)?;
             if !self.pump(stages, sink)? {
                 return Ok(None);
             }
         }
+        let first = stages[0].as_ref();
         while let Some(event) = source.next_event() {
-            let verdict = if n == 1 {
-                self.runs[0].feed(stages[0], event, sink)?
-            } else {
-                let mut relay = QueueSink(&mut self.queues[0]);
-                self.runs[0].feed(stages[0], event, &mut relay)?
-            };
-            match verdict {
+            match self.runs[0].feed(first, event, stage_out(&mut self.queues, sink, 0))? {
                 Feed::Rejected => return Ok(None),
                 Feed::SkipOpen => {
                     if source.skip_subtree() {
@@ -1287,7 +1165,7 @@ impl ChainedEvaluator {
                 }
                 Feed::More | Feed::Done => {}
             }
-            if !self.pump(stages, sink)? {
+            if n > 1 && !self.pump(stages, sink)? {
                 return Ok(None);
             }
         }
@@ -1295,20 +1173,20 @@ impl ChainedEvaluator {
         // output (a constant axiom, a whole-input deletion) cascades
         // before stage i+1's own end-of-stream verdict.
         for i in 0..n {
-            let fin = if i + 1 == n {
-                self.runs[i].finish(stages[i], sink)?
-            } else {
-                let mut relay = QueueSink(&mut self.queues[i]);
-                self.runs[i].finish(stages[i], &mut relay)?
-            };
-            if fin.is_none() {
-                return Ok(None);
-            }
-            if !self.pump(stages, sink)? {
+            let out = stage_out(&mut self.queues, sink, i);
+            if self.runs[i].finish(stages[i].as_ref(), out)?.is_none()
+                || !self.pump(stages, sink)?
+            {
                 return Ok(None);
             }
         }
         Ok(Some(self.runs[n - 1].stats()))
+    }
+}
+
+impl AsRef<CompiledDtop> for CompiledDtop {
+    fn as_ref(&self) -> &CompiledDtop {
+        self
     }
 }
 
@@ -1319,232 +1197,50 @@ fn lookup(results: &[(u16, Tree)], q: u16) -> Option<Tree> {
         .map(|i| results[i].1.clone())
 }
 
-/// Iterator form of [`XmlRankedEvents`] (same mapping, same source;
-/// fused after the first error).
-struct RankedEventsIter<'a>(XmlRankedEvents<'a>);
-
-impl Iterator for RankedEventsIter<'_> {
-    type Item = Result<TreeEvent, XmlError>;
-
-    fn next(&mut self) -> Option<Result<TreeEvent, XmlError>> {
-        match self.0.next_event() {
-            Some(event) => Some(Ok(event)),
-            None => self.0.take_error().map(Err),
-        }
-    }
-}
-
-/// The sentinel every out-of-vocabulary name maps to under the bounded
-/// adapters. Starts with a control character, so no declarable alphabet
-/// symbol can collide with it.
+/// The sentinel every out-of-vocabulary name maps to under bounded
+/// symbol resolution ([`XmlRankedEvents::bounded`]); its control
+/// character keeps it apart from every declarable symbol.
 pub fn unknown_symbol() -> Symbol {
     Symbol::new("\u{1}xtt:unknown")
 }
 
-/// Maps an XML event stream to ranked-tree events: elements become
-/// symbols of their child count; character data is whitespace-tokenized,
-/// one leaf symbol per token (data-centric documents — the only kind the
-/// paper's encodings produce — have single-token pcdata, and tokenizing
-/// makes adjacent rank-0 symbols like the fc/ns `#` expressible as
-/// `# #`). Comments/PIs were already skipped by the lenient tokenizer;
-/// attributes are parsed but not surfaced here — use
-/// [`XmlRankedEvents::attributes`] (`DocFormat::XmlAttrs`) to map them
-/// into the encoding as an `@attrs` first child.
-///
-/// Every name is **interned** into the process-global symbol table; use
-/// this for trusted input only. The serving paths use
-/// [`xml_ranked_events_bounded`], which never grows the table.
-pub fn xml_ranked_events(xml: &str) -> impl Iterator<Item = Result<TreeEvent, XmlError>> + '_ {
-    RankedEventsIter(XmlRankedEvents::new(xml))
-}
-
-/// Like [`xml_ranked_events`], but safe for untrusted traffic: names are
-/// resolved with [`Symbol::lookup`] and anything never interned before
-/// (i.e. not in any transducer alphabet) becomes [`unknown_symbol`].
-/// Evaluation is unaffected — an out-of-vocabulary symbol has no rules
-/// either way — but a long-running server's memory no longer grows with
-/// the input vocabulary.
-pub fn xml_ranked_events_bounded(
-    xml: &str,
-) -> impl Iterator<Item = Result<TreeEvent, XmlError>> + '_ {
-    RankedEventsIter(XmlRankedEvents::bounded(xml))
-}
-
-/// Builds a ranked tree from an XML document via [`xml_ranked_events`]
-/// (faithful symbols; trusted input).
-pub fn ranked_tree_from_xml(xml: &str) -> Result<Tree, XmlError> {
-    XmlRankedEvents::new(xml).collect_tree()
-}
-
-/// Builds a ranked tree via [`xml_ranked_events_bounded`] — what the
-/// engine's non-streaming XML paths use, so serving never interns
-/// document text.
+/// Builds a ranked tree via [`XmlRankedEvents::bounded`], so untrusted
+/// document text never grows the interner.
 pub fn ranked_tree_from_xml_bounded(xml: &str) -> Result<Tree, XmlError> {
     XmlRankedEvents::bounded(xml).collect_tree()
-}
-
-/// Serializes a ranked tree as XML: symbols with XML-name labels become
-/// elements, other leaves (like the paper's `#` or pcdata values) become
-/// whitespace-separated text tokens. Inverse of [`ranked_tree_from_xml`]
-/// on its image.
-///
-/// Inner symbols must be XML names (alphabets like the §10 library's
-/// `B*` groups are term-syntax-only; serve those in `DocFormat::Term`).
-pub fn tree_to_xml(t: &Tree) -> String {
-    let mut out = String::new();
-    write_ranked(t, &mut out);
-    out
-}
-
-fn is_text_leaf(t: &Tree) -> bool {
-    t.is_leaf() && !is_xml_name(t.symbol().name())
-}
-
-/// True iff [`tree_to_xml`] produces well-formed XML for this tree:
-/// every inner symbol is a valid XML element name.
-pub fn xml_serializable(t: &Tree) -> bool {
-    t.preorder()
-        .all(|n| n.is_leaf() || is_xml_name(n.symbol().name()))
-}
-
-fn write_ranked(t: &Tree, out: &mut String) {
-    let name = t.symbol().name();
-    if is_text_leaf(t) {
-        out.push_str(&escape_text(name));
-        return;
-    }
-    if t.is_leaf() {
-        out.push('<');
-        out.push_str(name);
-        out.push_str("/>");
-        return;
-    }
-    out.push('<');
-    out.push_str(name);
-    out.push('>');
-    for (i, c) in t.children().iter().enumerate() {
-        if i > 0 && is_text_leaf(c) && is_text_leaf(&t.children()[i - 1]) {
-            out.push(' '); // keep adjacent text leaves distinct tokens
-        }
-        write_ranked(c, out);
-    }
-    out.push_str("</");
-    out.push_str(name);
-    out.push('>');
-}
-
-/// [`xml_serializable`] for `DocFormat::XmlAttrs` trees: an `@attrs`
-/// first child (one `@name` slot per attribute, leaf children = value
-/// tokens) decodes back to attribute syntax, so its `@`-prefixed slots
-/// are allowed where plain serialization rejects them.
-pub fn xml_serializable_attrs(t: &Tree) -> bool {
-    if t.is_leaf() {
-        return true; // text token or empty element either way
-    }
-    if !is_xml_name(t.symbol().name()) {
-        return false;
-    }
-    let mut children = t.children();
-    if let Some(first) = children.first() {
-        if first.symbol().name() == "@attrs" {
-            let slots_ok = first.children().iter().all(|slot| {
-                slot.symbol()
-                    .name()
-                    .strip_prefix('@')
-                    .is_some_and(is_xml_name)
-                    && slot.children().iter().all(Tree::is_leaf)
-            });
-            if !slots_ok {
-                return false;
-            }
-            children = &children[1..];
-        }
-    }
-    children.iter().all(xml_serializable_attrs)
-}
-
-/// [`tree_to_xml`] for `DocFormat::XmlAttrs` trees: an element's
-/// `@attrs` first child is written back as real `name="value"`
-/// attributes (value tokens space-joined), inverse of
-/// [`XmlRankedEvents::attributes`] on its image. The caller checks
-/// [`xml_serializable_attrs`] first.
-pub fn tree_to_xml_attrs(t: &Tree) -> String {
-    let mut out = String::new();
-    write_ranked_attrs(t, &mut out);
-    out
-}
-
-fn write_ranked_attrs(t: &Tree, out: &mut String) {
-    let name = t.symbol().name();
-    if is_text_leaf(t) {
-        out.push_str(&escape_text(name));
-        return;
-    }
-    let mut content = t.children();
-    out.push('<');
-    out.push_str(name);
-    if let Some(first) = content.first() {
-        if first.symbol().name() == "@attrs" {
-            for slot in first.children() {
-                let attr = slot.symbol().name().strip_prefix('@').unwrap_or_default();
-                let value = slot
-                    .children()
-                    .iter()
-                    .map(|tok| tok.symbol().name())
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                out.push(' ');
-                out.push_str(attr);
-                out.push_str("=\"");
-                out.push_str(&escape_attr(&value));
-                out.push('"');
-            }
-            content = &content[1..];
-        }
-    }
-    if content.is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-    for (i, c) in content.iter().enumerate() {
-        if i > 0 && is_text_leaf(c) && is_text_leaf(&content[i - 1]) {
-            out.push(' ');
-        }
-        write_ranked_attrs(c, out);
-    }
-    out.push_str("</");
-    out.push_str(name);
-    out.push('>');
-}
-
-pub(crate) fn is_xml_name(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':'))
-}
-
-pub(crate) fn escape_text(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-}
-
-fn escape_attr(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('"', "&quot;")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::compile;
+    use crate::engine::{tree_to_xml, DocFormat, FormatSink};
     use xtt_transducer::{eval as walk_eval, examples};
     use xtt_trees::{gen::enumerate_trees, parse_tree};
+
+    /// Streams an XML document through `c` (bounded symbols): `Err` is a
+    /// tokenizer error, `Ok(None)` an out-of-domain document.
+    fn eval_xml(
+        ev: &mut StreamEvaluator,
+        c: &CompiledDtop,
+        xml: &str,
+    ) -> Result<Option<Tree>, XmlError> {
+        let mut source = XmlRankedEvents::bounded(xml);
+        let result = ev.eval_source(c, &mut source);
+        source.take_error().map_or(Ok(result), Err)
+    }
+
+    fn eval(ev: &mut StreamEvaluator, c: &CompiledDtop, events: Vec<TreeEvent>) -> Option<Tree> {
+        ev.eval_source(c, &mut IterEvents(events.into_iter()))
+    }
+
+    /// Renders `t` through the format's strict sink (`None` = the output
+    /// has no form in the format).
+    fn render(t: &Tree, format: &DocFormat) -> Option<String> {
+        let mut out = Vec::new();
+        FormatSink::new(format, &mut out).tree(t).ok()?;
+        String::from_utf8(out).ok()
+    }
 
     #[test]
     fn streaming_agrees_with_tree_walk() {
@@ -1591,15 +1287,18 @@ mod tests {
         use TreeEvent::*;
         let root = Symbol::new("root");
         let hash = Symbol::new("#");
-        assert_eq!(ev.eval(&c, []), None);
-        assert_eq!(ev.eval(&c, [Open(root)]), None);
-        assert_eq!(ev.eval(&c, [Close]), None);
+        assert_eq!(eval(&mut ev, &c, vec![]), None);
+        assert_eq!(eval(&mut ev, &c, vec![Open(root)]), None);
+        assert_eq!(eval(&mut ev, &c, vec![Close]), None);
         // trailing events after the root closed: not exactly one tree
         let mut two_roots: Vec<TreeEvent> = parse_tree("root(#,#)").unwrap().events().collect();
         let base = two_roots.clone();
         two_roots.extend([Open(hash), Close]);
-        assert_eq!(ev.eval(&c, base), Some(parse_tree("root(#,#)").unwrap()));
-        assert_eq!(ev.eval(&c, two_roots), None);
+        assert_eq!(
+            eval(&mut ev, &c, base),
+            Some(parse_tree("root(#,#)").unwrap())
+        );
+        assert_eq!(eval(&mut ev, &c, two_roots), None);
     }
 
     #[test]
@@ -1612,7 +1311,7 @@ mod tests {
                           // (q4, a) deletes; the walk evaluator accepts it, and so must the
                           // bounded streaming path — via the sentinel, without interning.
         let xml = "<root><a>never-interned-token-1<a># #</a></a><b># #</b></root>";
-        let out = ev.eval_xml(&c, xml).unwrap().unwrap();
+        let out = eval_xml(&mut ev, &c, xml).unwrap().unwrap();
         assert_eq!(out.to_string(), "root(b(#,#),a(#,a(#,#)))");
         assert_eq!(Symbol::lookup("never-interned-token-1"), None);
         // same through the non-streaming bounded tree builder
@@ -1631,13 +1330,16 @@ mod tests {
         let mut ev = StreamEvaluator::new();
         // fc/ns-encoded lists in XML form: '#' leaves are text tokens.
         let xml = "<root><a># <a># #</a></a><b># <b># #</b></b></root>";
-        let t = ranked_tree_from_xml(xml).unwrap();
+        let t = XmlRankedEvents::new(xml).collect_tree().unwrap();
         assert_eq!(t.to_string(), "root(a(#,a(#,#)),b(#,b(#,#)))");
-        let streamed = ev.eval_xml(&c, xml).unwrap().unwrap();
+        let streamed = eval_xml(&mut ev, &c, xml).unwrap().unwrap();
         assert_eq!(streamed, walk_eval(&fix.dtop, &t).unwrap());
         // and the output serializes back to parseable XML
         let xml_out = tree_to_xml(&streamed);
-        assert_eq!(ranked_tree_from_xml(&xml_out).unwrap(), streamed);
+        assert_eq!(
+            XmlRankedEvents::new(&xml_out).collect_tree().unwrap(),
+            streamed
+        );
     }
 
     #[test]
@@ -1659,7 +1361,9 @@ mod tests {
         // The guarded path fast-forwards too (guard ∅-skip ≡ empty state
         // set), with identical output.
         let guard = xtt_typecheck::domain_guard(&fix.dtop).unwrap();
-        let guarded = ev.eval_xml_guarded(&c, &guard, xml).unwrap().unwrap();
+        let mut source = GuardedSource::new(&guard, XmlRankedEvents::bounded(xml));
+        let guarded = ev.eval_source(&c, &mut source).unwrap();
+        assert!(source.take_violation().is_none());
         assert_eq!(guarded, out);
     }
 
@@ -1672,7 +1376,7 @@ mod tests {
         let c = compile(&fix.dtop).unwrap();
         let mut ev = StreamEvaluator::new();
         let bad = "<root><a><junk><open></junk></a><b># #</b></root>";
-        assert!(ev.eval_xml(&c, bad).is_err());
+        assert!(eval_xml(&mut ev, &c, bad).is_err());
     }
 
     #[test]
@@ -1687,12 +1391,17 @@ mod tests {
             "root(@attrs(@a(1,2),@b(x)),c(@attrs(@k(v))))"
         );
         // … and decodes back to attribute syntax.
-        assert!(xml_serializable_attrs(&t));
-        assert_eq!(tree_to_xml_attrs(&t), xml);
+        assert_eq!(render(&t, &DocFormat::XmlAttrs).as_deref(), Some(xml));
         // Plain serialization rightly refuses the @-slots.
-        assert!(!xml_serializable(&t));
+        assert_eq!(render(&t, &DocFormat::Xml), None);
         // Without the option, attributes stay invisible (PR-5 behavior).
-        assert_eq!(ranked_tree_from_xml(xml).unwrap().to_string(), "root(c)");
+        assert_eq!(
+            XmlRankedEvents::new(xml)
+                .collect_tree()
+                .unwrap()
+                .to_string(),
+            "root(c)"
+        );
     }
 
     #[test]
@@ -1702,7 +1411,10 @@ mod tests {
             .attributes(true)
             .collect_tree()
             .unwrap();
-        assert_eq!(tree_to_xml_attrs(&t), "<r t=\"a&quot;b &amp; c\"/>");
+        assert_eq!(
+            render(&t, &DocFormat::XmlAttrs).as_deref(),
+            Some("<r t=\"a&quot;b &amp; c\"/>")
+        );
     }
 
     #[test]
@@ -1797,7 +1509,7 @@ mod tests {
     fn xml_errors_surface() {
         let c = compile(&examples::flip().dtop).unwrap();
         let mut ev = StreamEvaluator::new();
-        assert!(ev.eval_xml(&c, "<root><a></root>").is_err());
-        assert_eq!(ev.eval_xml(&c, "<lone/>").unwrap(), None);
+        assert!(eval_xml(&mut ev, &c, "<root><a></root>").is_err());
+        assert_eq!(eval_xml(&mut ev, &c, "<lone/>").unwrap(), None);
     }
 }

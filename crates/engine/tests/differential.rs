@@ -62,7 +62,7 @@ proptest! {
         let c = compile(&m).unwrap();
         let mut stream = StreamEvaluator::new();
         for t in workload(&input, &mut rng) {
-            prop_assert_eq!(stream.eval(&c, t.events()), walk_eval(&m, &t), "on {}", t);
+            prop_assert_eq!(stream.eval_tree(&c, &t), walk_eval(&m, &t), "on {}", t);
         }
     }
 
@@ -97,7 +97,7 @@ proptest! {
             let reference = walk_eval(&m, &t);
             prop_assert!(reference.is_some(), "total dtop undefined on {}", t);
             prop_assert_eq!(c.eval(&t, &mut scratch), reference.clone());
-            prop_assert_eq!(stream.eval(&c, t.events()), reference.clone());
+            prop_assert_eq!(stream.eval_tree(&c, &t), reference.clone());
             let via_dag = c
                 .eval_dag(&t, &mut dag_scratch, &mut dag)
                 .map(|id| dag.extract(id));

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use xtt_engine::{Engine, EngineOptions, EvalMode};
+use xtt_engine::{DocFormat, Engine, EngineOptions, EvalMode, Request};
 use xtt_transducer::{eval, examples, Dtop};
 use xtt_trees::Tree;
 
@@ -106,7 +106,7 @@ fn concurrent_distinct_transducers_stay_bit_identical() {
     }));
     let threads = 8;
     let iterations = if cfg!(debug_assertions) { 60 } else { 250 };
-    let modes = [EvalMode::Compiled, EvalMode::Streaming, EvalMode::Dag];
+    let modes = [EvalMode::Compiled, EvalMode::Streaming];
 
     let handles: Vec<_> = (0..threads)
         .map(|t| {
@@ -118,14 +118,13 @@ fn concurrent_distinct_transducers_stay_bit_identical() {
                     // Each thread walks the cases in a different order so
                     // the LRU sees adversarial interleavings.
                     let case = &cases[(t * 7 + i * 5 + 3) % cases.len()];
+                    // Every call resolves through the churning LRU.
+                    let (stage, _) = engine.resolve(&case.dtop, false).expect("compiles");
+                    let stages = std::slice::from_ref(&stage);
+                    let req = Request::new(stages, None, &DocFormat::Term, mode);
                     if i % 3 == 0 {
                         // Whole-batch path (shares one compiled Arc).
-                        let results = engine.transform_batch_with(
-                            &case.dtop,
-                            &case.docs,
-                            mode,
-                            Default::default(),
-                        );
+                        let results = engine.run_batch(&case.docs, req);
                         for (j, r) in results.iter().enumerate() {
                             assert_eq!(
                                 r.as_deref().expect("in-domain input"),
@@ -136,11 +135,13 @@ fn concurrent_distinct_transducers_stay_bit_identical() {
                     } else {
                         // Single-document path.
                         let j = i % case.docs.len();
-                        let got = engine
-                            .transform_with(&case.dtop, &case.docs[j], mode, Default::default())
+                        let mut got = Vec::new();
+                        engine
+                            .run_doc(&case.docs[j], &mut got, req)
                             .expect("in-domain input");
                         assert_eq!(
-                            got, case.expected[j],
+                            got,
+                            case.expected[j].as_bytes(),
                             "thread {t} iter {i} doc {j} diverged"
                         );
                     }

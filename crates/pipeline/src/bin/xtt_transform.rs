@@ -3,23 +3,27 @@
 //! ```console
 //! $ printf 'root(a(#,#),b(#,#))\n' | xtt-transform --example flip
 //! root(b(#,#),a(#,#))
-//! $ xtt-transform --example flip --demo 100000 --mode compiled --quiet
+//! $ xtt-transform --example flip --demo 100000 --mode tree --quiet
 //! ... throughput stats on stderr ...
 //! ```
 //!
 //! One document per input line; results (or `!error: …`) one per output
 //! line, in input order. `--demo N` generates a synthetic corpus for the
 //! chosen example instead of reading stdin, which is how the CI smoke
-//! test and quick benchmarking run it.
+//! test and quick benchmarking run it. A single transducer runs as a
+//! one-stage chain, so `--example` and `--pipeline` take the same path
+//! through the engine.
 
 use std::io::{BufWriter, Read, Write};
+use std::sync::Arc;
 use std::time::Instant;
 
-use xtt_engine::{tree_to_xml, DocFormat, Engine, EngineOptions, EvalMode};
+use xtt_engine::{tree_to_xml, ChainStage, DocFormat, Engine, EngineOptions, EvalMode, Request};
 use xtt_obs::{EvalObserver, Trace};
 use xtt_pipeline::{plan, StageDef, StrategyChoice};
 use xtt_transducer::{examples, Dtop, DtopBuilder};
 use xtt_trees::{RankedAlphabet, Tree};
+use xtt_typecheck::CompiledDtta;
 
 const USAGE: &str = "\
 xtt-transform: apply a dtop to newline-delimited documents
@@ -35,7 +39,9 @@ OPTIONS:
                                  execution (see --pipeline-strategy)
   --pipeline-strategy <auto|composed|chained>
                                  override the plan chooser  [default: auto]
-  --mode <compiled|stream|dag|walk>  evaluator              [default: compiled]
+  --mode <tree|stream>           tree: collect the input tree, evaluate,
+                                 then write; stream: one streaming pass
+                                 (`compiled` = tree)       [default: tree]
   --format <term|xml|xml+attrs>  document syntax            [default: term]
                                  (xml+attrs maps attributes into the
                                  ranked encoding as an @attrs child)
@@ -233,100 +239,29 @@ fn demo_doc(example: &str, i: usize, format: &DocFormat) -> String {
     }
 }
 
-/// `--stream-output`: each document is driven tokenizer → evaluator →
-/// stdout in one pass; committed output prefixes are written (and
-/// flushed) before the document — let alone the batch — completes.
-/// Failures still answer positionally (`!error:` lines, after a newline
-/// when a partial prefix is already out). Emission stats go to stderr.
-fn stream_output(engine: &Engine, args: &Args, dtop: &Dtop, docs: &[String], in_bytes: usize) {
-    let stdout = std::io::stdout();
-    let mut out = BufWriter::new(stdout.lock());
-    let mut sink: &mut dyn Write = &mut out;
-    let mut null = std::io::sink();
-    if args.quiet {
-        sink = &mut null;
-    }
-    let mut trace = args.profile.then(|| Trace::new(0));
-    let t0 = Instant::now();
-    let mut failures = 0usize;
-    let mut early: u64 = 0;
-    let mut total: u64 = 0;
-    let mut peak_buffered: u64 = 0;
-    for doc in docs {
-        let mut counted = CountingWriter {
-            inner: &mut sink,
-            bytes: 0,
-        };
-        let obs = trace.as_mut().map(|t| t as &mut dyn EvalObserver);
-        match engine.transform_streaming_observed(
-            dtop,
-            doc,
-            args.format.clone(),
-            args.validate,
-            &mut counted,
-            obs,
-        ) {
-            Ok(outcome) => {
-                early += outcome.events_emitted_early;
-                total += outcome.events_total;
-                peak_buffered = peak_buffered.max(outcome.peak_buffered_frames as u64);
-                writeln!(sink).expect("write stdout");
-            }
-            Err(e) => {
-                failures += 1;
-                let sep = if counted.bytes > 0 { "\n" } else { "" };
-                writeln!(sink, "{sep}!error: {e}").expect("write stdout");
-            }
-        }
-        sink.flush().expect("flush stdout");
-    }
-    let elapsed = t0.elapsed();
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    eprintln!(
-        "{} docs ({} ok, {} failed) in {:.3}s — {:.0} docs/s, {:.2} MB/s in | \
-         streamed: {early}/{total} events early, peak buffered frames {peak_buffered}, \
-         skipped subtrees {}",
-        docs.len(),
-        docs.len() - failures,
-        failures,
-        secs,
-        docs.len() as f64 / secs,
-        in_bytes as f64 / secs / 1e6,
-        engine.skipped_subtrees(),
-    );
-    if let Some(t) = &trace {
-        eprintln!(
-            "pipeline profile: {} total_us={}",
-            t.breakdown_micros(),
-            t.total().as_micros(),
-        );
-    }
-}
-
-/// `--pipeline`: plan the composition (strategy per `--pipeline-strategy`)
-/// and run every document through the chain entry points. The plan line on
-/// stderr shows what the chooser measured and picked.
-fn run_pipeline(engine: &Engine, args: &Args, names: &[String], docs: &[String], in_bytes: usize) {
+/// The chain a run executes: `--pipeline` plans the composition
+/// (strategy per `--pipeline-strategy`; the plan line on stderr shows what
+/// the chooser measured and picked), `--example` is a one-stage chain.
+fn resolve(
+    engine: &Engine,
+    args: &Args,
+) -> Result<(Vec<ChainStage>, Option<Arc<CompiledDtta>>), String> {
+    let Some(names) = &args.pipeline else {
+        let dtop = example_dtop(&args.example)?;
+        let (stage, guard) = engine
+            .resolve(&dtop, args.validate)
+            .map_err(|e| e.to_string())?;
+        return Ok((vec![stage], guard));
+    };
     let mut stages = Vec::with_capacity(names.len());
     for name in names {
-        match example_dtop(name) {
-            Ok(d) => stages.push(StageDef {
-                name: name.clone(),
-                dtop: std::sync::Arc::new(d),
-            }),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
+        stages.push(StageDef {
+            name: name.clone(),
+            dtop: Arc::new(example_dtop(name)?),
+        });
     }
-    let plan = match plan(&stages, None, args.pipeline_strategy) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: planning pipeline: {e}");
-            std::process::exit(2);
-        }
-    };
+    let plan = plan(&stages, None, args.pipeline_strategy)
+        .map_err(|e| format!("planning pipeline: {e}"))?;
     let report = &plan.report;
     eprintln!(
         "pipeline {}: strategy {}{} (probe {} docs: composed {}ns vs chained {}ns)",
@@ -337,71 +272,10 @@ fn run_pipeline(engine: &Engine, args: &Args, names: &[String], docs: &[String],
         report.composed_probe_ns,
         report.chained_probe_ns,
     );
-    let exec = plan.exec_stages();
-    let guard = args.validate.then(|| plan.guard());
-
-    let t0 = Instant::now();
-    let mut failures = 0usize;
-    let stdout = std::io::stdout();
-    let mut out = BufWriter::new(stdout.lock());
-    if args.stream_output {
-        let mut sink: &mut dyn Write = &mut out;
-        let mut null = std::io::sink();
-        if args.quiet {
-            sink = &mut null;
-        }
-        for doc in docs {
-            let mut counted = CountingWriter {
-                inner: &mut sink,
-                bytes: 0,
-            };
-            match engine.transform_streaming_chain(
-                exec,
-                doc,
-                args.format.clone(),
-                guard,
-                &mut counted,
-                None,
-            ) {
-                Ok(_) => writeln!(sink).expect("write stdout"),
-                Err(e) => {
-                    failures += 1;
-                    let sep = if counted.bytes > 0 { "\n" } else { "" };
-                    writeln!(sink, "{sep}!error: {e}").expect("write stdout");
-                }
-            }
-            sink.flush().expect("flush stdout");
-        }
-    } else {
-        let results =
-            engine.transform_batch_chain(exec, docs, args.mode, args.format.clone(), guard, None);
-        for result in &results {
-            match result {
-                Ok(text) => {
-                    if !args.quiet {
-                        writeln!(out, "{text}").expect("write stdout");
-                    }
-                }
-                Err(e) => {
-                    failures += 1;
-                    if !args.quiet {
-                        writeln!(out, "!error: {e}").expect("write stdout");
-                    }
-                }
-            }
-        }
-        out.flush().expect("flush stdout");
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    eprintln!(
-        "{} docs ({} ok, {} failed) in {:.3}s — {:.0} docs/s, {:.2} MB/s in",
-        docs.len(),
-        docs.len() - failures,
-        failures,
-        secs,
-        docs.len() as f64 / secs,
-        in_bytes as f64 / secs / 1e6,
-    );
+    Ok((
+        plan.exec_stages().to_vec(),
+        args.validate.then(|| plan.guard_arc()),
+    ))
 }
 
 /// Tracks whether a failing document already flushed a partial prefix.
@@ -430,8 +304,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let dtop = match example_dtop(&args.example) {
-        Ok(d) => d,
+    let engine = Engine::new(EngineOptions {
+        workers: args.jobs,
+        ..EngineOptions::default()
+    });
+    let (stages, guard) = match resolve(&engine, &args) {
+        Ok(chain) => chain,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
@@ -455,65 +333,74 @@ fn main() {
                 .collect()
         }
     };
-
-    let engine = Engine::new(EngineOptions {
-        workers: args.jobs,
-        mode: args.mode,
-        format: args.format.clone(),
-        validate: args.validate,
-        ..EngineOptions::default()
-    });
-
     let in_bytes: usize = docs.iter().map(String::len).sum();
-
-    if let Some(names) = args.pipeline.clone() {
-        run_pipeline(&engine, &args, &names, &docs, in_bytes);
-        return;
-    }
-
-    if args.stream_output {
-        stream_output(&engine, &args, &dtop, &docs, in_bytes);
-        return;
-    }
-
-    let mut trace = args.profile.then(|| Trace::new(0));
-    let t0 = Instant::now();
-    let results = match trace.as_mut() {
-        Some(t) => engine.transform_batch_observed(
-            &dtop,
-            &docs,
-            args.mode,
-            args.format.clone(),
-            args.validate,
-            Some(t as &mut dyn EvalObserver),
-        ),
-        None => engine.transform_batch(&dtop, &docs),
-    };
-    let elapsed = t0.elapsed();
 
     let stdout = std::io::stdout();
     let mut out = BufWriter::new(stdout.lock());
+    let mut sink: &mut dyn Write = &mut out;
+    let mut null = std::io::sink();
+    if args.quiet {
+        sink = &mut null;
+    }
+    let mut trace = args.profile.then(|| Trace::new(0));
+    let t0 = Instant::now();
     let mut failures = 0usize;
-    for result in &results {
-        match result {
-            Ok(text) => {
-                if !args.quiet {
-                    writeln!(out, "{text}").expect("write stdout");
+    let mut streamed = String::new();
+    if args.stream_output {
+        // `--stream-output`: each document is driven source → evaluator →
+        // stdout in one pass; committed output prefixes are written (and
+        // flushed) before the document — let alone the batch — completes.
+        // Failures still answer positionally (`!error:` lines, after a
+        // newline when a partial prefix is already out).
+        let (mut early, mut total, mut peak_buffered) = (0u64, 0u64, 0usize);
+        for doc in &docs {
+            let mut counted = CountingWriter {
+                inner: &mut sink,
+                bytes: 0,
+            };
+            let req = Request {
+                observer: trace.as_mut().map(|t| t as &mut dyn EvalObserver),
+                ..Request::new(&stages, guard.as_deref(), &args.format, EvalMode::Streaming)
+            };
+            match engine.run_doc(doc, &mut counted, req) {
+                Ok(outcome) => {
+                    early += outcome.events_emitted_early;
+                    total += outcome.events_total;
+                    peak_buffered = peak_buffered.max(outcome.peak_buffered_frames);
+                    writeln!(sink).expect("write stdout");
+                }
+                Err(e) => {
+                    failures += 1;
+                    let sep = if counted.bytes > 0 { "\n" } else { "" };
+                    writeln!(sink, "{sep}!error: {e}").expect("write stdout");
                 }
             }
-            Err(e) => {
-                failures += 1;
-                if !args.quiet {
-                    writeln!(out, "!error: {e}").expect("write stdout");
+            sink.flush().expect("flush stdout");
+        }
+        streamed = format!(
+            " | streamed: {early}/{total} events early, peak buffered frames {peak_buffered}, \
+             skipped subtrees {}",
+            engine.skipped_subtrees()
+        );
+    } else {
+        let req = Request {
+            observer: trace.as_mut().map(|t| t as &mut dyn EvalObserver),
+            ..Request::new(&stages, guard.as_deref(), &args.format, args.mode)
+        };
+        for result in engine.run_batch(&docs, req) {
+            match result {
+                Ok(text) => writeln!(sink, "{text}").expect("write stdout"),
+                Err(e) => {
+                    failures += 1;
+                    writeln!(sink, "!error: {e}").expect("write stdout");
                 }
             }
         }
+        sink.flush().expect("flush stdout");
     }
-    out.flush().expect("flush stdout");
-
-    let secs = elapsed.as_secs_f64().max(1e-9);
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
     eprintln!(
-        "{} docs ({} ok, {} failed) in {:.3}s — {:.0} docs/s, {:.2} MB/s in",
+        "{} docs ({} ok, {} failed) in {:.3}s — {:.0} docs/s, {:.2} MB/s in{streamed}",
         docs.len(),
         docs.len() - failures,
         failures,

@@ -23,10 +23,9 @@
 //! * [`PlanCache`] memoizes plans per pipeline fingerprint with exact
 //!   rendering verification, reusing the engine's LRU.
 //!
-//! Execution happens in `xtt-engine`: [`Plan::exec_stages`] feeds
-//! [`xtt_engine::Engine::transform_chain`] and friends; the composed
-//! strategy is simply a chain of length one, so one entry point serves
-//! both.
+//! Execution happens in `xtt-engine`: [`Plan::exec_stages`] and
+//! [`Plan::guard`] fill an [`xtt_engine::Request`]; the composed strategy
+//! is simply a chain of length one, so one execution core serves both.
 //!
 //! [`CompiledDtop`]: xtt_engine::CompiledDtop
 

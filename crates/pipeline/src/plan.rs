@@ -201,10 +201,10 @@ impl PlanReport {
     }
 }
 
-/// An executable pipeline plan. Feed [`Plan::exec_stages`] plus
-/// [`Plan::guard`] to [`xtt_engine::Engine::transform_chain`] (or its
-/// batch/streaming variants); both strategies flow through the same entry
-/// points — composed is simply a chain of length one.
+/// An executable pipeline plan: [`Plan::exec_stages`] plus
+/// [`Plan::guard`] are the stages and guard of an
+/// [`xtt_engine::Request`]; both strategies flow through the same engine
+/// core — composed is simply a chain of length one.
 pub struct Plan {
     pub strategy: Strategy,
     composed: Vec<ChainStage>,
@@ -307,7 +307,6 @@ pub fn plan(
     let mut chained: Vec<ChainStage> = Vec::with_capacity(chain_dtops.len());
     for m in &chain_dtops {
         chained.push(ChainStage {
-            dtop: Arc::clone(m),
             compiled: Arc::new(compile(m).map_err(PlanError::Compile)?),
         });
     }
@@ -321,7 +320,6 @@ pub fn plan(
     let chain_domain = chain_domain_raw(&prefix_refs, schema);
     let guard = Arc::new(guard_from_domain(&chain_domain).map_err(PlanError::Typecheck)?);
     let composed_stage = vec![ChainStage {
-        dtop: Arc::new(composed.clone()),
         compiled: Arc::clone(&composed_compiled),
     }];
 
@@ -399,19 +397,18 @@ pub fn plan(
 /// (PROBE_REPS repetitions), using the same chained evaluator machinery
 /// the engine uses — a chain of length one IS the composed strategy.
 fn probe(samples: &[Tree], stages: &[ChainStage]) -> u64 {
-    let refs: Vec<&CompiledDtop> = stages.iter().map(|s| &*s.compiled).collect();
     let mut chain = ChainedEvaluator::new();
     // Warm-up pass so allocation of evaluator scratch does not bias the
     // first strategy measured.
     for t in samples {
         let mut sink = TreeCollector::new();
-        let _ = chain.eval_streaming(&refs, &mut IterEvents(t.events()), &mut sink);
+        let _ = chain.eval_streaming(stages, &mut IterEvents(t.events()), &mut sink);
     }
     let start = Instant::now();
     for _ in 0..PROBE_REPS {
         for t in samples {
             let mut sink = TreeCollector::new();
-            let _ = chain.eval_streaming(&refs, &mut IterEvents(t.events()), &mut sink);
+            let _ = chain.eval_streaming(stages, &mut IterEvents(t.events()), &mut sink);
         }
     }
     start.elapsed().as_nanos() as u64

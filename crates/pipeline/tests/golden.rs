@@ -3,7 +3,7 @@
 //! exactly — including the rejection diagnostic for the out-of-domain
 //! document, which must be the same string everywhere.
 
-use xtt_engine::{DocFormat, Engine, EngineOptions, EvalMode};
+use xtt_engine::{DocFormat, Engine, EngineOptions, EvalMode, Request};
 use xtt_pipeline::{plan, Plan, StageDef, Strategy, StrategyChoice};
 use xtt_transducer::parse_dtop;
 
@@ -36,30 +36,23 @@ fn stage(name: &str, text: &str) -> StageDef {
     }
 }
 
-const MODES: [EvalMode; 4] = [
-    EvalMode::Compiled,
-    EvalMode::Streaming,
-    EvalMode::Dag,
-    EvalMode::TreeWalk,
-];
+const MODES: [EvalMode; 2] = [EvalMode::Compiled, EvalMode::Streaming];
 
 /// Runs `doc` through every strategy × mode and asserts one golden
 /// result: `Ok(bytes)` for in-domain documents, `Err(diagnostic)` for
-/// rejected ones — byte-identical across all eight executions.
+/// rejected ones — byte-identical across all four executions.
 fn assert_golden(p: &Plan, doc: &str, want: &Result<&str, &str>) {
     let engine = Engine::new(EngineOptions::default());
     for strategy in [Strategy::Composed, Strategy::Chained] {
         for mode in MODES {
-            let got = engine
-                .transform_chain(
-                    p.stages_for(strategy),
-                    doc,
-                    mode,
-                    DocFormat::Xml,
-                    Some(p.guard()),
-                    None,
-                )
-                .map_err(|e| e.to_string());
+            let req = Request::new(
+                p.stages_for(strategy),
+                Some(p.guard()),
+                &DocFormat::Xml,
+                mode,
+            );
+            let got = engine.run_batch(&[doc], req).pop().unwrap();
+            let got = got.map_err(|e| e.to_string());
             assert_eq!(
                 got.as_deref().map_err(String::as_str),
                 *want,
@@ -96,23 +89,21 @@ fn two_stage_golden_corpus() {
 fn two_stage_rejection_is_identical_everywhere() {
     let stages = vec![stage("swap", SWAP), stage("wrap", WRAP)];
     let p = plan(&stages, None, StrategyChoice::Auto).unwrap();
-    // `b` at path 2 has no rule in stage 1: all eight executions must
+    // `b` at path 2 has no rule in stage 1: all four executions must
     // report the *same* first-violation diagnostic.
     let engine = Engine::new(EngineOptions::default());
     let doc = "<f><a/><b/></f>";
     let mut errors = Vec::new();
     for strategy in [Strategy::Composed, Strategy::Chained] {
         for mode in MODES {
-            let got = engine
-                .transform_chain(
-                    p.stages_for(strategy),
-                    doc,
-                    mode,
-                    DocFormat::Xml,
-                    Some(p.guard()),
-                    None,
-                )
-                .map_err(|e| e.to_string());
+            let req = Request::new(
+                p.stages_for(strategy),
+                Some(p.guard()),
+                &DocFormat::Xml,
+                mode,
+            );
+            let got = engine.run_batch(&[doc], req).pop().unwrap();
+            let got = got.map_err(|e| e.to_string());
             errors.push(got.expect_err(&format!("{strategy:?}/{mode:?} accepted {doc}")));
         }
     }

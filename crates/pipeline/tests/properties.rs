@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use xtt_engine::{tree_to_xml, DocFormat, Engine, EngineOptions, EvalMode};
+use xtt_engine::{tree_to_xml, DocFormat, Engine, EngineOptions, EvalMode, Request};
 use xtt_pipeline::{plan, PlanError, StageDef, Strategy, StrategyChoice};
 use xtt_transducer::{domain_dtta, eval as walk_eval, random_partial_dtop, RandomDtopConfig};
 use xtt_trees::{gen, RankedAlphabet, Tree};
@@ -52,14 +52,19 @@ proptest! {
     /// Composed and chained strategies are byte-identical over XML on
     /// random partial two-stage pipelines: same output bytes on the
     /// domain, same error (position included) off it — in both the
-    /// materialized (`tree`) and fused streaming modes.
+    /// materialized (`tree`) and fused streaming modes. The composed
+    /// strategy is a one-stage chain, so this pins the single-transducer
+    /// path too: for every strategy and mode the one-document byte call
+    /// equals the batch text (errors included), and the output is the
+    /// reference evaluator's τ₂(τ₁(t)) rendered as XML exactly on the
+    /// chain's domain.
     #[test]
     fn composed_and_chained_agree_byte_for_byte(seed in any::<u64>(), keep in 40u32..95) {
         let (alpha_a, alpha_b, alpha_c) = alphabets();
         let mut rng = StdRng::seed_from_u64(seed);
         let m1 = random_partial_dtop(&mut rng, &alpha_a, &alpha_b, &config(), keep);
         let m2 = random_partial_dtop(&mut rng, &alpha_b, &alpha_c, &config(), keep);
-        let stages = vec![stage("s1", m1), stage("s2", m2)];
+        let stages = vec![stage("s1", m1.clone()), stage("s2", m2.clone())];
         let p = match plan(&stages, None, StrategyChoice::Auto) {
             Ok(p) => p,
             // A composition nothing can pass through is a registration
@@ -70,24 +75,27 @@ proptest! {
         let engine = Engine::new(EngineOptions::default());
         for t in workload(&alpha_a, &mut rng) {
             let doc = tree_to_xml(&t);
+            let want = walk_eval(&m1, &t)
+                .and_then(|u| walk_eval(&m2, &u))
+                .map(|out| tree_to_xml(&out));
             for mode in [EvalMode::Compiled, EvalMode::Streaming] {
-                let composed = engine.transform_chain(
-                    p.stages_for(Strategy::Composed),
-                    &doc,
-                    mode,
-                    DocFormat::Xml,
-                    Some(p.guard()),
-                    None,
-                ).map_err(|e| e.to_string());
-                let chained = engine.transform_chain(
-                    p.stages_for(Strategy::Chained),
-                    &doc,
-                    mode,
-                    DocFormat::Xml,
-                    Some(p.guard()),
-                    None,
-                ).map_err(|e| e.to_string());
-                prop_assert_eq!(&composed, &chained, "mode {:?} on {}", mode, doc);
+                let mut texts = Vec::new();
+                for strategy in [Strategy::Composed, Strategy::Chained] {
+                    let req = || {
+                        Request::new(p.stages_for(strategy), Some(p.guard()), &DocFormat::Xml, mode)
+                    };
+                    let text = engine.run_batch(&[&doc], req()).pop().unwrap();
+                    let text = text.map_err(|e| e.to_string());
+                    let mut out = Vec::new();
+                    let bytes = engine
+                        .run_doc(&doc, &mut out, req())
+                        .map(|_| String::from_utf8(out).unwrap())
+                        .map_err(|e| e.to_string());
+                    prop_assert_eq!(&text, &bytes, "{:?}/{:?} on {}", strategy, mode, doc);
+                    texts.push(text);
+                }
+                prop_assert_eq!(&texts[0], &texts[1], "mode {:?} on {}", mode, doc);
+                prop_assert_eq!(texts[0].as_ref().ok(), want.as_ref(), "mode {:?} on {}", mode, doc);
             }
         }
     }

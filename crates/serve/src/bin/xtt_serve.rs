@@ -36,7 +36,7 @@ OPTIONS:
                           response backing up past half of it yields
                           its worker until the client catches up
                                                              [default: 262144]
-  --mode <tree|stream|dag|walk>  default evaluator           [default: tree]
+  --mode <tree|stream>    default execution mode             [default: tree]
   --format <term|xml>     default document syntax            [default: term]
   --validate              guarded evaluation by default: out-of-domain
                           documents answer with typed violation paths

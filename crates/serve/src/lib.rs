@@ -15,8 +15,10 @@
 //! * **transform batches** (`POST /transform/{name}`) in term or XML
 //!   syntax — or genuine unranked XML through a ranked encoding
 //!   (`?encoding=fcns` or a DTD uploaded via `PUT /encodings/{name}`) —
-//!   any evaluator (`?mode=tree|stream|dag|walk`), with strictly
-//!   per-document positional errors and chunked responses;
+//!   in either execution mode (`?mode=tree|stream`), with strictly
+//!   per-document positional errors and chunked responses — a
+//!   transducer and a pipeline run through the same engine core, a
+//!   transducer as a one-stage chain;
 //! * **observe** (`/healthz`, `/stats`: cache hits, queue depth,
 //!   per-endpoint latency) and **shut down gracefully** (SIGTERM/SIGINT
 //!   or `POST /shutdown`: stop accepting, drain, finish in-flight, exit).

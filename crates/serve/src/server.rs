@@ -8,7 +8,7 @@
 //! GET    /transducers                    list registered transducers
 //! GET    /transducers/{name}             one transducer's summary
 //! DELETE /transducers/{name}             unregister
-//! POST   /transform/{name}?mode=&format=&validate=
+//! POST   /transform/{name}?mode=tree|stream&format=&validate=
 //!                                        newline-delimited batch transform;
 //!                                        chunked response, one line per doc,
 //!                                        failures positional (`!error: …`;
@@ -42,10 +42,10 @@
 //!                                        jump-table shrink)
 //! DELETE /pipelines/{name}               unregister
 //! POST   /transform/{name}               also dispatches to pipelines
-//!                                        (any ?mode=, incl. stream; the
-//!                                        plan's guard always validates;
-//!                                        ?strategy= forces composed or
-//!                                        chained per request)
+//!                                        (either ?mode=; the plan's guard
+//!                                        always validates; ?strategy=
+//!                                        forces composed or chained per
+//!                                        request)
 //! GET    /slow                           recent slow-request lines (JSON
 //!                                        ring, newest last)
 //! GET    /healthz                        liveness (+ started_at/uptime)
@@ -72,6 +72,16 @@
 //! anywhere) stops the listener, parses out what is already buffered,
 //! drains the queue, finishes in-flight requests, and joins the workers
 //! before [`Server::run`] returns.
+//!
+//! Execution: a transform request resolves its target once — a
+//! registered transducer as a one-stage chain, a pipeline as its plan's
+//! stages and chain guard — into one engine request, then makes one
+//! engine call per mode: `tree` answers with the whole batch's text
+//! (`Engine::run_batch`), `stream` writes each document's output bytes
+//! straight into the chunked response as its prefixes commit
+//! (`Engine::run_doc`). In both, every document runs source → stages →
+//! sink in the engine; tracing, validation and per-stage event counts
+//! ride on the same request.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -79,10 +89,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use xtt_engine::{DocFormat, Engine, EngineOptions, EvalMode};
+use xtt_engine::{ChainStage, DocFormat, Engine, EngineError, EngineOptions, EvalMode};
 use xtt_netio::Waker;
-use xtt_obs::{EvalObserver, Histogram, Trace, TraceSampler};
+use xtt_obs::{EvalObserver, Trace, TraceSampler};
 use xtt_pipeline::{StageDef, Strategy, StrategyChoice};
+use xtt_typecheck::CompiledDtta;
 
 use crate::encodings::EncodingRegistry;
 use crate::event_loop;
@@ -199,38 +210,48 @@ pub(crate) enum Disposition {
     Yield { job: StreamJob },
 }
 
-/// What a transform request executes: one registered transducer, or a
-/// registered pipeline under a concrete strategy (the plan's pick, or the
-/// request's `?strategy=` override).
-pub(crate) enum StreamTarget {
-    Transducer(Arc<Entry>),
-    Pipeline {
-        entry: Arc<PipelineEntry>,
-        strategy: Strategy,
-        /// Pre-registered `xtt_pipeline_stage_events{stage=…}` handles,
-        /// one per stage, so the per-document callback never touches the
-        /// registry mutex.
-        hists: Vec<Arc<Histogram>>,
-    },
+/// What a transform request executes, resolved once per request into an
+/// engine chain: a registered transducer as a one-stage chain (through
+/// the engine's compiled-dtop and guard caches), or a registered
+/// pipeline's stages under a concrete strategy (the plan's pick, or the
+/// request's `?strategy=` override) with the plan's chain guard.
+pub(crate) struct StreamTarget {
+    name: String,
+    /// The stages and guard, or the error every document answers with
+    /// when the transducer cannot be compiled or guarded.
+    chain: Result<Chain, Box<EngineError>>,
+    /// Pipelines: records each stage's output events into its
+    /// pre-registered `xtt_pipeline_stage_events{stage=…}` histogram, so
+    /// the per-document callback never touches the registry mutex.
+    stage_events: Option<Box<dyn Fn(usize, u64) + Send + Sync>>,
 }
 
+type Chain = (Vec<ChainStage>, Option<Arc<CompiledDtta>>);
+
 impl StreamTarget {
-    fn name(&self) -> &str {
-        match self {
-            StreamTarget::Transducer(e) => &e.name,
-            StreamTarget::Pipeline { entry, .. } => &entry.name,
-        }
+    /// The engine request for this target, or its resolution error.
+    fn request<'a>(
+        &'a self,
+        format: &'a DocFormat,
+        mode: EvalMode,
+        trace: Option<&'a mut Trace>,
+    ) -> Result<xtt_engine::Request<'a>, EngineError> {
+        let (stages, guard) = self.chain.as_ref().map_err(|e| (**e).clone())?;
+        Ok(xtt_engine::Request {
+            observer: trace.map(|t| t as &mut dyn EvalObserver),
+            stage_events: self.stage_events.as_deref().map(|f| f as _),
+            ..xtt_engine::Request::new(stages, guard.as_deref(), format, mode)
+        })
     }
 }
 
 /// The resumable state of one `mode=stream` transform response.
 pub(crate) struct StreamJob {
-    target: StreamTarget,
+    target: Box<StreamTarget>,
     docs: Vec<String>,
     /// Next document index to evaluate.
     next: usize,
     format: DocFormat,
-    validate: bool,
     failed: u64,
     type_errors: u64,
     keep: bool,
@@ -922,8 +943,18 @@ fn transform(
             shared
                 .stats
                 .record_transform_target("transducer", &entry.name);
-            StreamTarget::Transducer(entry)
+            let chain = shared.engine.resolve(&entry.dtop, validate);
+            StreamTarget {
+                name: entry.name.clone(),
+                chain: chain
+                    .map(|(stage, guard)| (vec![stage], guard))
+                    .map_err(Box::new),
+                stage_events: None,
+            }
         }
+        // The plan's guard (dom(composition) ∩ schema) always validates a
+        // pipeline request: it is what makes the two strategies reject
+        // identically, so it is not optional the way `?validate=` is.
         Found::Pipeline(entry) => {
             shared
                 .stats
@@ -934,23 +965,23 @@ fn transform(
                 StrategyChoice::Composed => Strategy::Composed,
                 StrategyChoice::Chained => Strategy::Chained,
             };
-            let hists = (0..entry.plan.stages_for(strategy).len())
+            let stages = entry.plan.stages_for(strategy).to_vec();
+            let hists: Vec<_> = (0..stages.len())
                 .map(|i| shared.stats.stage_events(i))
                 .collect();
-            StreamTarget::Pipeline {
-                entry,
-                strategy,
-                hists,
+            StreamTarget {
+                name: entry.name.clone(),
+                chain: Ok((stages, Some(entry.plan.guard_arc()))),
+                stage_events: Some(Box::new(move |i, n| hists[i].record(n))),
             }
         }
     };
     if mode == EvalMode::Streaming {
         let job = StreamJob {
-            target,
+            target: Box::new(target),
             docs,
             next: 0,
             format,
-            validate,
             failed: 0,
             type_errors: 0,
             keep,
@@ -960,47 +991,14 @@ fn transform(
         };
         return run_stream_job(shared, job, w);
     }
-    let results = match &target {
-        StreamTarget::Transducer(entry) => match trace.as_mut() {
-            Some(t) => shared.engine.transform_batch_observed(
-                &entry.dtop,
-                &docs,
-                mode,
-                format,
-                validate,
-                Some(t),
-            ),
-            None => shared.engine.transform_batch_with_validation(
-                &entry.dtop,
-                &docs,
-                mode,
-                format,
-                validate,
-            ),
-        },
-        // The plan's guard (dom(composition) ∩ schema) always validates a
-        // pipeline request: it is what makes the two strategies reject
-        // identically, so it is not optional the way `?validate=` is.
-        StreamTarget::Pipeline {
-            entry,
-            strategy,
-            hists,
-        } => {
-            let cb = |i: usize, n: u64| hists[i].record(n);
-            shared.engine.transform_batch_chain(
-                entry.plan.stages_for(*strategy),
-                &docs,
-                mode,
-                format,
-                Some(entry.plan.guard()),
-                Some(&cb),
-            )
-        }
+    let results = match target.request(&format, mode, trace.as_mut()) {
+        Ok(req) => shared.engine.run_batch(&docs, req),
+        Err(e) => vec![Err(e); docs.len()],
     };
     let failed = results.iter().filter(|r| r.is_err()).count();
     let type_errors = results
         .iter()
-        .filter(|r| matches!(r, Err(xtt_engine::EngineError::Type(_))))
+        .filter(|r| matches!(r, Err(EngineError::Type(_))))
         .count();
     shared.stats.documents.add(results.len() as u64);
     shared.stats.document_errors.add(failed as u64);
@@ -1027,7 +1025,7 @@ fn transform(
     let r = writer.finish();
     log_if_slow(
         shared,
-        target.name(),
+        &target.name,
         status,
         results.len() as u64,
         started,
@@ -1081,7 +1079,7 @@ fn run_stream_job(
         Ok(true) => {
             log_if_slow(
                 shared,
-                job.target.name(),
+                &job.target.name,
                 200,
                 job.docs.len() as u64,
                 job.started,
@@ -1142,41 +1140,17 @@ fn stream_job_step(
             buf: Vec::new(),
             bytes: 0,
         };
-        let result = match &job.target {
-            StreamTarget::Transducer(entry) => {
-                let obs = job.trace.as_mut().map(|t| t as &mut dyn EvalObserver);
-                shared.engine.transform_streaming_observed(
-                    &entry.dtop,
-                    doc,
-                    job.format.clone(),
-                    job.validate,
-                    &mut sink,
-                    obs,
-                )
-            }
-            StreamTarget::Pipeline {
-                entry,
-                strategy,
-                hists,
-            } => {
-                let cb = |i: usize, n: u64| hists[i].record(n);
-                shared.engine.transform_streaming_chain(
-                    entry.plan.stages_for(*strategy),
-                    doc,
-                    job.format.clone(),
-                    Some(entry.plan.guard()),
-                    &mut sink,
-                    Some(&cb),
-                )
-            }
-        };
+        let result = job
+            .target
+            .request(&job.format, EvalMode::Streaming, job.trace.as_mut())
+            .and_then(|req| shared.engine.run_doc(doc, &mut sink, req));
         match result {
             Ok(out) => {
                 sink.flush()?;
                 shared.stats.bytes_flushed_early.add(out.bytes_written);
                 writer.chunk(b"\n")?;
             }
-            Err(xtt_engine::EngineError::Write { kind, message }) => {
+            Err(EngineError::Write { kind, message }) => {
                 // The failing writer *is* the client connection: nothing
                 // more can be said on it, abort the response.
                 if matches!(kind, io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock) {
@@ -1186,7 +1160,7 @@ fn stream_job_step(
             }
             Err(e) => {
                 job.failed += 1;
-                if matches!(e, xtt_engine::EngineError::Type(_)) {
+                if matches!(e, EngineError::Type(_)) {
                     job.type_errors += 1;
                 }
                 // The failed document's partial prefix stays on the

@@ -177,8 +177,9 @@ fn hammer_stats_snapshots_parse_and_agree_with_metrics() {
     runner.join().unwrap().unwrap();
 }
 
-/// A traced request answers with its id and per-stage timing; healthz
-/// reports the start time the same registry exposes.
+/// A traced request answers with its id and per-stage timing — for a
+/// transducer and for a pipeline alike; healthz reports the start time
+/// the same registry exposes.
 #[test]
 fn traced_request_carries_trace_headers_with_stage_breakdown() {
     let (client, runner) = boot(opts(1));
@@ -200,6 +201,24 @@ fn traced_request_carries_trace_headers_with_stage_breakdown() {
         .expect("traced response missing Server-Timing");
     for stage in ["tokenize;dur=", "eval;dur=", "emit;dur="] {
         assert!(timing.contains(stage), "missing {stage} in: {timing}");
+    }
+
+    // A pipeline request is traced through the same engine core.
+    let resp = client.request("PUT", "/pipelines/ff", "flip,flip").unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.body_str());
+    let resp = client
+        .request("POST", "/transform/ff", "root(#,#)\n")
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(resp.body_str(), "root(#,#)\n");
+    let timing = resp
+        .header("server-timing")
+        .expect("traced pipeline response missing Server-Timing");
+    for stage in ["tokenize;dur=", "eval;dur=", "emit;dur="] {
+        assert!(
+            timing.contains(stage),
+            "pipeline: missing {stage} in: {timing}"
+        );
     }
 
     // healthz carries the same start time /stats and /metrics expose.

@@ -58,7 +58,7 @@ impl Tree {
         let mut height = 0u32;
         for child in &children {
             hash = mix(hash, child.structural_hash());
-            size += child.size();
+            size = size.saturating_add(child.size());
             height = height.max(child.height() + 1);
         }
         Tree(Rc::new(NodeInner {
@@ -110,7 +110,8 @@ impl Tree {
         self.0.children.is_empty()
     }
 
-    /// Total number of nodes.
+    /// Total number of nodes, saturating at `u64::MAX` (a tree that
+    /// shares subtrees can have exponentially many).
     pub fn size(&self) -> u64 {
         self.0.size
     }

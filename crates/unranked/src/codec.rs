@@ -108,8 +108,8 @@ impl XmlCodec {
     }
 
     /// Materializes the ranked encoding as a tree — the *same* streaming
-    /// encoder, collected (what the engine's tree/dag/walk modes use, so
-    /// every mode validates documents identically).
+    /// encoder, collected (what the engine's `tree` mode uses, so both
+    /// modes validate documents identically).
     pub fn ranked_tree(&self, xml: &str) -> Result<Tree, UnrankedError> {
         let mut events = Vec::new();
         for ev in self.events(xml) {

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use xtt::engine::{tree_to_xml, DagSink, DocFormat};
+use xtt::engine::{tree_to_xml, DagSink, DocFormat, Request, XmlRankedEvents};
 use xtt::prelude::*;
 use xtt::transducer::examples;
 use xtt::trees::TreeDag;
@@ -32,7 +32,9 @@ fn main() {
     let fast = compiled.eval(&doc, &mut scratch).unwrap();
     let mut stream = StreamEvaluator::new();
     let xml_doc = tree_to_xml(&doc);
-    let streamed = stream.eval_xml(&compiled, &xml_doc).unwrap().unwrap();
+    let streamed = stream
+        .eval_source(&compiled, &mut XmlRankedEvents::bounded(&xml_doc))
+        .unwrap();
     assert!(walk == fast && fast == streamed);
     println!("\nτflip({doc})\n  = {walk}");
     println!(
@@ -40,13 +42,22 @@ fn main() {
         tree_to_xml(&streamed)
     );
 
-    // Batch serving: shard a corpus across the worker pool.
+    // Batch serving: the transducer as a one-stage chain, a corpus
+    // sharded across the worker pool.
     let docs: Vec<String> = (0..50_000)
         .map(|i| examples::flip_input(i % 20 + 1, i % 13 + 1).to_string())
         .collect();
     let engine = Engine::new(EngineOptions::default());
     let t0 = Instant::now();
-    let results = engine.transform_batch(&fixture.dtop, &docs);
+    let (stage, guard) = engine.resolve(&fixture.dtop, false).unwrap();
+    let stages = std::slice::from_ref(&stage);
+    let req = Request::new(
+        stages,
+        guard.as_deref(),
+        &DocFormat::Term,
+        EvalMode::Compiled,
+    );
+    let results = engine.run_batch(&docs, req);
     let elapsed = t0.elapsed();
     let ok = results.iter().filter(|r| r.is_ok()).count();
     println!(

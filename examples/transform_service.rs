@@ -36,9 +36,9 @@ fn main() {
     // Batch-transform; the malformed document fails positionally.
     let docs = ["f(e)", "f(f(f(e)))", "oops((", "e"];
     let (resp, lines) = client
-        .transform("copy", "?mode=dag", &docs)
+        .transform("copy", "?mode=tree", &docs)
         .expect("transform");
-    println!("POST /transform/copy?mode=dag -> {}", resp.status);
+    println!("POST /transform/copy?mode=tree -> {}", resp.status);
     for (doc, line) in docs.iter().zip(&lines) {
         println!("  {doc:12} -> {line}");
     }

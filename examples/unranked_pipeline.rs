@@ -9,9 +9,25 @@
 
 use std::sync::Arc;
 
-use xtt::engine::{DocFormat, Engine, EngineOptions, EvalMode, XmlCodec};
+use xtt::engine::{DocFormat, Engine, EngineError, EngineOptions, EvalMode, Request, XmlCodec};
 use xtt::prelude::*;
 use xtt::xml::xmlflip;
+
+/// One document through the engine core: `dtop` as a one-stage chain.
+fn run(
+    engine: &Engine,
+    dtop: &Dtop,
+    doc: &str,
+    mode: EvalMode,
+    format: &DocFormat,
+) -> Result<String, EngineError> {
+    let (stage, guard) = engine.resolve(dtop, false)?;
+    let req = Request::new(std::slice::from_ref(&stage), guard.as_deref(), format, mode);
+    engine
+        .run_batch(&[doc], req)
+        .pop()
+        .expect("one result per document")
+}
 
 fn main() {
     // 1. The paper's xmlflip over its DTD-encoding pair: the input
@@ -22,29 +38,15 @@ fn main() {
         Arc::new(xmlflip::output_encoding()),
     );
     let doc = "<root><a/><a/><b/></root>";
-    let out = engine
-        .transform_with(
-            &xmlflip::target_dtop(),
-            doc,
-            EvalMode::Streaming,
-            DocFormat::Encoded(flip_codec.clone()),
-        )
-        .expect("in-domain document");
+    let flip_format = DocFormat::Encoded(flip_codec);
+    let m = xmlflip::target_dtop();
+    let out = run(&engine, &m, doc, EvalMode::Streaming, &flip_format).expect("in-domain document");
     println!("xmlflip (DTD encoding, streaming): {doc}  ->  {out}");
     assert_eq!(out, "<root><b/><a/><a/></root>");
 
-    // 2. The same streaming encoder feeds every mode — outputs agree.
-    for mode in [EvalMode::Compiled, EvalMode::Dag, EvalMode::TreeWalk] {
-        let again = engine
-            .transform_with(
-                &xmlflip::target_dtop(),
-                doc,
-                mode,
-                DocFormat::Encoded(flip_codec.clone()),
-            )
-            .unwrap();
-        assert_eq!(again, out, "{mode:?}");
-    }
+    // 2. The same streaming encoder feeds `tree` mode too — outputs agree.
+    let again = run(&engine, &m, doc, EvalMode::Compiled, &flip_format).unwrap();
+    assert_eq!(again, out);
 
     // 3. fc/ns with deletion: prune every <b> subtree. The streaming
     //    evaluator skips deleted subtrees at the *tokenizer* level.
@@ -57,14 +59,8 @@ fn main() {
     )
     .unwrap();
     let doc = "<root><a><b>discarded <junk/> without tokenizing</b><a/></a><b/></root>";
-    let out = engine
-        .transform_with(
-            &prune,
-            doc,
-            EvalMode::Streaming,
-            DocFormat::parse("fcns").unwrap(),
-        )
-        .unwrap();
+    let fcns = DocFormat::parse("fcns").unwrap();
+    let out = run(&engine, &prune, doc, EvalMode::Streaming, &fcns).unwrap();
     println!("prune (fc/ns encoding, streaming):  {doc}  ->  {out}");
     assert_eq!(out, "<root><a><a/></a></root>");
 

@@ -35,10 +35,10 @@
 //!
 //! Once a transducer is learned, [`engine`] (`xtt-engine`) turns it into a
 //! production runtime: [`engine::compile`] lowers it to flat jump tables,
-//! [`engine::Engine::transform_batch`] shards document batches across a
-//! worker pool (with an LRU of compiled transducers), and the streaming
-//! front end applies it directly to SAX-style XML events. The
-//! `xtt-transform` CLI wraps the same API for newline-delimited corpora.
+//! [`engine::Engine::run_batch`] shards document batches across a worker
+//! pool (with an LRU of compiled transducers), and the streaming evaluator
+//! applies it directly to SAX-style XML events. The `xtt-transform` CLI
+//! wraps the same API for newline-delimited corpora.
 //!
 //! ```
 //! use xtt::prelude::*;

@@ -5,7 +5,8 @@
 //! the expected output *exactly*. `!undefined` expects all four paths to
 //! agree the input is outside the domain; `!type-error at <path>: …`
 //! additionally pins the *diagnostic* that guarded (validate-mode)
-//! evaluation must report, bit-identical across tree/stream/dag/walk.
+//! evaluation must report, bit-identical across the engine's `tree` and
+//! `stream` modes.
 //!
 //! The corpus covers the paper's behavioral families: flipping
 //! (permutation at the root), the library transformation, copying
@@ -136,10 +137,10 @@ fn golden_corpus_all_paths_exact() {
 
 /// The `!type-error` triples: guarded evaluation must report *exactly*
 /// the pinned diagnostic — first-violation path included — bit-identical
-/// across all four eval modes, through the engine's batch path too.
+/// across both eval modes, through the engine's batch path too.
 #[test]
 fn golden_type_error_diagnostics_exact_across_guarded_modes() {
-    use xtt::engine::{DocFormat, Engine, EngineError, EngineOptions, EvalMode};
+    use xtt::engine::{DocFormat, Engine, EngineError, EngineOptions, EvalMode, Request};
     let engine = Engine::new(EngineOptions {
         validate: true,
         workers: 1,
@@ -152,14 +153,14 @@ fn golden_type_error_diagnostics_exact_across_guarded_modes() {
         }
         covered += 1;
         let dtop = parse_dtop(&case.transducer).unwrap();
-        for mode in [
-            EvalMode::Compiled,
-            EvalMode::Streaming,
-            EvalMode::Dag,
-            EvalMode::TreeWalk,
-        ] {
+        let (stage, guard) = engine.resolve(&dtop, true).unwrap();
+        for mode in [EvalMode::Compiled, EvalMode::Streaming] {
+            let stages = std::slice::from_ref(&stage);
+            let req = Request::new(stages, guard.as_deref(), &DocFormat::Term, mode);
             let err = engine
-                .transform_with(&dtop, &case.input, mode, DocFormat::Term)
+                .run_batch(&[&case.input], req)
+                .pop()
+                .unwrap()
                 .unwrap_err();
             let EngineError::Type(violation) = &err else {
                 panic!(

@@ -14,7 +14,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use xtt::engine::{DocFormat, Engine, EngineOptions, EvalMode, XmlCodec};
+use xtt::engine::{DocFormat, Engine, EngineOptions, EvalMode, Request, XmlCodec};
 use xtt::transducer::parse_dtop;
 use xtt::xml::{Dtd, Encoding, PcDataMode};
 
@@ -119,17 +119,14 @@ fn golden_xml_corpus_all_modes_exact() {
                 validate,
                 ..EngineOptions::default()
             });
-            for mode in [
-                EvalMode::Compiled,
-                EvalMode::Streaming,
-                EvalMode::Dag,
-                EvalMode::TreeWalk,
-            ] {
-                let got = engine
-                    .transform_with(&dtop, &case.input, mode, format.clone())
-                    .unwrap_or_else(|e| {
-                        panic!("{} [{mode:?} validate={validate}]: {e}", case.name)
-                    });
+            let (stage, guard) = engine.resolve(&dtop, validate).unwrap();
+            for mode in [EvalMode::Compiled, EvalMode::Streaming] {
+                let stages = std::slice::from_ref(&stage);
+                let req = Request::new(stages, guard.as_deref(), &format, mode);
+                let got = engine.run_batch(&[&case.input], req).pop().unwrap();
+                let got = got.unwrap_or_else(|e| {
+                    panic!("{} [{mode:?} validate={validate}]: {e}", case.name)
+                });
                 assert_eq!(
                     got, case.expected,
                     "{} [{mode:?} validate={validate}] output differs",
@@ -155,9 +152,12 @@ fn golden_xml_streamed_emission_is_byte_identical() {
             ..EngineOptions::default()
         });
         for validate in [false, true] {
-            let batch = engine
-                .transform_with(&dtop, &case.input, EvalMode::Streaming, format.clone())
-                .unwrap_or_else(|e| panic!("{} [batch validate={validate}]: {e}", case.name));
+            let (stage, _) = engine.resolve(&dtop, false).unwrap();
+            let stages = std::slice::from_ref(&stage);
+            let req = Request::new(stages, None, &format, EvalMode::Streaming);
+            let batch = engine.run_batch(&[&case.input], req).pop().unwrap();
+            let batch =
+                batch.unwrap_or_else(|e| panic!("{} [batch validate={validate}]: {e}", case.name));
             let mut streamed = Vec::new();
             let outcome = engine
                 .transform_streaming_with(
