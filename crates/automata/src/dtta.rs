@@ -11,11 +11,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use xtt_trees::{FPath, RankedAlphabet, Symbol, Tree};
 
 /// A state of a [`Dtta`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateId(pub u32);
 
 impl StateId {
@@ -31,7 +30,7 @@ impl fmt::Display for StateId {
 }
 
 /// A deterministic top-down tree automaton.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dtta {
     alphabet: RankedAlphabet,
     state_names: Vec<String>,

@@ -1,17 +1,21 @@
-//! E17 — pipeline execution strategies: the statically composed product
-//! vs the chained streaming cascade, through the engine's public
-//! `run_batch` core (guarded, XML in / XML out), on 2- and
-//! 3-stage pipelines. Also reports the jump-table shrink a fixed input
-//! schema buys via stage specialization, and checks the planner's
-//! probe-based chooser against the full-corpus measurement.
+//! E17 — pipeline execution: the plan's statically composed machine vs
+//! the stage-by-stage chain of the compiled original stages, both through
+//! the engine's public `run_batch` core under the plan's guard (XML in /
+//! XML out), on 2- and 3-stage pipelines. The gate checks that the plan
+//! keeps up with the chain it replaces; the experiment also reports the
+//! jump-table shrink a fixed input schema buys via stage specialization.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
-use xtt_engine::{tree_to_xml, DocFormat, Engine, EngineOptions, EvalMode, Request};
-use xtt_pipeline::{plan, Plan, StageDef, Strategy, StrategyChoice};
+use xtt_engine::{
+    compile, tree_to_xml, ChainStage, DocFormat, Engine, EngineOptions, EvalMode, Request,
+};
+use xtt_pipeline::{plan, StageDef, StrategyChoice};
 use xtt_transducer::{domain_dtta, parse_dtop};
 use xtt_trees::{gen, RankedAlphabet};
+use xtt_typecheck::CompiledDtta;
 
 /// Stage 1: swap the children of every `f` (total over {f, g, a}). The
 /// dedicated below-`f` state `qf` exists so a schema that forbids `f`
@@ -31,8 +35,8 @@ const WRAP: &str = "ax = <r,x0>\n\
                     r(g(x1)) -> v(v(<r,x1>))\n\
                     r(a) -> c\n";
 
-/// Stage 3: drop every `v` wrapper (a deleting stage: the chained
-/// cascade still produces the wrappers stage 3 then consumes, while the
+/// Stage 3: drop every `v` wrapper (a deleting stage: the stage-by-stage
+/// chain still produces the wrappers stage 3 then consumes, while the
 /// composed product never emits them at all).
 const UNWRAP: &str = "ax = <s,x0>\n\
                       s(u(x1,x2)) -> m(<s,x1>,<s,x2>)\n\
@@ -45,12 +49,13 @@ const CHAIN_ONLY: &str = "ax = <p,x0>\n\
                           p(g(x1)) -> g(<p,x1>)\n\
                           p(a) -> a\n";
 
-/// One measured (pipeline × strategy × eval-mode) cell.
+/// One measured (pipeline × runner × eval-mode) cell; `runner` is
+/// `plan` (the composed machine) or `chain` (the stages one by one).
 #[derive(Debug, Clone, Serialize)]
 pub struct E17Row {
     pub pipeline: &'static str,
     pub stages: usize,
-    pub strategy: &'static str,
+    pub runner: &'static str,
     pub mode: &'static str,
     pub docs: usize,
     pub bytes: u64,
@@ -59,17 +64,16 @@ pub struct E17Row {
     pub mb_per_sec: f64,
 }
 
-/// The chooser audit for one pipeline: what the probe picked vs what the
-/// full corpus measured (streaming mode, the serving hot path).
+/// The gate row for one pipeline: the plan against the chain in
+/// streaming mode, the serving hot path.
 #[derive(Debug, Clone, Serialize)]
-pub struct E17Choice {
+pub struct E17Gate {
     pub pipeline: &'static str,
-    pub chosen: &'static str,
-    pub composed_docs_per_sec: f64,
-    pub chained_docs_per_sec: f64,
-    /// Throughput of the chosen strategy relative to the faster one
-    /// (1.0 = the chooser picked the winner).
-    pub chosen_fraction_of_best: f64,
+    pub plan_docs_per_sec: f64,
+    pub chain_docs_per_sec: f64,
+    /// Plan throughput relative to the chain's (≥ 1.0: the composed
+    /// machine is at least as fast).
+    pub plan_fraction_of_chain: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -80,20 +84,21 @@ pub struct E17Schema {
 }
 
 pub struct E17Options {
-    /// Timed rounds per cell (best-of is reported).
+    /// Timed rounds per cell (best-of is reported); the plan's and the
+    /// chain's rounds alternate, so host drift hits both alike.
     pub rounds: usize,
 }
 
 impl Default for E17Options {
     fn default() -> E17Options {
-        E17Options { rounds: 5 }
+        E17Options { rounds: 30 }
     }
 }
 
 fn stage(name: &str, text: &str) -> StageDef {
     StageDef {
         name: name.to_owned(),
-        dtop: std::sync::Arc::new(parse_dtop(text).unwrap()),
+        dtop: Arc::new(parse_dtop(text).unwrap()),
     }
 }
 
@@ -121,29 +126,42 @@ fn corpus() -> Vec<String> {
     docs
 }
 
-/// Runs every doc through one strategy, asserting acceptance, and
-/// returns (best round ns, total output bytes of one round).
-fn measure(p: &Plan, strategy: Strategy, mode: EvalMode, docs: &[String], rounds: usize) -> u64 {
-    let engine = Engine::new(EngineOptions::default());
-    let stages = p.stages_for(strategy);
-    let run = |check: bool| {
-        for doc in docs {
-            let req = Request::new(stages, Some(p.guard()), &DocFormat::Xml, mode);
-            let out = engine.run_batch(std::slice::from_ref(doc), req).pop();
-            let out = out
-                .expect("one result per document")
-                .unwrap_or_else(|e| panic!("{strategy:?}/{mode:?} rejected {doc}: {e}"));
-            if check {
-                assert!(!out.is_empty());
-            }
-        }
+/// Runs the corpus through each of `runners` under `guard`, one
+/// sequential `run_batch` per round (one warm worker, so the rounds time
+/// the machines rather than per-call set-up), the runners' rounds
+/// alternating. Asserts acceptance and returns each runner's best round
+/// in nanoseconds.
+fn measure(
+    runners: [&[ChainStage]; 2],
+    guard: &CompiledDtta,
+    mode: EvalMode,
+    docs: &[String],
+    rounds: usize,
+) -> [u64; 2] {
+    let engine = Engine::new(EngineOptions {
+        workers: 1,
+        ..EngineOptions::default()
+    });
+    let run = |stages| {
+        engine.run_batch(
+            docs,
+            Request::new(stages, Some(guard), &DocFormat::Xml, mode),
+        )
     };
-    run(true); // warm-up + acceptance check
-    let mut best = u64::MAX;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        run(false);
-        best = best.min(start.elapsed().as_nanos() as u64);
+    // Warm-up + acceptance check.
+    for stages in runners {
+        for (doc, out) in docs.iter().zip(run(stages)) {
+            let out = out.unwrap_or_else(|e| panic!("{mode:?} rejected {doc}: {e}"));
+            assert!(!out.is_empty());
+        }
+    }
+    let mut best = [u64::MAX; 2];
+    for round in 0..rounds {
+        for i in [round % 2, 1 - round % 2] {
+            let start = Instant::now();
+            std::hint::black_box(run(runners[i]));
+            best[i] = best[i].min(start.elapsed().as_nanos() as u64);
+        }
     }
     best
 }
@@ -153,7 +171,7 @@ const MODES: [(EvalMode, &str); 2] = [
     (EvalMode::Streaming, "stream"),
 ];
 
-pub fn run_e17(opts: &E17Options) -> (Vec<E17Row>, Vec<E17Choice>, E17Schema) {
+pub fn run_e17(opts: &E17Options) -> (Vec<E17Row>, Vec<E17Gate>, E17Schema) {
     let docs = corpus();
     let bytes: u64 = docs.iter().map(|d| d.len() as u64).sum();
 
@@ -170,25 +188,29 @@ pub fn run_e17(opts: &E17Options) -> (Vec<E17Row>, Vec<E17Choice>, E17Schema) {
     ];
 
     let mut rows = Vec::new();
-    let mut choices = Vec::new();
+    let mut gates = Vec::new();
     for (name, stages) in &pipelines {
         let p = plan(stages, None, StrategyChoice::Auto).unwrap();
-        let mut stream_docs_per_sec = [0.0f64; 2]; // [composed, chained]
-        for (i, strategy) in [Strategy::Composed, Strategy::Chained]
-            .into_iter()
-            .enumerate()
-        {
-            for (mode, mode_name) in MODES {
-                let best_ns = measure(&p, strategy, mode, &docs, opts.rounds);
-                let secs = best_ns as f64 / 1e9;
+        let chain: Vec<ChainStage> = stages
+            .iter()
+            .map(|s| ChainStage {
+                compiled: Arc::new(compile(&s.dtop).unwrap()),
+            })
+            .collect();
+        let mut stream_docs_per_sec = [0.0f64; 2]; // [plan, chain]
+        for (mode, mode_name) in MODES {
+            let runners = [p.exec_stages(), &chain[..]];
+            let best = measure(runners, p.guard(), mode, &docs, opts.rounds);
+            for (i, runner) in ["plan", "chain"].into_iter().enumerate() {
+                let secs = best[i] as f64 / 1e9;
                 let row = E17Row {
                     pipeline: name,
                     stages: stages.len(),
-                    strategy: strategy.as_str(),
+                    runner,
                     mode: mode_name,
                     docs: docs.len(),
                     bytes,
-                    best_ns,
+                    best_ns: best[i],
                     docs_per_sec: docs.len() as f64 / secs,
                     mb_per_sec: bytes as f64 / 1e6 / secs,
                 };
@@ -198,17 +220,12 @@ pub fn run_e17(opts: &E17Options) -> (Vec<E17Row>, Vec<E17Choice>, E17Schema) {
                 rows.push(row);
             }
         }
-        let [composed, chained] = stream_docs_per_sec;
-        let chosen = match p.strategy {
-            Strategy::Composed => composed,
-            Strategy::Chained => chained,
-        };
-        choices.push(E17Choice {
+        let [plan_dps, chain_dps] = stream_docs_per_sec;
+        gates.push(E17Gate {
             pipeline: name,
-            chosen: p.strategy.as_str(),
-            composed_docs_per_sec: composed,
-            chained_docs_per_sec: chained,
-            chosen_fraction_of_best: chosen / composed.max(chained),
+            plan_docs_per_sec: plan_dps,
+            chain_docs_per_sec: chain_dps,
+            plan_fraction_of_chain: plan_dps / chain_dps,
         });
     }
 
@@ -232,28 +249,27 @@ pub fn run_e17(opts: &E17Options) -> (Vec<E17Row>, Vec<E17Choice>, E17Schema) {
         "g-chain schema must kill the f rules: {schema_report:?}"
     );
 
-    (rows, choices, schema_report)
+    (rows, gates, schema_report)
 }
 
-pub fn print_e17(rows: &[E17Row], choices: &[E17Choice], schema: &E17Schema) {
+pub fn print_e17(rows: &[E17Row], gates: &[E17Gate], schema: &E17Schema) {
     println!(
         "{:<18} {:>6} {:>9} {:>9} {:>7} {:>12} {:>10}",
-        "pipeline", "stages", "strategy", "mode", "docs", "docs/s", "MB/s"
+        "pipeline", "stages", "runner", "mode", "docs", "docs/s", "MB/s"
     );
     for r in rows {
         println!(
             "{:<18} {:>6} {:>9} {:>9} {:>7} {:>12.0} {:>10.2}",
-            r.pipeline, r.stages, r.strategy, r.mode, r.docs, r.docs_per_sec, r.mb_per_sec
+            r.pipeline, r.stages, r.runner, r.mode, r.docs, r.docs_per_sec, r.mb_per_sec
         );
     }
-    for c in choices {
+    for g in gates {
         println!(
-            "{}: chooser picked {} (composed {:.0} docs/s, chained {:.0} docs/s, {:.1}% of best)",
-            c.pipeline,
-            c.chosen,
-            c.composed_docs_per_sec,
-            c.chained_docs_per_sec,
-            100.0 * c.chosen_fraction_of_best
+            "{}: plan {:.0} docs/s vs chain {:.0} docs/s ({:.1}% of the chain)",
+            g.pipeline,
+            g.plan_docs_per_sec,
+            g.chain_docs_per_sec,
+            100.0 * g.plan_fraction_of_chain
         );
     }
     println!(

@@ -12,11 +12,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use xtt_trees::{FPath, NPath, PTree, Tree};
 
 /// A finite, functional set of input/output tree pairs.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Sample {
     pairs: Vec<(Tree, Tree)>,
 }

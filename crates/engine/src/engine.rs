@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 
 use xtt_obs::{EvalObserver, Stage};
 use xtt_transducer::Dtop;
-use xtt_trees::{parse_tree, DagId, Symbol, Tree, TreeDag, TreeEvent};
+use xtt_trees::{parse_tree, Symbol, Tree, TreeEvent};
 use xtt_typecheck::{domain_guard, CompiledDtta, TypeError};
 use xtt_unranked::{UnrankedError, UnrankedEvents, XmlCodec, XmlWriter};
 
@@ -111,8 +111,9 @@ pub struct EngineOptions {
     /// Default format of [`Engine::transform`] (and of serving layers).
     pub format: DocFormat,
     /// Documents whose *output tree* would exceed this many nodes fail
-    /// with [`EngineError::OutputTooLarge`] instead of being materialized:
-    /// `tree` mode measures with a linear-time DAG pre-flight, `stream`
+    /// with [`EngineError::OutputTooLarge`] instead of being emitted:
+    /// `tree` mode measures the evaluated output, whose repeated subtrees
+    /// are shared (so an exponential output is never unfolded), `stream`
     /// mode counts output nodes as they pass. `None` = unbounded.
     pub max_output_nodes: Option<u64>,
     /// Default validation of [`Engine::transform`] (and of serving
@@ -1041,8 +1042,6 @@ fn effective_workers(configured: usize, docs: usize) -> usize {
 struct Worker {
     scratch: EvalScratch<Tree>,
     chain: ChainedEvaluator,
-    dag: TreeDag,
-    dag_scratch: EvalScratch<DagId>,
 }
 
 impl Worker {
@@ -1050,8 +1049,6 @@ impl Worker {
         Worker {
             scratch: EvalScratch::new(),
             chain: ChainedEvaluator::new(),
-            dag: TreeDag::new(),
-            dag_scratch: EvalScratch::new(),
         }
     }
 
@@ -1104,9 +1101,8 @@ impl Worker {
         })
     }
 
-    /// `tree` mode: collect and guard the input, evaluate stage by stage
-    /// (the output-node bound pre-flights the **last** stage, the chain's
-    /// output), replay the output tree into the sink.
+    /// `tree` mode: collect and guard the input, evaluate stage by stage,
+    /// bound the chain's output, replay the output tree into the sink.
     fn tree(
         &mut self,
         engine: &Engine,
@@ -1132,15 +1128,20 @@ impl Worker {
             stamp(&mut req.observer, Stage::Guard);
         }
         for (i, stage) in req.stages.iter().enumerate() {
-            if i + 1 == req.stages.len() {
-                self.check_output_bound(&stage.compiled, &current, engine.opts.max_output_nodes)?;
-            }
             current = stage
                 .compiled
                 .eval(&current, &mut self.scratch)
                 .ok_or(EngineError::Undefined)?;
             if let Some(cb) = req.stage_events {
                 cb(i, current.size().saturating_mul(2));
+            }
+        }
+        // `eval` shares repeated output subtrees and `Tree::size` is cached
+        // and saturating, so even an exponential output is measured here
+        // without ever being unfolded.
+        if let Some(limit) = engine.opts.max_output_nodes {
+            if current.size() > limit {
+                return Err(EngineError::OutputTooLarge(current.size()));
             }
         }
         stamp(&mut req.observer, Stage::Evaluate);
@@ -1244,26 +1245,6 @@ impl Worker {
             violation,
             nodes: cap.nodes,
             exceeded: cap.exceeded,
-        }
-    }
-
-    /// `tree` mode's [`EngineOptions::max_output_nodes`]: a DAG evaluation
-    /// measures the output size without materializing the tree.
-    fn check_output_bound(
-        &mut self,
-        compiled: &CompiledDtop,
-        input: &Tree,
-        limit: Option<u64>,
-    ) -> Result<(), EngineError> {
-        let Some(limit) = limit else {
-            return Ok(());
-        };
-        let id = compiled
-            .eval_dag(input, &mut self.dag_scratch, &mut self.dag)
-            .ok_or(EngineError::Undefined)?;
-        match self.dag.tree_size(id) {
-            size if size > limit => Err(EngineError::OutputTooLarge(size)),
-            _ => Ok(()),
         }
     }
 }
@@ -1463,8 +1444,8 @@ mod tests {
     }
 
     /// With a bound configured, a copying transducer cannot be used to
-    /// materialize an exponential output — the DAG pre-flight rejects the
-    /// document (in every mode) while small documents still succeed.
+    /// materialize an exponential output — the bound rejects the document
+    /// (in every mode) while small documents still succeed.
     #[test]
     fn output_bound_rejects_exponential_outputs_cheaply() {
         let copier = examples::monadic_to_binary().dtop; // output 2^(depth+1)-1 nodes
@@ -2078,10 +2059,11 @@ mod tests {
     }
 
     /// A 200,000-deep document through the identity returns its own
-    /// bytes in both modes, for both XML formats, with and without an
-    /// output bound — on a spawned thread's default stack. Every output
-    /// is rendered by the iterative sinks; a recursive tree writer
-    /// overflows the stack here and aborts the process.
+    /// bytes in both modes, for both XML formats and the term format,
+    /// with and without an output bound — on a spawned thread's default
+    /// stack. Every input is read and every output rendered without
+    /// recursing on depth; a recursive parser or tree writer overflows
+    /// the stack here and aborts the process.
     #[test]
     fn deep_xml_round_trips_in_every_mode() {
         std::thread::spawn(|| {
@@ -2089,15 +2071,20 @@ mod tests {
                 xtt_transducer::parse_dtop("ax = <q,x0>\nq(f(x1)) -> f(<q,x1>)\nq(g) -> g\n")
                     .unwrap();
             let depth = 200_000;
-            let doc = format!("{}<g/>{}", "<f>".repeat(depth), "</f>".repeat(depth));
+            let xml = format!("{}<g/>{}", "<f>".repeat(depth), "</f>".repeat(depth));
+            let term = format!("{}g{}", "f(".repeat(depth), ")".repeat(depth));
             for bound in [None, Some(2 * depth as u64)] {
                 let engine = Engine::new(EngineOptions {
                     max_output_nodes: bound,
                     ..EngineOptions::default()
                 });
-                for format in [DocFormat::Xml, DocFormat::XmlAttrs] {
+                for (format, doc) in [
+                    (DocFormat::Xml, &xml),
+                    (DocFormat::XmlAttrs, &xml),
+                    (DocFormat::Term, &term),
+                ] {
                     for mode in MODES {
-                        let out = run_one(&engine, &identity, &doc, mode, &format, false, None);
+                        let out = run_one(&engine, &identity, doc, mode, &format, false, None);
                         let ok = out.as_deref() == Ok(doc.as_str());
                         assert!(
                             ok,

@@ -34,11 +34,9 @@ OPTIONS:
   --example <flip|library|copy|prune>  built-in transducer  [default: flip]
   --pipeline <t1,t2[,t3]>        run a composition pipeline of built-in
                                  transducers (τₙ∘…∘τ₁, t1 applied first)
-                                 instead of a single --example; the plan
-                                 chooser picks composed vs chained
-                                 execution (see --pipeline-strategy)
-  --pipeline-strategy <auto|composed|chained>
-                                 override the plan chooser  [default: auto]
+                                 instead of a single --example, as their
+                                 composed transducer (with --validate,
+                                 guarded by the chain domain)
   --mode <tree|stream>           tree: collect the input tree, evaluate,
                                  then write; stream: one streaming pass
                                  (`compiled` = tree)       [default: tree]
@@ -69,7 +67,6 @@ OPTIONS:
 struct Args {
     example: String,
     pipeline: Option<Vec<String>>,
-    pipeline_strategy: StrategyChoice,
     mode: EvalMode,
     format: DocFormat,
     encoding: Option<String>,
@@ -85,7 +82,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         example: "flip".to_owned(),
         pipeline: None,
-        pipeline_strategy: StrategyChoice::Auto,
         mode: EvalMode::Compiled,
         format: DocFormat::Term,
         encoding: None,
@@ -113,11 +109,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--pipeline needs at least one stage".to_owned());
                 }
                 args.pipeline = Some(names);
-            }
-            "--pipeline-strategy" => {
-                let name = value("--pipeline-strategy")?;
-                args.pipeline_strategy = StrategyChoice::parse(&name)
-                    .ok_or_else(|| format!("unknown strategy '{name}'"))?;
             }
             "--mode" => {
                 let name = value("--mode")?;
@@ -239,9 +230,9 @@ fn demo_doc(example: &str, i: usize, format: &DocFormat) -> String {
     }
 }
 
-/// The chain a run executes: `--pipeline` plans the composition
-/// (strategy per `--pipeline-strategy`; the plan line on stderr shows what
-/// the chooser measured and picked), `--example` is a one-stage chain.
+/// The chain a run executes: `--pipeline` plans the composition into one
+/// compiled machine (and its chain-domain guard), `--example` is a
+/// one-stage chain.
 fn resolve(
     engine: &Engine,
     args: &Args,
@@ -260,18 +251,8 @@ fn resolve(
             dtop: Arc::new(example_dtop(name)?),
         });
     }
-    let plan = plan(&stages, None, args.pipeline_strategy)
-        .map_err(|e| format!("planning pipeline: {e}"))?;
-    let report = &plan.report;
-    eprintln!(
-        "pipeline {}: strategy {}{} (probe {} docs: composed {}ns vs chained {}ns)",
-        names.join(","),
-        report.strategy.as_str(),
-        if report.forced { " [forced]" } else { "" },
-        report.probe_docs,
-        report.composed_probe_ns,
-        report.chained_probe_ns,
-    );
+    let plan =
+        plan(&stages, None, StrategyChoice::Auto).map_err(|e| format!("planning pipeline: {e}"))?;
     Ok((
         plan.exec_stages().to_vec(),
         args.validate.then(|| plan.guard_arc()),

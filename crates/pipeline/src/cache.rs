@@ -1,7 +1,7 @@
 //! The plan cache: planning runs a product construction, a normalization
-//! fixpoint, and a timing probe — far too much per request. Plans are
-//! cached per pipeline *fingerprint* (stage names + structural
-//! fingerprints + schema + strategy choice), reusing the engine's
+//! fixpoint, and a chain-domain subset construction — far too much per
+//! request. Plans are cached per pipeline *fingerprint* (stage names +
+//! structural fingerprints + schema), reusing the engine's
 //! collision-checked [`LruCache`], so re-registering a pipeline with an
 //! unchanged definition is free and any change to a stage's rules misses.
 
@@ -37,15 +37,14 @@ impl PlanCache {
         &self,
         stages: &[StageDef],
         schema: Option<&Dtta>,
-        choice: StrategyChoice,
     ) -> Result<Arc<Plan>, PlanError> {
-        let rendering = pipeline_rendering(stages, schema, choice);
-        let fp = pipeline_fingerprint(stages, schema, choice);
+        let rendering = pipeline_rendering(stages, schema);
+        let fp = pipeline_fingerprint(stages, schema);
         self.inner
             .lock()
             .unwrap()
             .get_or_insert_with(fp, rendering, self.capacity, || {
-                plan(stages, schema, choice).map(Arc::new)
+                plan(stages, schema, StrategyChoice::Auto).map(Arc::new)
             })
     }
 }

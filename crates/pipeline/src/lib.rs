@@ -8,24 +8,22 @@
 //!
 //! * [`plan`] builds a [`Plan`]: it schema-specializes each stage
 //!   ([`specialize`], the Martens & Neven fixed-input-schema restriction),
-//!   composes and normalizes the product, compiles **both** execution
-//!   strategies — one statically composed [`CompiledDtop`] vs a chain of
-//!   per-stage evaluators cascading committed output events — and picks
-//!   the faster by racing them on a probe corpus drawn from the
-//!   pipeline's own domain ([`StrategyChoice::Auto`]; explicit override
-//!   available).
-//! * Every plan carries one shared guard — the exact **chain domain**
+//!   composes the stages, normalizes the product to the paper's earliest
+//!   minimal form, and compiles it into one [`CompiledDtop`].
+//! * Every plan carries a guard — the exact **chain domain**
 //!   `⋂ᵢ dom(τᵢ ∘ … ∘ τ₁) ∩ L(schema)`, strictly smaller than
 //!   `dom(composed)` when a later stage deletes part of an earlier
-//!   stage's partial output — so both strategies accept the same
-//!   language and reject at the same node, the property the
-//!   differential proptests pin down.
+//!   stage's partial output — so the composed machine accepts exactly the
+//!   inputs on which running the stages one after another is defined,
+//!   and rejects at the same node: the property the differential
+//!   proptests pin down against that stage-by-stage run.
 //! * [`PlanCache`] memoizes plans per pipeline fingerprint with exact
 //!   rendering verification, reusing the engine's LRU.
 //!
 //! Execution happens in `xtt-engine`: [`Plan::exec_stages`] and
-//! [`Plan::guard`] fill an [`xtt_engine::Request`]; the composed strategy
-//! is simply a chain of length one, so one execution core serves both.
+//! [`Plan::guard`] fill an [`xtt_engine::Request`], so a pipeline runs
+//! exactly like a validated transducer — one compiled machine plus its
+//! guard.
 //!
 //! [`CompiledDtop`]: xtt_engine::CompiledDtop
 
@@ -36,6 +34,6 @@ pub mod specialize;
 pub use cache::PlanCache;
 pub use plan::{
     pipeline_fingerprint, pipeline_rendering, plan, Plan, PlanError, PlanReport, StageDef,
-    Strategy, StrategyChoice,
+    StrategyChoice,
 };
 pub use specialize::{specialize_to_schema, specialize_to_symbols, Specialized};

@@ -1,88 +1,44 @@
 //! Pipeline planning: τₙ ∘ … ∘ τ₁ (+ optional input schema) → an
-//! executable plan.
+//! executable plan, one compiled machine plus its guard.
 //!
-//! Two execution strategies realize the same transduction:
+//! [`plan`] specializes each stage to the schema, folds
+//! [`xtt_transducer::compose()`] over the stages, earliest-normalizes and
+//! minimizes the product (the paper's earliest minimal normal form), and
+//! compiles ONE [`xtt_engine::CompiledDtop`]: each input event is
+//! processed once, and a pipeline executes exactly like a validated
+//! transducer.
 //!
-//! * **Composed** — fold [`xtt_transducer::compose`] over the stages,
-//!   earliest-normalize + minimize the product (PR 4's normal form), and
-//!   compile ONE [`CompiledDtop`]. Each input event is processed once;
-//!   planning pays the product construction up front.
-//! * **Chained** — compile each stage separately and cascade committed
-//!   output events from stage *i* into stage *i+1*'s push evaluator
-//!   ([`xtt_engine::ChainedEvaluator`]) without materializing intermediate
-//!   trees. Planning is cheap; runtime pays one evaluator per stage.
-//!
-//! The planner measures both on a probe corpus sampled from the pipeline's
-//! own domain and picks the faster (an explicit [`StrategyChoice`]
-//! overrides). Either way the plan carries a single **guard**: the exact
-//! *chain* domain `⋂ᵢ dom(Cᵢ)` over the composed prefixes `Cᵢ = τᵢ∘…∘τ₁`,
-//! intersected with the schema when present. The final composed machine's
-//! domain alone would over-accept — when a later stage deletes part of an
-//! earlier stage's output the product never checks the earlier stage's
-//! partiality there — so the prefix intersection is what makes both
-//! strategies accept exactly the same language and reject at exactly the
-//! same node.
+//! The guard is the exact *chain* domain `⋂ᵢ dom(Cᵢ)` over the composed
+//! prefixes `Cᵢ = τᵢ∘…∘τ₁`, intersected with the schema when present. The
+//! final composed machine's domain alone would over-accept — when a later
+//! stage deletes part of an earlier stage's output the product never
+//! checks the earlier stage's partiality there — so the prefix
+//! intersection is what makes the plan accept exactly the inputs on which
+//! running the stages one after another is defined, and reject at exactly
+//! the same node. That stage-by-stage run (the engine's n-stage path over
+//! the compiled stages) is the reference the tests and E17 compare the
+//! plan against.
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
-use xtt_automata::{enumerate_language, is_empty, trim, Dtta};
-use xtt_engine::{
-    compile, fingerprint, ChainStage, ChainedEvaluator, CompileError, CompiledDtop, IterEvents,
-    TreeCollector,
-};
+use xtt_automata::{is_empty, trim, Dtta};
+use xtt_engine::{compile, fingerprint, ChainStage, CompileError};
 use xtt_transducer::{
     canonical_number, chain_domain_raw, compose, minimize, to_earliest, Dtop, DtopError, NormError,
 };
-use xtt_trees::Tree;
 use xtt_typecheck::{guard_from_domain, CompiledDtta, TypecheckError};
 
 use crate::specialize::{specialize_to_schema, specialize_to_symbols};
 
-/// How a plan executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Strategy {
-    Composed,
-    Chained,
-}
-
-impl Strategy {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Strategy::Composed => "composed",
-            Strategy::Chained => "chained",
-        }
-    }
-}
-
-/// The caller's say in strategy selection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// The caller's say in how a plan executes. A pipeline always runs as
+/// its composed transducer (the composed machine out-ran the
+/// stage-by-stage chain on every pipeline measured, and the plan's guard
+/// decides every answer either way), so `Auto` is the only choice; the
+/// type stays because `plan`'s signature is pinned by existing callers.
+#[derive(Clone, Copy, Debug)]
 pub enum StrategyChoice {
-    /// Let the cost model decide.
-    #[default]
     Auto,
-    Composed,
-    Chained,
-}
-
-impl StrategyChoice {
-    pub fn parse(s: &str) -> Option<StrategyChoice> {
-        match s {
-            "auto" => Some(StrategyChoice::Auto),
-            "composed" => Some(StrategyChoice::Composed),
-            "chained" => Some(StrategyChoice::Chained),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StrategyChoice::Auto => "auto",
-            StrategyChoice::Composed => "composed",
-            StrategyChoice::Chained => "chained",
-        }
-    }
 }
 
 /// One resolved pipeline stage: a registered transducer and its name.
@@ -130,29 +86,19 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// What the planner decided and why — rendered into `/pipelines/{name}`
-/// responses and `BENCH_pipeline.json`.
+/// What the planner built — rendered into `/pipelines/{name}` responses
+/// and `BENCH_pipeline.json`.
 #[derive(Clone, Debug)]
 pub struct PlanReport {
     pub stages: Vec<String>,
-    pub strategy: Strategy,
-    /// `true` when the strategy was forced by an explicit choice rather
-    /// than measured.
-    pub forced: bool,
     pub schema: bool,
     pub composed_states: usize,
     pub composed_code_len: usize,
-    pub chained_code_len: usize,
     /// Σ states×symbols of the per-stage jump tables before/after schema
     /// specialization (equal when no schema was given).
     pub jump_entries_unspecialized: usize,
     pub jump_entries_specialized: usize,
-    /// Cost-probe measurements: total nanoseconds to run the probe corpus
-    /// under each strategy (0 when the probe was skipped).
-    pub probe_docs: usize,
-    pub composed_probe_ns: u64,
-    pub chained_probe_ns: u64,
-    /// Fingerprint of the whole pipeline (stages + schema + choice) — the
+    /// Fingerprint of the whole pipeline (stages + schema) — the
     /// plan-cache key.
     pub fingerprint: u64,
 }
@@ -176,62 +122,41 @@ impl PlanReport {
             .collect();
         format!(
             concat!(
-                "{{\"stages\":[{}],\"strategy\":\"{}\",\"forced\":{},",
-                "\"schema\":{},\"composed_states\":{},\"composed_code_len\":{},",
-                "\"chained_code_len\":{},\"jump_entries_unspecialized\":{},",
+                "{{\"stages\":[{}],\"schema\":{},\"composed_states\":{},",
+                "\"composed_code_len\":{},\"jump_entries_unspecialized\":{},",
                 "\"jump_entries_specialized\":{},\"jump_table_shrink_pct\":{:.2},",
-                "\"probe_docs\":{},\"composed_probe_ns\":{},\"chained_probe_ns\":{},",
                 "\"fingerprint\":\"{:016x}\"}}"
             ),
             stages.join(","),
-            self.strategy.as_str(),
-            self.forced,
             self.schema,
             self.composed_states,
             self.composed_code_len,
-            self.chained_code_len,
             self.jump_entries_unspecialized,
             self.jump_entries_specialized,
             self.jump_table_shrink_pct(),
-            self.probe_docs,
-            self.composed_probe_ns,
-            self.chained_probe_ns,
             self.fingerprint,
         )
     }
 }
 
-/// An executable pipeline plan: [`Plan::exec_stages`] plus
-/// [`Plan::guard`] are the stages and guard of an
-/// [`xtt_engine::Request`]; both strategies flow through the same engine
-/// core — composed is simply a chain of length one.
+/// An executable pipeline plan: [`Plan::exec_stages`] (the composed
+/// machine, a chain of length one) plus [`Plan::guard`] are the stages
+/// and guard of an [`xtt_engine::Request`].
 pub struct Plan {
-    pub strategy: Strategy,
-    composed: Vec<ChainStage>,
-    chained: Vec<ChainStage>,
+    stage: ChainStage,
     guard: Arc<CompiledDtta>,
     pub report: PlanReport,
 }
 
 impl Plan {
-    /// The stage list the chosen strategy executes.
+    /// The stage list the plan executes: the composed machine alone.
     pub fn exec_stages(&self) -> &[ChainStage] {
-        self.stages_for(self.strategy)
+        std::slice::from_ref(&self.stage)
     }
 
-    /// The stage list a specific strategy executes (for differential
-    /// tests and benches).
-    pub fn stages_for(&self, strategy: Strategy) -> &[ChainStage] {
-        match strategy {
-            Strategy::Composed => &self.composed,
-            Strategy::Chained => &self.chained,
-        }
-    }
-
-    /// The shared domain guard: the exact chain domain
-    /// `⋂ᵢ dom(Cᵢ) ∩ L(schema)` over the composed prefixes. Applying it
-    /// to every request makes the two strategies byte-identical on
-    /// rejections too (same position, same diagnostic).
+    /// The domain guard: the exact chain domain `⋂ᵢ dom(Cᵢ) ∩ L(schema)`
+    /// over the composed prefixes, so the plan rejects exactly where the
+    /// stage-by-stage run would (same position, same diagnostic).
     pub fn guard(&self) -> &CompiledDtta {
         &self.guard
     }
@@ -241,24 +166,17 @@ impl Plan {
     }
 }
 
-/// Probe-corpus knobs: enough documents to rank the strategies, small
-/// enough that planning stays interactive.
-const PROBE_MAX_DOCS: usize = 12;
-const PROBE_MAX_SIZE: usize = 9;
-const PROBE_REPS: usize = 24;
-
 /// Plans a pipeline. `stages` are in application order (τ₁ first, the
 /// order of the CLI's `--pipeline t1,t2`); `schema` constrains inputs and
 /// enables specialization.
 pub fn plan(
     stages: &[StageDef],
     schema: Option<&Dtta>,
-    choice: StrategyChoice,
+    _choice: StrategyChoice,
 ) -> Result<Plan, PlanError> {
     if stages.is_empty() {
         return Err(PlanError::EmptyPipeline);
     }
-    let jump_entries = |c: &CompiledDtop| c.state_count() * c.symbol_count();
 
     // 1. Specialize each stage: the first against the schema product, the
     //    rest against the previous stage's emitted-symbol set.
@@ -302,139 +220,62 @@ pub fn plan(
         Err(_) => composed,
     };
 
-    // 4. Compile both strategies and the shared guard.
-    let composed_compiled = Arc::new(compile(&composed).map_err(PlanError::Compile)?);
-    let mut chained: Vec<ChainStage> = Vec::with_capacity(chain_dtops.len());
-    for m in &chain_dtops {
-        chained.push(ChainStage {
-            compiled: Arc::new(compile(m).map_err(PlanError::Compile)?),
-        });
-    }
-    // The guard accepts the exact *chain* domain ⋂ᵢ dom(Cᵢ) ∩ L(schema):
-    // intersecting every composed prefix forces each intermediate stage
-    // value to be fully defined, which is what stage-by-stage execution
-    // requires. dom(composed) alone would over-accept wherever a later
-    // stage deletes an earlier stage's partial output (normalization
-    // preserves domains, so the un-normalized prefixes are equivalent).
+    // 4. Compile the composed machine and build the guard. The guard
+    //    accepts the exact *chain* domain ⋂ᵢ dom(Cᵢ) ∩ L(schema):
+    //    intersecting every composed prefix forces each intermediate stage
+    //    value to be fully defined, which is what stage-by-stage execution
+    //    requires. dom(composed) alone would over-accept wherever a later
+    //    stage deletes an earlier stage's partial output (normalization
+    //    preserves domains, so the un-normalized prefixes are equivalent).
+    let compiled = Arc::new(compile(&composed).map_err(PlanError::Compile)?);
     let prefix_refs: Vec<&Dtop> = prefixes.iter().collect();
     let chain_domain = chain_domain_raw(&prefix_refs, schema);
     let guard = Arc::new(guard_from_domain(&chain_domain).map_err(PlanError::Typecheck)?);
-    let composed_stage = vec![ChainStage {
-        compiled: Arc::clone(&composed_compiled),
-    }];
+    if is_empty(&trim(&chain_domain.dtta)) {
+        return Err(PlanError::EmptyComposition);
+    }
 
     // 5. Jump-table accounting: what the per-stage tables would cost
-    //    without specialization vs what the specialized chain costs.
-    let jump_specialized: usize = chained.iter().map(|s| jump_entries(&s.compiled)).sum();
-    let jump_unspecialized: usize = if schema.is_some() {
-        let mut total = 0;
-        for stage in stages {
-            total += jump_entries(&compile(&stage.dtop).map_err(PlanError::Compile)?);
-        }
-        total
+    //    without specialization vs what the specialized stages cost.
+    let jump_specialized = jump_entries(chain_dtops.iter().map(|m| &**m));
+    let jump_unspecialized = if schema.is_some() {
+        jump_entries(stages.iter().map(|s| &*s.dtop))
     } else {
         jump_specialized
     };
 
-    // 6. Cost model: sample the pipeline's own domain and race the two
-    //    strategies. An empty probe corpus (empty or near-empty domain)
-    //    falls back to the static size estimate.
-    let domain = trim(&chain_domain.dtta);
-    if is_empty(&domain) {
-        return Err(PlanError::EmptyComposition);
-    }
-    let samples = enumerate_language(&domain, domain.initial(), PROBE_MAX_DOCS, PROBE_MAX_SIZE);
-    let chained_code_len: usize = chained.iter().map(|s| s.compiled.code_len()).sum();
-    let (composed_ns, chained_ns) = if samples.is_empty() {
-        (0, 0)
-    } else {
-        (probe(&samples, &composed_stage), probe(&samples, &chained))
-    };
-    let (strategy, forced) = match choice {
-        StrategyChoice::Composed => (Strategy::Composed, true),
-        StrategyChoice::Chained => (Strategy::Chained, true),
-        StrategyChoice::Auto => {
-            let s = if samples.is_empty() {
-                if composed_compiled.code_len() <= chained_code_len {
-                    Strategy::Composed
-                } else {
-                    Strategy::Chained
-                }
-            } else if composed_ns <= chained_ns {
-                Strategy::Composed
-            } else {
-                Strategy::Chained
-            };
-            (s, false)
-        }
-    };
-
     let report = PlanReport {
         stages: stages.iter().map(|s| s.name.clone()).collect(),
-        strategy,
-        forced,
         schema: schema.is_some(),
         composed_states: composed.state_count(),
-        composed_code_len: composed_compiled.code_len(),
-        chained_code_len,
+        composed_code_len: compiled.code_len(),
         jump_entries_unspecialized: jump_unspecialized,
         jump_entries_specialized: jump_specialized,
-        probe_docs: samples.len(),
-        composed_probe_ns: composed_ns,
-        chained_probe_ns: chained_ns,
-        fingerprint: pipeline_fingerprint(stages, schema, choice),
+        fingerprint: pipeline_fingerprint(stages, schema),
     };
     Ok(Plan {
-        strategy,
-        composed: composed_stage,
-        chained,
+        stage: ChainStage { compiled },
         guard,
         report,
     })
 }
 
-/// Total wall-clock nanoseconds to run `samples` through `stages`
-/// (PROBE_REPS repetitions), using the same chained evaluator machinery
-/// the engine uses — a chain of length one IS the composed strategy.
-fn probe(samples: &[Tree], stages: &[ChainStage]) -> u64 {
-    let mut chain = ChainedEvaluator::new();
-    // Warm-up pass so allocation of evaluator scratch does not bias the
-    // first strategy measured.
-    for t in samples {
-        let mut sink = TreeCollector::new();
-        let _ = chain.eval_streaming(stages, &mut IterEvents(t.events()), &mut sink);
-    }
-    let start = Instant::now();
-    for _ in 0..PROBE_REPS {
-        for t in samples {
-            let mut sink = TreeCollector::new();
-            let _ = chain.eval_streaming(stages, &mut IterEvents(t.events()), &mut sink);
-        }
-    }
-    start.elapsed().as_nanos() as u64
+/// Σ states×symbols of the jump tables [`compile`] builds for `dtops`.
+fn jump_entries<'a>(dtops: impl Iterator<Item = &'a Dtop>) -> usize {
+    dtops.map(|m| m.state_count() * m.input().len()).sum()
 }
 
 /// FNV-1a over the pipeline's identity: stage names + structural
-/// fingerprints, the schema rendering, and the strategy choice. Cache key
-/// and report field.
-pub fn pipeline_fingerprint(
-    stages: &[StageDef],
-    schema: Option<&Dtta>,
-    choice: StrategyChoice,
-) -> u64 {
-    fnv1a(pipeline_rendering(stages, schema, choice).as_bytes())
+/// fingerprints and the schema rendering. Cache key and report field.
+pub fn pipeline_fingerprint(stages: &[StageDef], schema: Option<&Dtta>) -> u64 {
+    fnv1a(pipeline_rendering(stages, schema).as_bytes())
 }
 
 /// The exact rendering backing [`pipeline_fingerprint`] — stored next to
 /// the hash in the plan cache so collisions cannot alias plans.
-pub fn pipeline_rendering(
-    stages: &[StageDef],
-    schema: Option<&Dtta>,
-    choice: StrategyChoice,
-) -> String {
+pub fn pipeline_rendering(stages: &[StageDef], schema: Option<&Dtta>) -> String {
     use std::fmt::Write;
     let mut s = String::new();
-    let _ = write!(s, "choice={};", choice.as_str());
     for stage in stages {
         let _ = write!(s, "{}:{:016x};", stage.name, fingerprint(&stage.dtop));
     }

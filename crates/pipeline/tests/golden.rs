@@ -1,10 +1,13 @@
 //! Golden pipeline corpus: fixed transducers, fixed documents, hardcoded
-//! expected bytes. Every (strategy × eval-mode) pair must reproduce them
-//! exactly — including the rejection diagnostic for the out-of-domain
+//! expected bytes. The plan's composed machine and the stage-by-stage
+//! chain of the compiled stages must reproduce them exactly in every
+//! eval mode — including the rejection diagnostic for the out-of-domain
 //! document, which must be the same string everywhere.
 
-use xtt_engine::{DocFormat, Engine, EngineOptions, EvalMode, Request};
-use xtt_pipeline::{plan, Plan, StageDef, Strategy, StrategyChoice};
+use std::sync::Arc;
+
+use xtt_engine::{compile, ChainStage, DocFormat, Engine, EngineOptions, EvalMode, Request};
+use xtt_pipeline::{plan, Plan, StageDef, StrategyChoice};
 use xtt_transducer::parse_dtop;
 
 /// Stage 1: swap the children of every `f`, keep `g` and `a`. Partial:
@@ -32,33 +35,48 @@ const UNWRAP: &str = "ax = <s,x0>\n\
 fn stage(name: &str, text: &str) -> StageDef {
     StageDef {
         name: name.to_owned(),
-        dtop: std::sync::Arc::new(parse_dtop(text).unwrap()),
+        dtop: Arc::new(parse_dtop(text).unwrap()),
     }
 }
 
 const MODES: [EvalMode; 2] = [EvalMode::Compiled, EvalMode::Streaming];
 
-/// Runs `doc` through every strategy × mode and asserts one golden
-/// result: `Ok(bytes)` for in-domain documents, `Err(diagnostic)` for
-/// rejected ones — byte-identical across all four executions.
-fn assert_golden(p: &Plan, doc: &str, want: &Result<&str, &str>) {
+/// The stage-by-stage reference: every stage compiled on its own and run
+/// one after another by the engine's n-stage path.
+fn chain(stages: &[StageDef]) -> Vec<ChainStage> {
+    stages
+        .iter()
+        .map(|s| ChainStage {
+            compiled: Arc::new(compile(&s.dtop).unwrap()),
+        })
+        .collect()
+}
+
+/// Runs `doc` through the plan and the chain (both under the plan's
+/// guard) in every mode, one result each: `Ok(bytes)` for in-domain
+/// documents, `Err(diagnostic)` for rejected ones.
+fn run_everywhere(p: &Plan, chain: &[ChainStage], doc: &str) -> Vec<Result<String, String>> {
     let engine = Engine::new(EngineOptions::default());
-    for strategy in [Strategy::Composed, Strategy::Chained] {
+    let mut results = Vec::new();
+    for stages in [p.exec_stages(), chain] {
         for mode in MODES {
-            let req = Request::new(
-                p.stages_for(strategy),
-                Some(p.guard()),
-                &DocFormat::Xml,
-                mode,
-            );
+            let req = Request::new(stages, Some(p.guard()), &DocFormat::Xml, mode);
             let got = engine.run_batch(&[doc], req).pop().unwrap();
-            let got = got.map_err(|e| e.to_string());
-            assert_eq!(
-                got.as_deref().map_err(String::as_str),
-                *want,
-                "{strategy:?}/{mode:?} on {doc}"
-            );
+            results.push(got.map_err(|e| e.to_string()));
         }
+    }
+    results
+}
+
+/// Asserts one golden result, byte-identical across all four executions.
+fn assert_golden(p: &Plan, chain: &[ChainStage], doc: &str, want: &Result<&str, &str>) {
+    for (i, got) in run_everywhere(p, chain, doc).iter().enumerate() {
+        let (runner, mode) = (["plan", "chain"][i / 2], MODES[i % 2]);
+        assert_eq!(
+            got.as_deref().map_err(String::as_str),
+            *want,
+            "{runner}/{mode:?} on {doc}"
+        );
     }
 }
 
@@ -66,6 +84,7 @@ fn assert_golden(p: &Plan, doc: &str, want: &Result<&str, &str>) {
 fn two_stage_golden_corpus() {
     let stages = vec![stage("swap", SWAP), stage("wrap", WRAP)];
     let p = plan(&stages, None, StrategyChoice::Auto).unwrap();
+    let chain = chain(&stages);
     for (doc, want) in [
         ("<a/>", Ok("<c/>")),
         (
@@ -81,7 +100,7 @@ fn two_stage_golden_corpus() {
             Ok("<u><v><v><c/></v></v><u><c/><c/></u></u>"),
         ),
     ] {
-        assert_golden(&p, doc, &want);
+        assert_golden(&p, &chain, doc, &want);
     }
 }
 
@@ -91,22 +110,11 @@ fn two_stage_rejection_is_identical_everywhere() {
     let p = plan(&stages, None, StrategyChoice::Auto).unwrap();
     // `b` at path 2 has no rule in stage 1: all four executions must
     // report the *same* first-violation diagnostic.
-    let engine = Engine::new(EngineOptions::default());
     let doc = "<f><a/><b/></f>";
-    let mut errors = Vec::new();
-    for strategy in [Strategy::Composed, Strategy::Chained] {
-        for mode in MODES {
-            let req = Request::new(
-                p.stages_for(strategy),
-                Some(p.guard()),
-                &DocFormat::Xml,
-                mode,
-            );
-            let got = engine.run_batch(&[doc], req).pop().unwrap();
-            let got = got.map_err(|e| e.to_string());
-            errors.push(got.expect_err(&format!("{strategy:?}/{mode:?} accepted {doc}")));
-        }
-    }
+    let errors: Vec<String> = run_everywhere(&p, &chain(&stages), doc)
+        .into_iter()
+        .map(|got| got.expect_err(&format!("accepted {doc}")))
+        .collect();
     assert!(
         errors[0].starts_with("type error at 2:"),
         "positioned diagnostic, got {}",
@@ -126,6 +134,7 @@ fn three_stage_golden_corpus_with_deleting_stage() {
         stage("unwrap", UNWRAP),
     ];
     let p = plan(&stages, None, StrategyChoice::Auto).unwrap();
+    let chain = chain(&stages);
     for (doc, want) in [
         ("<a/>", Ok("<x/>")),
         ("<g><a/></g>", Ok("<x/>")),
@@ -140,6 +149,6 @@ fn three_stage_golden_corpus_with_deleting_stage() {
             Err("type error at 1: symbol b not allowed in state {q}|{r∘q}|{s∘r∘q}"),
         ),
     ] {
-        assert_golden(&p, doc, &want);
+        assert_golden(&p, &chain, doc, &want);
     }
 }

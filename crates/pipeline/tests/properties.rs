@@ -1,16 +1,21 @@
-//! Differential property tests for the pipeline planner: the two
-//! execution strategies (statically composed vs chained streaming) must
-//! be **byte-identical** through the engine's public entry points — same
-//! XML output on the pipeline's domain, same rejection (same position,
-//! same diagnostic) outside it — and schema-specialized plans must guard
-//! exactly the schema-valid subset of the domain.
+//! Differential property tests for the pipeline planner: the plan's
+//! statically composed machine and the stage-by-stage chain of the
+//! compiled stages must be **byte-identical** through the engine's public
+//! entry points — same XML output on the pipeline's domain, same
+//! rejection (same position, same diagnostic) outside it — and
+//! schema-specialized plans must guard exactly the schema-valid subset of
+//! the domain.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use xtt_engine::{tree_to_xml, DocFormat, Engine, EngineOptions, EvalMode, Request};
-use xtt_pipeline::{plan, PlanError, StageDef, Strategy, StrategyChoice};
+use xtt_engine::{
+    compile, tree_to_xml, ChainStage, DocFormat, Engine, EngineOptions, EvalMode, Request,
+};
+use xtt_pipeline::{plan, PlanError, StageDef, StrategyChoice};
 use xtt_transducer::{domain_dtta, eval as walk_eval, random_partial_dtop, RandomDtopConfig};
 use xtt_trees::{gen, RankedAlphabet, Tree};
 
@@ -42,22 +47,33 @@ fn workload(input: &RankedAlphabet, rng: &mut StdRng) -> Vec<Tree> {
 fn stage(name: &str, dtop: xtt_transducer::Dtop) -> StageDef {
     StageDef {
         name: name.to_owned(),
-        dtop: std::sync::Arc::new(dtop),
+        dtop: Arc::new(dtop),
     }
+}
+
+/// The stage-by-stage reference: every stage compiled on its own and run
+/// one after another by the engine's n-stage path.
+fn chain(stages: &[StageDef]) -> Vec<ChainStage> {
+    stages
+        .iter()
+        .map(|s| ChainStage {
+            compiled: Arc::new(compile(&s.dtop).unwrap()),
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Composed and chained strategies are byte-identical over XML on
-    /// random partial two-stage pipelines: same output bytes on the
-    /// domain, same error (position included) off it — in both the
-    /// materialized (`tree`) and fused streaming modes. The composed
-    /// strategy is a one-stage chain, so this pins the single-transducer
-    /// path too: for every strategy and mode the one-document byte call
-    /// equals the batch text (errors included), and the output is the
-    /// reference evaluator's τ₂(τ₁(t)) rendered as XML exactly on the
-    /// chain's domain.
+    /// The plan and the stage-by-stage chain (both under the plan's
+    /// guard) are byte-identical over XML on random partial two-stage
+    /// pipelines: same output bytes on the domain, same error (position
+    /// included) off it — in both the materialized (`tree`) and fused
+    /// streaming modes. The plan is a one-stage chain, so this pins the
+    /// single-transducer path too: for both and every mode the
+    /// one-document byte call equals the batch text (errors included),
+    /// and the output is the reference evaluator's τ₂(τ₁(t)) rendered as
+    /// XML exactly on the chain's domain.
     #[test]
     fn composed_and_chained_agree_byte_for_byte(seed in any::<u64>(), keep in 40u32..95) {
         let (alpha_a, alpha_b, alpha_c) = alphabets();
@@ -72,6 +88,7 @@ proptest! {
             Err(PlanError::EmptyComposition) => return Ok(()),
             Err(e) => return Err(format!("plan failed: {e}")),
         };
+        let chain = chain(&stages);
         let engine = Engine::new(EngineOptions::default());
         for t in workload(&alpha_a, &mut rng) {
             let doc = tree_to_xml(&t);
@@ -80,10 +97,8 @@ proptest! {
                 .map(|out| tree_to_xml(&out));
             for mode in [EvalMode::Compiled, EvalMode::Streaming] {
                 let mut texts = Vec::new();
-                for strategy in [Strategy::Composed, Strategy::Chained] {
-                    let req = || {
-                        Request::new(p.stages_for(strategy), Some(p.guard()), &DocFormat::Xml, mode)
-                    };
+                for (runner, stages) in [("plan", p.exec_stages()), ("chain", &chain[..])] {
+                    let req = || Request::new(stages, Some(p.guard()), &DocFormat::Xml, mode);
                     let text = engine.run_batch(&[&doc], req()).pop().unwrap();
                     let text = text.map_err(|e| e.to_string());
                     let mut out = Vec::new();
@@ -91,7 +106,7 @@ proptest! {
                         .run_doc(&doc, &mut out, req())
                         .map(|_| String::from_utf8(out).unwrap())
                         .map_err(|e| e.to_string());
-                    prop_assert_eq!(&text, &bytes, "{:?}/{:?} on {}", strategy, mode, doc);
+                    prop_assert_eq!(&text, &bytes, "{}/{:?} on {}", runner, mode, doc);
                     texts.push(text);
                 }
                 prop_assert_eq!(&texts[0], &texts[1], "mode {:?} on {}", mode, doc);

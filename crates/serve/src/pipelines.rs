@@ -4,11 +4,11 @@
 //! an optional input schema (the domain automaton of an uploaded DTD
 //! encoding, `?schema={encoding}`). Registration snapshots the current
 //! stage definitions and plans them once (`xtt_pipeline::plan`): schema
-//! specialization, static composition + normalization, compilation of
-//! both execution strategies, and the cost probe that picks between them.
-//! Plans are memoized in a [`PlanCache`] keyed by the pipeline
-//! fingerprint, sized like the engine's compile LRU, so re-registering an
-//! unchanged pipeline is free while any stage hot-swap re-plans.
+//! specialization, static composition + normalization, compilation of the
+//! composed machine, and its chain-domain guard. Plans are memoized in a
+//! [`PlanCache`] keyed by the pipeline fingerprint, sized like the
+//! engine's compile LRU, so re-registering an unchanged pipeline is free
+//! while any stage hot-swap re-plans.
 //!
 //! Entries are immutable `Arc`s behind an `RwLock`, hot-swappable like
 //! the transducer registry: in-flight transforms keep the old plan.
@@ -18,7 +18,7 @@ use std::sync::{Arc, RwLock};
 
 use xtt_automata::Dtta;
 use xtt_engine::CacheStats;
-use xtt_pipeline::{Plan, PlanCache, PlanError, StageDef, StrategyChoice};
+use xtt_pipeline::{Plan, PlanCache, PlanError, StageDef};
 
 use crate::registry::escape_json;
 
@@ -27,7 +27,6 @@ pub struct PipelineEntry {
     pub name: String,
     /// The `?schema=` encoding name the input schema came from, if any.
     pub schema: Option<String>,
-    pub choice: StrategyChoice,
     pub plan: Arc<Plan>,
 }
 
@@ -35,12 +34,11 @@ impl PipelineEntry {
     /// The JSON summary used by the list, upload, and inspect responses.
     pub fn json(&self) -> String {
         format!(
-            "{{\"name\":\"{}\",\"schema\":{},\"choice\":\"{}\",\"plan\":{}}}",
+            "{{\"name\":\"{}\",\"schema\":{},\"plan\":{}}}",
             escape_json(&self.name),
             self.schema
                 .as_deref()
                 .map_or_else(|| "null".to_owned(), |s| format!("\"{}\"", escape_json(s))),
-            self.choice.as_str(),
             self.plan.report.json(),
         )
     }
@@ -70,15 +68,13 @@ impl PipelineRegistry {
         name: &str,
         stages: Vec<StageDef>,
         schema: Option<(String, Dtta)>,
-        choice: StrategyChoice,
     ) -> Result<Arc<PipelineEntry>, PlanError> {
         let plan = self
             .cache
-            .get_or_plan(&stages, schema.as_ref().map(|(_, d)| d), choice)?;
+            .get_or_plan(&stages, schema.as_ref().map(|(_, d)| d))?;
         let entry = Arc::new(PipelineEntry {
             name: name.to_owned(),
             schema: schema.map(|(n, _)| n),
-            choice,
             plan,
         });
         self.write().insert(name.to_owned(), Arc::clone(&entry));
@@ -144,15 +140,12 @@ mod tests {
             stage("flip", fix.dtop.clone()),
             stage("id", identity(fix.dtop.output())),
         ];
-        let entry = reg
-            .register("pp", stages.clone(), None, StrategyChoice::Auto)
-            .unwrap();
+        let entry = reg.register("pp", stages.clone(), None).unwrap();
         assert_eq!(entry.plan.report.stages, vec!["flip", "id"]);
         assert!(reg.get("pp").is_some());
         assert!(reg.list_json().contains("\"pp\""));
         // Identical re-registration hits the plan cache.
-        reg.register("pp2", stages, None, StrategyChoice::Auto)
-            .unwrap();
+        reg.register("pp2", stages, None).unwrap();
         assert_eq!(reg.plan_cache_stats().hits, 1);
         assert!(reg.remove("pp"));
         assert!(reg.get("pp").is_none());
@@ -185,7 +178,7 @@ mod tests {
             .unwrap();
         let only_a = b.build().unwrap();
         let stages = vec![stage("flip", fix.dtop), stage("only_a", only_a)];
-        match reg.register("ff", stages, None, StrategyChoice::Auto) {
+        match reg.register("ff", stages, None) {
             Err(PlanError::EmptyComposition) => {}
             Err(e) => panic!("expected EmptyComposition, got: {e}"),
             Ok(_) => panic!("expected EmptyComposition, got a plan"),

@@ -32,20 +32,17 @@
 //!                                        comma/newline list of registered
 //!                                        transducer names (τ₁ first);
 //!                                        ?schema={encoding} specializes to
-//!                                        that DTD encoding's domain,
-//!                                        ?strategy=auto|composed|chained
-//!                                        overrides the cost model (422 on
+//!                                        that DTD encoding's domain (422 on
 //!                                        undefined stages or an empty
 //!                                        composition)
 //! GET    /pipelines[/{name}]             list / inspect pipelines (plan
-//!                                        report: strategy, probe timings,
-//!                                        jump-table shrink)
+//!                                        report: composed size, jump-table
+//!                                        shrink)
 //! DELETE /pipelines/{name}               unregister
 //! POST   /transform/{name}               also dispatches to pipelines
-//!                                        (either ?mode=; the plan's guard
-//!                                        always validates; ?strategy=
-//!                                        forces composed or chained per
-//!                                        request)
+//!                                        (either ?mode=): the composed
+//!                                        machine under the plan's chain
+//!                                        guard, which always validates
 //! GET    /slow                           recent slow-request lines (JSON
 //!                                        ring, newest last)
 //! GET    /healthz                        liveness (+ started_at/uptime)
@@ -92,7 +89,7 @@ use std::time::{Duration, Instant};
 use xtt_engine::{ChainStage, DocFormat, Engine, EngineError, EngineOptions, EvalMode};
 use xtt_netio::Waker;
 use xtt_obs::{EvalObserver, Trace, TraceSampler};
-use xtt_pipeline::{StageDef, Strategy, StrategyChoice};
+use xtt_pipeline::StageDef;
 use xtt_typecheck::CompiledDtta;
 
 use crate::encodings::EncodingRegistry;
@@ -164,7 +161,8 @@ impl Default for ServeOptions {
             engine: EngineOptions {
                 // A copying transducer turns a 100-byte document into an
                 // exponential output; a server must bound what it will
-                // materialize (cheap DAG pre-flight, per-document error).
+                // emit (measured on the shared evaluated output, or
+                // counted as it streams; a per-document error).
                 max_output_nodes: Some(10_000_000),
                 ..EngineOptions::default()
             },
@@ -213,8 +211,7 @@ pub(crate) enum Disposition {
 /// What a transform request executes, resolved once per request into an
 /// engine chain: a registered transducer as a one-stage chain (through
 /// the engine's compiled-dtop and guard caches), or a registered
-/// pipeline's stages under a concrete strategy (the plan's pick, or the
-/// request's `?strategy=` override) with the plan's chain guard.
+/// pipeline's composed machine with the plan's chain guard.
 pub(crate) struct StreamTarget {
     name: String,
     /// The stages and guard, or the error every document answers with
@@ -689,10 +686,9 @@ fn put_encoding(shared: &Shared, req: &Request, name: &str) -> (u16, String) {
 /// `PUT /pipelines/{name}`: body is the stage list — registered
 /// transducer names separated by commas or newlines, in application order
 /// (τ₁ first). `?schema={encoding}` specializes the stages to an uploaded
-/// DTD encoding's domain automaton; `?strategy=` pins the execution
-/// strategy instead of letting the cost probe decide. Undefined stages,
-/// an empty stage list, and a composition with an empty domain all answer
-/// `422` and register nothing.
+/// DTD encoding's domain automaton. Undefined stages, an empty stage
+/// list, and a composition with an empty domain all answer `422` and
+/// register nothing.
 fn put_pipeline(shared: &Shared, req: &Request, name: &str) -> (u16, String) {
     if !Registry::valid_name(name) {
         return (
@@ -750,19 +746,7 @@ fn put_pipeline(shared: &Shared, req: &Request, name: &str) -> (u16, String) {
             }
         },
     };
-    let choice = match req.query_param("strategy") {
-        None => StrategyChoice::Auto,
-        Some(v) => match StrategyChoice::parse(v) {
-            Some(c) => c,
-            None => {
-                return (
-                    400,
-                    error_json(&format!("bad strategy '{v}' (auto, composed, chained)")),
-                )
-            }
-        },
-    };
-    match shared.pipelines.register(name, stages, schema, choice) {
+    match shared.pipelines.register(name, stages, schema) {
         Ok(entry) => (201, entry.json()),
         Err(e) => (422, error_json(&format!("cannot plan pipeline: {e}"))),
     }
@@ -904,12 +888,6 @@ fn transform(
         Ok(v) => v.unwrap_or(shared.opts.engine.validate),
         Err(v) => return bad_param(shared, w, started, "validate", &v, keep),
     };
-    // `?strategy=` pins a pipeline's execution strategy for this request
-    // (auto = the plan's measured pick). Ignored for plain transducers.
-    let strategy_choice = match optional(req.query_param("strategy"), StrategyChoice::parse) {
-        Ok(c) => c.unwrap_or(StrategyChoice::Auto),
-        Err(v) => return bad_param(shared, w, started, "strategy", &v, keep),
-    };
     let body = match req.body_str() {
         Ok(b) => b,
         Err(e) => {
@@ -952,20 +930,16 @@ fn transform(
                 stage_events: None,
             }
         }
-        // The plan's guard (dom(composition) ∩ schema) always validates a
-        // pipeline request: it is what makes the two strategies reject
-        // identically, so it is not optional the way `?validate=` is.
+        // The plan's guard (the chain domain ∩ schema) always validates a
+        // pipeline request: dom(composition) alone over-accepts where a
+        // later stage deletes an earlier stage's partial output, so it is
+        // not optional the way `?validate=` is.
         Found::Pipeline(entry) => {
             shared
                 .stats
                 .record_transform_target("pipeline", &entry.name);
             shared.stats.pipeline_transforms.inc();
-            let strategy = match strategy_choice {
-                StrategyChoice::Auto => entry.plan.strategy,
-                StrategyChoice::Composed => Strategy::Composed,
-                StrategyChoice::Chained => Strategy::Chained,
-            };
-            let stages = entry.plan.stages_for(strategy).to_vec();
+            let stages = entry.plan.exec_stages().to_vec();
             let hists: Vec<_> = (0..stages.len())
                 .map(|i| shared.stats.stage_events(i))
                 .collect();

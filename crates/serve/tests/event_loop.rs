@@ -40,6 +40,46 @@ fn stat_u64(json: &str, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {key} in {json}"))
 }
 
+/// The most a TCP send buffer autotunes to: `tcp_wmem`'s maximum (Linux
+/// defaults it to 4 MiB).
+fn max_send_buffer() -> usize {
+    std::fs::read_to_string("/proc/sys/net/ipv4/tcp_wmem")
+        .ok()
+        .and_then(|s| s.split_whitespace().nth(2)?.parse().ok())
+        .unwrap_or(4 << 20)
+}
+
+/// Pins `sock`'s receive buffer to `bytes` (`SO_RCVBUF`, which also stops
+/// its autotuning), through `setsockopt` declared against the libc that
+/// `std` links, with Linux's option numbers (the event loop is
+/// Linux-only).
+fn pin_receive_buffer(sock: &std::net::TcpStream, bytes: std::os::raw::c_int) {
+    use std::os::raw::{c_int, c_void};
+    use std::os::unix::io::AsRawFd;
+    extern "C" {
+        fn setsockopt(
+            fd: c_int,
+            level: c_int,
+            name: c_int,
+            value: *const c_void,
+            len: u32,
+        ) -> c_int;
+    }
+    const SOL_SOCKET: c_int = 1;
+    const SO_RCVBUF: c_int = 8;
+    // SAFETY: `bytes` outlives the call and `len` is its size.
+    let rc = unsafe {
+        setsockopt(
+            sock.as_raw_fd(),
+            SOL_SOCKET,
+            SO_RCVBUF,
+            (&bytes as *const c_int).cast(),
+            std::mem::size_of::<c_int>() as u32,
+        )
+    };
+    assert_eq!(rc, 0, "SO_RCVBUF: {}", std::io::Error::last_os_error());
+}
+
 /// Hundreds of idle keep-alive connections hold epoll registrations, not
 /// threads: with only 4 workers, a fresh request still answers promptly,
 /// and the `event_loop` stats block accounts for the idle army.
@@ -133,18 +173,27 @@ fn slow_stream_reader_yields_its_worker_and_resumes_correctly() {
         .put_transducer("copy", &examples::monadic_to_binary().dtop.to_string())
         .unwrap();
 
-    // 32 documents of ~3KB output each: far past the 16KB buffer in
-    // total, but each small enough to end at a document boundary.
+    // Documents of ~3KB output each, each small enough to end at a
+    // document boundary, and in total more than the kernel can absorb:
+    // the server's send buffer at its largest, plus the client's pinned
+    // receive buffer (doubled by the kernel) and its initial window. Only
+    // then must the 16KB stream buffer back up, whatever the host's
+    // socket-buffer autotuning does.
+    const RCVBUF: i32 = 16 * 1024;
     let mut deep = String::from("e");
     for _ in 0..9 {
         deep = format!("f({deep})");
     }
-    let docs: Vec<&str> = std::iter::repeat(deep.as_str()).take(32).collect();
+    let (_, one) = client.transform("copy", "", &[deep.as_str()]).unwrap();
+    let per_doc = one[0].len() + 1;
+    let absorbable = max_send_buffer() + 2 * RCVBUF as usize + 256 * 1024;
+    let docs: Vec<&str> = vec![deep.as_str(); absorbable / per_doc + 1];
     let (batch_resp, expected) = client.transform("copy", "", &docs).unwrap();
     assert_eq!(batch_resp.status, 200);
 
     let body = format!("{}\n", docs.join("\n"));
     let mut raw = std::net::TcpStream::connect(client.addr()).unwrap();
+    pin_receive_buffer(&raw, RCVBUF);
     raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     let head = format!(
         "POST /transform/copy?mode=stream HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",

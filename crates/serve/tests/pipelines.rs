@@ -1,8 +1,7 @@
 //! Integration tests for the pipeline subsystem over a real socket:
 //! register transducers, compose them into a named pipeline, transform
-//! through it in every evaluation mode under both execution strategies
-//! (byte-identical results), and exercise the 422 paths, `/slow`, and
-//! the pipeline metrics.
+//! through it in every evaluation mode (byte-identical results), and
+//! exercise the 422 paths, `/slow`, and the pipeline metrics.
 
 use std::time::Duration;
 
@@ -63,10 +62,7 @@ fn pipeline_register_transform_all_modes_and_teardown() {
     let body = resp.body_str();
     assert!(body.contains("\"name\":\"flipid\""), "{body}");
     assert!(body.contains("\"stages\":[\"flip\",\"id\"]"), "{body}");
-    assert!(
-        body.contains("\"strategy\":\"composed\"") || body.contains("\"strategy\":\"chained\""),
-        "{body}"
-    );
+    assert!(body.contains("\"composed_states\":"), "{body}");
 
     // Inspect and list.
     let resp = client.request("GET", "/pipelines/flipid", "").unwrap();
@@ -76,10 +72,9 @@ fn pipeline_register_transform_all_modes_and_teardown() {
     let resp = client.request("GET", "/pipelines/nope", "").unwrap();
     assert_eq!(resp.status, 404);
 
-    // Transform through the pipeline in all four modes; results must be
-    // byte-identical across modes AND across forced strategies. Doc 2 is
-    // outside the composed domain — rejected by the shared guard at the
-    // same position everywhere.
+    // Transform through the pipeline in both modes; results must be
+    // byte-identical across modes. Doc 2 is outside the composed domain —
+    // rejected by the plan's guard at the same position in both.
     let docs = [
         examples::flip_input(2, 3).to_string(),
         examples::flip_input(0, 0).to_string(),
@@ -89,19 +84,17 @@ fn pipeline_register_transform_all_modes_and_teardown() {
     let doc_refs: Vec<&str> = docs.iter().map(String::as_str).collect();
     let mut outputs: Vec<(String, Vec<String>)> = Vec::new();
     for mode in ["tree", "stream"] {
-        for strategy in ["auto", "composed", "chained"] {
-            let query = format!("?mode={mode}&strategy={strategy}");
-            let (resp, lines) = client.transform("flipid", &query, &doc_refs).unwrap();
-            // mode=stream commits the status before evaluating; batch
-            // modes answer 207 on partial failure.
-            assert!(
-                resp.status == 200 || resp.status == 207,
-                "{mode}/{strategy}: {}",
-                resp.status
-            );
-            assert_eq!(lines.len(), 4, "{mode}/{strategy}: {lines:?}");
-            outputs.push((query, lines));
-        }
+        let query = format!("?mode={mode}");
+        let (resp, lines) = client.transform("flipid", &query, &doc_refs).unwrap();
+        // mode=stream commits the status before evaluating; batch
+        // modes answer 207 on partial failure.
+        assert!(
+            resp.status == 200 || resp.status == 207,
+            "{mode}: {}",
+            resp.status
+        );
+        assert_eq!(lines.len(), 4, "{mode}: {lines:?}");
+        outputs.push((query, lines));
     }
     let (ref baseline_query, ref baseline) = outputs[0];
     for (query, lines) in &outputs[1..] {

@@ -9,13 +9,12 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use xtt_trees::{RankedAlphabet, Symbol};
 
 use crate::rhs::{display_rhs, parse_rhs, QId, Rhs, RhsError};
 
 /// A deterministic top-down tree transducer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dtop {
     input: RankedAlphabet,
     output: RankedAlphabet,

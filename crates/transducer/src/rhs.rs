@@ -12,11 +12,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use xtt_trees::{FPath, NodePath, RankedAlphabet, Step, Symbol};
 
 /// A state of a [`crate::dtop::Dtop`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QId(pub u32);
 
 impl QId {
@@ -32,7 +31,7 @@ impl fmt::Display for QId {
 }
 
 /// A right-hand-side tree: output symbols with `⟨state, x_child⟩` leaves.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Rhs {
     /// An output node `g(t₁,…,t_m)`.
     Out(Symbol, Vec<Rhs>),

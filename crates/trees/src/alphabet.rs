@@ -10,17 +10,14 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::symbol::Symbol;
 
 /// A finite set of symbols, each with a fixed rank (arity), in a fixed
 /// declaration order.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RankedAlphabet {
     symbols: Vec<Symbol>,
     ranks: Vec<usize>,
-    #[serde(skip)]
     index: HashMap<Symbol, usize>,
 }
 

@@ -104,32 +104,47 @@ impl<'a> Parser<'a> {
         Ok(Symbol::new(name))
     }
 
+    /// Parses one tree with an explicit stack of open argument lists, so
+    /// input nesting depth costs heap, not call stack.
     fn parse_tree(&mut self) -> Result<Tree, ParseError> {
-        let symbol = self.parse_symbol()?;
-        self.skip_ws();
-        if self.peek() != Some(b'(') {
-            return Ok(Tree::leaf(symbol));
-        }
-        self.bump();
-        let mut children = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b')') {
-            self.bump();
-            return Ok(Tree::new(symbol, children));
-        }
+        // Each open `f(` with the children parsed so far, innermost last.
+        let mut open: Vec<(Symbol, Vec<Tree>)> = Vec::new();
         loop {
-            children.push(self.parse_tree()?);
+            let symbol = self.parse_symbol()?;
             self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b')') => break,
-                Some(c) => {
-                    return Err(self.error(format!("expected ',' or ')', found {:?}", c as char)));
+            if self.peek() == Some(b'(') {
+                self.bump();
+                self.skip_ws();
+                if self.peek() != Some(b')') {
+                    open.push((symbol, Vec::new()));
+                    continue;
                 }
-                None => return Err(self.error("unterminated argument list")),
+                self.bump(); // `f()` is the leaf `f`
+            }
+            let mut done = Tree::leaf(symbol);
+            // Hand the finished tree to its parent; a `)` finishes the
+            // parent in turn, a `,` starts its next child.
+            loop {
+                let Some((_, children)) = open.last_mut() else {
+                    return Ok(done);
+                };
+                children.push(done);
+                self.skip_ws();
+                match self.bump() {
+                    Some(b',') => break,
+                    Some(b')') => {
+                        let (symbol, children) = open.pop().expect("an open argument list");
+                        done = Tree::new(symbol, children);
+                    }
+                    Some(c) => {
+                        return Err(
+                            self.error(format!("expected ',' or ')', found {:?}", c as char))
+                        );
+                    }
+                    None => return Err(self.error("unterminated argument list")),
+                }
             }
         }
-        Ok(Tree::new(symbol, children))
     }
 }
 
@@ -226,6 +241,21 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts[1].to_string(), "b(c)");
         assert!(parse_trees("   ").unwrap().is_empty());
+    }
+
+    #[test]
+    fn errors_keep_their_offsets_and_messages() {
+        let err = |s: &str| parse_tree(s).unwrap_err();
+        assert_eq!(err("f(a").offset, 3);
+        assert_eq!(err("f(a").message, "unterminated argument list");
+        assert_eq!(err("f(a b)").offset, 5);
+        assert_eq!(err("f(a b)").message, "expected ',' or ')', found 'b'");
+        assert_eq!(err("f(a,)").offset, 4);
+        assert_eq!(err("f(a,)").message, "expected symbol, found ')'");
+        assert_eq!(err("f(g(a) x").offset, 8);
+        assert_eq!(err("f(g(a) x").message, "expected ',' or ')', found 'x'");
+        assert_eq!(err("f(a) x").offset, 5);
+        assert_eq!(err("f(a) x").message, "trailing input after tree");
     }
 
     #[test]

@@ -16,14 +16,12 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::RankedAlphabet;
 use crate::symbol::Symbol;
 use crate::tree::Tree;
 
 /// A node address: the sequence of 0-based child indices from the root.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodePath(Vec<u32>);
 
 impl NodePath {
@@ -108,7 +106,7 @@ impl fmt::Display for NodePath {
 
 /// A labeled position `(f, i)`: symbol `f` together with a 0-based child
 /// index `i < rank(f)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Step {
     pub symbol: Symbol,
     pub child: u32,
@@ -127,7 +125,7 @@ impl fmt::Display for Step {
 }
 
 /// A labeled path `u = (f₁,i₁)…(fₙ,iₙ)` — an "F-path" / "edge path".
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct FPath(Vec<Step>);
 
 impl FPath {
@@ -252,7 +250,7 @@ impl fmt::Display for FPath {
 }
 
 /// An npath `U = u · f`: an F-path plus the label of the addressed node.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct NPath {
     pub steps: FPath,
     pub label: Symbol,

@@ -122,19 +122,6 @@ impl From<&str> for Symbol {
     }
 }
 
-impl serde::Serialize for Symbol {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(self.name())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Symbol {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Symbol, D::Error> {
-        let name = String::deserialize(deserializer)?;
-        Ok(Symbol::new(&name))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

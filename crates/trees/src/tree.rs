@@ -293,19 +293,6 @@ impl fmt::Debug for Tree {
     }
 }
 
-impl serde::Serialize for Tree {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_string())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Tree {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Tree, D::Error> {
-        let text = String::deserialize(deserializer)?;
-        crate::parse::parse_tree(&text).map_err(serde::de::Error::custom)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,10 +13,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A content-model regular expression.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Regex {
     /// Reference to an element name.
     Elem(String),
@@ -35,7 +33,7 @@ pub enum Regex {
 }
 
 /// What an element may contain.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Content {
     /// `EMPTY` — no children (the element encodes as a rank-0 symbol).
     Empty,
@@ -44,7 +42,7 @@ pub enum Content {
 }
 
 /// A document type definition.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dtd {
     root: String,
     /// Element name → content, in declaration order.

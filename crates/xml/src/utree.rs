@@ -2,11 +2,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An unranked tree: an element with arbitrarily many children, or a text
 /// node (pcdata).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum UTree {
     Elem { label: String, children: Vec<UTree> },
     Text(String),
