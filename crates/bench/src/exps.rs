@@ -287,7 +287,7 @@ pub fn run_e7() {
     );
 }
 
-/// E8 — earliest normal form and equivalence (Examples 1–2, [EMS09]).
+/// E8 — earliest normal form and equivalence (Examples 1–2, \[EMS09\]).
 pub fn run_e8() {
     println!("\n== E8: earliest normal form + equivalence decision ==");
     use xtt_transducer::examples as fx;

@@ -25,7 +25,7 @@ use xtt_engine::{
 };
 use xtt_transducer::{eval as walk_eval, examples};
 use xtt_trees::Tree;
-use xtt_typecheck::{domain_guard, GuardedEvents};
+use xtt_typecheck::domain_guard;
 
 use crate::engine_exp::engine_workloads;
 
@@ -139,13 +139,10 @@ pub fn failfast_rows(rounds: usize) -> Vec<FailFastRow> {
             for d in &docs {
                 let t = ranked_tree_from_xml_bounded(d).unwrap();
                 events_total += 2 * t.size();
-                let mut guarded = GuardedEvents::new(&guard, t.events());
-                (&mut guarded).for_each(drop);
-                assert!(
-                    guarded.violation().is_some(),
-                    "corpus must be out of domain"
-                );
-                events_consumed += guarded.events_consumed();
+                let mut run = guard.run();
+                let violation = t.events().try_for_each(|event| run.feed(event));
+                assert!(violation.is_err(), "corpus must be out of domain");
+                events_consumed += run.events_consumed();
             }
             let full_parse = best_of(rounds, || {
                 for d in &docs {

@@ -1,12 +1,12 @@
-//! The execution core. Every document runs as **source → stages → sink**:
-//! its [`DocFormat`] supplies the event source that reads it and the
-//! serializer its output streams into; the stages are a chain of
-//! [`ChainStage`]s with an optional guard of the whole chain
-//! ([`Request`]) — a single transducer is a one-stage chain
-//! ([`Engine::resolve`]). `tree` mode collects and guards the input tree
-//! and evaluates it stage by stage; `stream` mode runs the guard in
-//! lockstep with the source and cascades committed output events through
-//! every stage into the sink.
+//! The execution core. Every document runs as **source → machine →
+//! sink**: its [`DocFormat`] supplies the event source that reads it and
+//! the serializer its output streams into; the machine is one
+//! [`CompiledDtop`] with an optional domain guard ([`Request`]) — a
+//! transducer's own ([`Engine::resolve`]) or a pipeline's composed
+//! machine under its chain-domain guard. `tree` mode collects and guards
+//! the input tree, evaluates it, and replays the output into the sink;
+//! `stream` mode runs the guard in lockstep with the source and writes
+//! committed output events into the sink as they commit.
 //!
 //! [`Engine::run_doc`] writes one document's bytes; [`Engine::run_batch`]
 //! aims the same routine at a buffer per document and shards the batch
@@ -28,19 +28,19 @@ use xtt_unranked::{UnrankedError, UnrankedEvents, XmlCodec, XmlWriter};
 use crate::compile::{compile, fingerprint, CompileError, CompiledDtop};
 use crate::eval::EvalScratch;
 use crate::stream::{
-    ChainedEvaluator, EmitStats, GuardedSource, IterEvents, OutputSink, TreeEventSource,
+    EmitStats, GuardedSource, IterEvents, OutputSink, StreamEvaluator, TreeEventSource,
     XmlRankedEvents,
 };
 
-/// How the stages run over a document (see the module docs).
+/// How the machine runs over a document (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalMode {
-    /// Collect the input tree, guard it, run the compiled evaluator per
-    /// stage, replay the output tree into the sink.
+    /// Collect the input tree, guard it, run the compiled evaluator,
+    /// replay the output tree into the sink.
     #[default]
     Compiled,
-    /// One pass over the event stream: lockstep guard, chained streaming
-    /// stages, output bytes written as their prefixes commit.
+    /// One pass over the event stream: lockstep guard, streaming
+    /// evaluator, output bytes written as their prefixes commit.
     Streaming,
 }
 
@@ -337,52 +337,44 @@ pub struct StreamOutcome {
     pub skipped_subtrees: u64,
 }
 
-/// One pre-compiled stage of an executable chain — built by
-/// `xtt-pipeline` for a pipeline plan, or by [`Engine::resolve`] for a
-/// single transducer.
+/// A compiled machine wrapped as a one-element stage list. Kept, with
+/// this shape, only because `perfbench/src/layers.rs` passes
+/// `Plan::exec_stages()` to [`Engine::transform_batch_chain`].
 #[derive(Clone)]
 pub struct ChainStage {
     pub compiled: Arc<CompiledDtop>,
 }
 
-impl AsRef<CompiledDtop> for ChainStage {
-    fn as_ref(&self) -> &CompiledDtop {
-        &self.compiled
-    }
-}
-
 /// Everything an execution depends on besides the documents.
 pub struct Request<'a> {
-    /// The chain τₙ ∘ … ∘ τ₁, `stages[0]` first; at least one stage.
-    pub stages: &'a [ChainStage],
-    /// The domain guard of the **whole chain**; `Some` = guarded
-    /// evaluation, counted in [`Engine::validation_stats`].
+    /// The one compiled machine every document runs through.
+    pub machine: &'a CompiledDtop,
+    /// The machine's domain guard — for a pipeline, the exact chain
+    /// domain; `Some` = guarded evaluation, counted in
+    /// [`Engine::validation_stats`].
     pub guard: Option<&'a CompiledDtta>,
     pub format: &'a DocFormat,
     pub mode: EvalMode,
-    /// Stamped at every stage boundary a document crosses (fused work is
-    /// charged to the stage it ends in); `None` costs nothing.
+    /// Stamped at every stage boundary a document crosses (tokenize,
+    /// encode, guard, eval, emit; fused work is charged to the stage it
+    /// ends in); `None` costs nothing.
     pub observer: Option<&'a mut dyn EvalObserver>,
-    /// Receives `(stage index, output events)` per document and stage —
-    /// from several worker threads at once in a sharded batch.
-    pub stage_events: Option<&'a (dyn Fn(usize, u64) + Sync)>,
 }
 
 impl<'a> Request<'a> {
-    /// A request without observer or stage tap.
+    /// A request without an observer.
     pub fn new(
-        stages: &'a [ChainStage],
+        machine: &'a CompiledDtop,
         guard: Option<&'a CompiledDtta>,
         format: &'a DocFormat,
         mode: EvalMode,
     ) -> Request<'a> {
         Request {
-            stages,
+            machine,
             guard,
             format,
             mode,
             observer: None,
-            stage_events: None,
         }
     }
 }
@@ -456,19 +448,19 @@ impl Engine {
         })
     }
 
-    /// `dtop` as a one-stage chain: its compiled form from the transducer
-    /// LRU and, when `validate`, its domain guard from the guard LRU —
-    /// what a [`Request`] for a single transducer carries.
+    /// `dtop`'s compiled machine from the transducer LRU and, when
+    /// `validate`, its domain guard from the guard LRU — what a
+    /// [`Request`] for a single transducer carries.
     pub fn resolve(
         &self,
         dtop: &Dtop,
         validate: bool,
-    ) -> Result<(ChainStage, Option<Arc<CompiledDtta>>), EngineError> {
-        let compiled = self
+    ) -> Result<(Arc<CompiledDtop>, Option<Arc<CompiledDtta>>), EngineError> {
+        let machine = self
             .compiled(dtop)
             .map_err(|e| EngineError::Compile(e.to_string()))?;
         let guard = validate.then(|| self.guard(dtop)).transpose()?;
-        Ok((ChainStage { compiled }, guard))
+        Ok((machine, guard))
     }
 
     /// Guarded-evaluation counters (for `/stats` and tests).
@@ -523,8 +515,7 @@ impl Engine {
                 .collect()
         } else {
             // No observer here: every thread gets its own copy.
-            let (stages, guard, format, mode) = (req.stages, req.guard, req.format, req.mode);
-            let stage_events = req.stage_events;
+            let (machine, guard, format, mode) = (req.machine, req.guard, req.format, req.mode);
             let next = AtomicUsize::new(0);
             let mut results =
                 vec![Err(EngineError::Internal("result was never produced".into())); docs.len()];
@@ -533,10 +524,7 @@ impl Engine {
                     .map(|_| {
                         scope.spawn(|| {
                             let mut worker = Worker::new();
-                            let mut req = Request {
-                                stage_events,
-                                ..Request::new(stages, guard, format, mode)
-                            };
+                            let mut req = Request::new(machine, guard, format, mode);
                             let mut done = Vec::new();
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -577,18 +565,17 @@ impl Engine {
     }
 
     /// Transforms one document with the engine's configured mode, format
-    /// and validation — [`Engine::run_batch`] on `dtop` as a one-stage
-    /// chain.
+    /// and validation — [`Engine::run_batch`] on `dtop`'s compiled machine.
     pub fn transform(&self, dtop: &Dtop, doc: &str) -> Result<String, EngineError> {
-        let (stage, guard) = self.resolve(dtop, self.opts.validate)?;
-        let stages = std::slice::from_ref(&stage);
-        let req = Request::new(stages, guard.as_deref(), &self.opts.format, self.opts.mode);
+        let o = &self.opts;
+        let (machine, guard) = self.resolve(dtop, o.validate)?;
+        let req = Request::new(&machine, guard.as_deref(), &o.format, o.mode);
         self.run_batch(&[doc], req)
             .pop()
             .expect("one result per document")
     }
 
-    /// [`Engine::run_doc`] in `stream` mode on `dtop` as a one-stage chain.
+    /// [`Engine::run_doc`] in `stream` mode on `dtop`'s compiled machine.
     /// Kept, with this signature, for the calls in `perfbench/src/layers.rs`.
     pub fn transform_streaming_with(
         &self,
@@ -598,13 +585,12 @@ impl Engine {
         validate: bool,
         out: &mut dyn io::Write,
     ) -> Result<StreamOutcome, EngineError> {
-        let (stage, guard) = self.resolve(dtop, validate)?;
-        let stages = std::slice::from_ref(&stage);
-        let req = Request::new(stages, guard.as_deref(), &format, EvalMode::Streaming);
+        let (machine, guard) = self.resolve(dtop, validate)?;
+        let req = Request::new(&machine, guard.as_deref(), &format, EvalMode::Streaming);
         self.run_doc(doc, out, req)
     }
 
-    /// [`Engine::run_batch`] on `dtop` as a one-stage chain. Kept, with
+    /// [`Engine::run_batch`] on `dtop`'s compiled machine. Kept, with
     /// this signature, for the calls in `perfbench/src/layers.rs`.
     pub fn transform_batch_with_validation(
         &self,
@@ -615,16 +601,18 @@ impl Engine {
         validate: bool,
     ) -> Vec<Result<String, EngineError>> {
         match self.resolve(dtop, validate) {
-            Ok((stage, guard)) => {
-                let stages = std::slice::from_ref(&stage);
-                self.run_batch(docs, Request::new(stages, guard.as_deref(), &format, mode))
-            }
+            Ok((machine, guard)) => self.run_batch(
+                docs,
+                Request::new(&machine, guard.as_deref(), &format, mode),
+            ),
             Err(e) => vec![Err(e); docs.len()],
         }
     }
 
-    /// [`Engine::run_batch`] on a pre-compiled chain. Kept, with this
-    /// signature, for the calls in `perfbench/src/layers.rs`.
+    /// [`Engine::run_batch`] on a plan's one-element
+    /// [`ChainStage`] list. Kept, with this signature (stage list and an
+    /// ignored `_stage_events` tap), only for the call in
+    /// `perfbench/src/layers.rs`.
     pub fn transform_batch_chain(
         &self,
         stages: &[ChainStage],
@@ -632,16 +620,12 @@ impl Engine {
         mode: EvalMode,
         format: DocFormat,
         guard: Option<&CompiledDtta>,
-        stage_events: Option<&(dyn Fn(usize, u64) + Sync)>,
+        _stage_events: Option<&(dyn Fn(usize, u64) + Sync)>,
     ) -> Vec<Result<String, EngineError>> {
-        let req = Request::new(stages, guard, &format, mode);
-        self.run_batch(
-            docs,
-            Request {
-                stage_events,
-                ..req
-            },
-        )
+        let [stage] = stages else {
+            panic!("a request runs one machine, got {} stages", stages.len());
+        };
+        self.run_batch(docs, Request::new(&stage.compiled, guard, &format, mode))
     }
 }
 
@@ -1040,15 +1024,15 @@ fn effective_workers(configured: usize, docs: usize) -> usize {
 /// Per-thread execution state, warm across documents; recreated after a
 /// caught panic (which can leave the scratches inconsistent).
 struct Worker {
-    scratch: EvalScratch<Tree>,
-    chain: ChainedEvaluator,
+    scratch: EvalScratch,
+    stream: StreamEvaluator,
 }
 
 impl Worker {
     fn new() -> Worker {
         Worker {
             scratch: EvalScratch::new(),
-            chain: ChainedEvaluator::new(),
+            stream: StreamEvaluator::new(),
         }
     }
 
@@ -1068,7 +1052,7 @@ impl Worker {
     }
 
     /// The per-document routine: the format's sink over `out`, fed by the
-    /// mode's path through the stages. A panicking document yields
+    /// mode's path through the machine. A panicking document yields
     /// `Err(EngineError::Internal)`, and the worker starts afresh.
     fn run(
         &mut self,
@@ -1077,7 +1061,6 @@ impl Worker {
         out: &mut dyn io::Write,
         req: &mut Request<'_>,
     ) -> Result<StreamOutcome, EngineError> {
-        assert!(!req.stages.is_empty(), "a chain has at least one stage");
         let mut sink = FormatSink::new(req.format, out);
         let result = catch_unwind(AssertUnwindSafe(|| match req.mode {
             EvalMode::Compiled => self.tree(engine, doc, &mut sink, req),
@@ -1101,8 +1084,8 @@ impl Worker {
         })
     }
 
-    /// `tree` mode: collect and guard the input, evaluate stage by stage,
-    /// bound the chain's output, replay the output tree into the sink.
+    /// `tree` mode: collect and guard the input, evaluate it, bound the
+    /// output, replay the output tree into the sink.
     fn tree(
         &mut self,
         engine: &Engine,
@@ -1110,7 +1093,7 @@ impl Worker {
         sink: &mut FormatSink<'_>,
         req: &mut Request<'_>,
     ) -> Result<(EmitStats, u64), EngineError> {
-        let (mut current, read) = match req.format {
+        let (input, read) = match req.format {
             DocFormat::Term => (parse_tree(doc).map_err(parse_error)?, Stage::Tokenize),
             DocFormat::Xml | DocFormat::XmlAttrs => {
                 let source = XmlRankedEvents::bounded(doc)
@@ -1124,33 +1107,28 @@ impl Worker {
         };
         stamp(&mut req.observer, read);
         if let Some(g) = req.guard {
-            g.check_tree(&current).map_err(EngineError::Type)?;
+            g.check_tree(&input).map_err(EngineError::Type)?;
             stamp(&mut req.observer, Stage::Guard);
         }
-        for (i, stage) in req.stages.iter().enumerate() {
-            current = stage
-                .compiled
-                .eval(&current, &mut self.scratch)
-                .ok_or(EngineError::Undefined)?;
-            if let Some(cb) = req.stage_events {
-                cb(i, current.size().saturating_mul(2));
-            }
-        }
+        let output = req
+            .machine
+            .eval(&input, &mut self.scratch)
+            .ok_or(EngineError::Undefined)?;
         // `eval` shares repeated output subtrees and `Tree::size` is cached
         // and saturating, so even an exponential output is measured here
         // without ever being unfolded.
         if let Some(limit) = engine.opts.max_output_nodes {
-            if current.size() > limit {
-                return Err(EngineError::OutputTooLarge(current.size()));
+            if output.size() > limit {
+                return Err(EngineError::OutputTooLarge(output.size()));
             }
         }
         stamp(&mut req.observer, Stage::Evaluate);
         let stats = EmitStats {
-            events_total: current.size().saturating_mul(2),
+            events_total: output.size().saturating_mul(2),
             ..EmitStats::default()
         };
         let run = RunOutcome {
-            result: sink.tree(&current).map(|()| Some(stats)),
+            result: sink.tree(&output).map(|()| Some(stats)),
             violation: None,
             nodes: 0,
             exceeded: false,
@@ -1162,7 +1140,7 @@ impl Worker {
         Ok((stats, 0))
     }
 
-    /// `stream` mode: one pass, source → lockstep guard → chained
+    /// `stream` mode: one pass, source → lockstep guard → streaming
     /// evaluator → output-node cap → sink. The fused pass is charged to
     /// eval, a tail written after it (the decoder's remainder) to emit.
     fn stream(
@@ -1204,15 +1182,10 @@ impl Worker {
         if sink.finish()? {
             stamp(&mut req.observer, Stage::Emit);
         }
-        if let Some(cb) = req.stage_events {
-            for (i, st) in self.chain.stage_stats().enumerate() {
-                cb(i, st.events_total);
-            }
-        }
         Ok((stats, skipped))
     }
 
-    /// Streams `source` through the chain with the optional lockstep
+    /// Streams `source` through the machine with the optional lockstep
     /// guard and the output-node cap composed in.
     fn pump(
         &mut self,
@@ -1231,12 +1204,12 @@ impl Worker {
             Some(g) => {
                 let mut guarded = GuardedSource::new(g, source);
                 let result = self
-                    .chain
-                    .eval_streaming(req.stages, &mut guarded, &mut cap);
+                    .stream
+                    .eval_streaming(req.machine, &mut guarded, &mut cap);
                 (result, guarded.take_violation())
             }
             None => (
-                self.chain.eval_streaming(req.stages, source, &mut cap),
+                self.stream.eval_streaming(req.machine, source, &mut cap),
                 None,
             ),
         };
@@ -1256,7 +1229,7 @@ mod tests {
 
     const MODES: [EvalMode; 2] = [EvalMode::Compiled, EvalMode::Streaming];
 
-    /// One document through the batch call, `dtop` as a one-stage chain.
+    /// One document through the batch call on `dtop`'s compiled machine.
     fn run_one(
         engine: &Engine,
         dtop: &Dtop,
@@ -1266,11 +1239,10 @@ mod tests {
         validate: bool,
         trace: Option<&mut xtt_obs::Trace>,
     ) -> Result<String, EngineError> {
-        let (stage, guard) = engine.resolve(dtop, validate)?;
-        let stages = std::slice::from_ref(&stage);
+        let (machine, guard) = engine.resolve(dtop, validate)?;
         let req = Request {
             observer: trace.map(|t| t as &mut dyn EvalObserver),
-            ..Request::new(stages, guard.as_deref(), format, mode)
+            ..Request::new(&machine, guard.as_deref(), format, mode)
         };
         engine.run_batch(&[doc], req).pop().unwrap()
     }
@@ -1389,11 +1361,10 @@ mod tests {
         let engine = Engine::new(EngineOptions::default());
         let mut out = Vec::new();
         let mut trace = xtt_obs::Trace::new(2);
-        let (stage, _) = engine.resolve(&fix.dtop, false).unwrap();
-        let stages = std::slice::from_ref(&stage);
+        let (machine, _) = engine.resolve(&fix.dtop, false).unwrap();
         let req = Request {
             observer: Some(&mut trace),
-            ..Request::new(stages, None, &DocFormat::Term, EvalMode::Streaming)
+            ..Request::new(&machine, None, &DocFormat::Term, EvalMode::Streaming)
         };
         engine
             .run_doc("root(a(#,#),b(#,#))", &mut out, req)
@@ -1405,7 +1376,7 @@ mod tests {
         let mut trace = xtt_obs::Trace::new(3);
         let req = Request {
             observer: Some(&mut trace),
-            ..Request::new(stages, None, &DocFormat::Term, EvalMode::Compiled)
+            ..Request::new(&machine, None, &DocFormat::Term, EvalMode::Compiled)
         };
         let observed = engine.run_batch(&docs, req);
         let plain = batch(&engine, &fix.dtop, &docs);
@@ -1522,9 +1493,8 @@ mod tests {
     }
 
     /// Guarded evaluation: the typed diagnostic (with the violation path
-    /// of the first undefined node) is bit-identical across all four eval
-    /// modes and both validation entry points, and in-domain documents
-    /// are unaffected.
+    /// of the first undefined node) is bit-identical across both eval
+    /// modes, and in-domain documents are unaffected.
     #[test]
     fn validation_diagnostics_identical_across_modes() {
         let fix = examples::flip();
@@ -1654,7 +1624,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Genuine unranked XML through the fc/ns codec: all four eval modes
+    /// Genuine unranked XML through the fc/ns codec: both eval modes
     /// produce byte-identical decoded XML, including under validation
     /// and the output bound.
     #[test]
@@ -1786,7 +1756,7 @@ mod tests {
 
     /// The DTD-encoded path end to end: the paper's `xmlflip` applied to
     /// real XML — input encoded with the `(a*,b*)` DTD, output decoded
-    /// with the `(b*,a*)` DTD, across all four modes.
+    /// with the `(b*,a*)` DTD, in both modes.
     #[test]
     fn encoded_dtd_xmlflip_end_to_end() {
         use xtt_xml::xmlflip;

@@ -14,78 +14,14 @@
 //!   call stack;
 //! * all per-evaluation state lives in a reusable [`EvalScratch`]: after
 //!   warm-up, steady-state evaluation performs no allocations beyond the
-//!   output itself.
-//!
-//! Output construction is pluggable through [`Sink`]: [`TreeSink`] builds
-//! materialized [`Tree`]s, [`DagSink`] interns directly into a
-//! [`TreeDag`] so exponential outputs stay minimal-DAG-sized (the paper's
-//! Section 1 trick).
+//!   output itself;
+//! * repeated output nodes are **hash-consed** across documents, so a
+//!   copying transducer's exponential output is built as a shared,
+//!   linear-size [`Tree`] and never unfolded.
 
-use xtt_trees::{DagId, Symbol, Tree, TreeDag};
+use xtt_trees::{Symbol, Tree};
 
 use crate::compile::{CompiledDtop, Instr};
-
-/// Builds output values bottom-up; the machine is generic over this.
-pub trait Sink {
-    type Val: Clone;
-
-    /// Whether values are context-free and may be cached per instruction
-    /// across documents (true for owned trees; false for arena ids, which
-    /// are only meaningful inside one arena).
-    const CACHE_LEAVES: bool;
-
-    /// Whether equal nodes should be interned across documents (the
-    /// paper's minimal-DAG sharing applied as value hash-consing). Only
-    /// sound together with a faithful [`Sink::identity`].
-    const INTERN: bool = false;
-
-    /// A stable identity for a value: `identity(a) == identity(b)` must
-    /// imply structural equality *while both values are alive*.
-    fn identity(_val: &Self::Val) -> u64 {
-        0
-    }
-
-    /// Builds the node `sym(vals[base..])`, consuming `vals[base..]`.
-    fn node(&mut self, sym: Symbol, vals: &mut Vec<Self::Val>, base: usize) -> Self::Val;
-}
-
-/// Builds materialized [`Tree`]s.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TreeSink;
-
-impl Sink for TreeSink {
-    type Val = Tree;
-    const CACHE_LEAVES: bool = true;
-    // `Rc` address identity: equal addresses are the same tree. The
-    // intern table keeps its values alive, so addresses cannot be reused
-    // while they key the table.
-    const INTERN: bool = true;
-
-    fn identity(val: &Tree) -> u64 {
-        val.addr() as u64
-    }
-
-    fn node(&mut self, sym: Symbol, vals: &mut Vec<Tree>, base: usize) -> Tree {
-        Tree::new(sym, vals.split_off(base))
-    }
-}
-
-/// Interns output nodes into a [`TreeDag`] arena: equal subtrees are
-/// stored once, so exponential outputs cost linear space.
-pub struct DagSink<'a>(pub &'a mut TreeDag);
-
-impl Sink for DagSink<'_> {
-    type Val = DagId;
-    // A DagId is only valid inside the arena of one `eval_dag` call chain;
-    // the scratch may later be used with a different arena.
-    const CACHE_LEAVES: bool = false;
-
-    fn node(&mut self, sym: Symbol, vals: &mut Vec<DagId>, base: usize) -> DagId {
-        let id = self.0.intern_node(sym, vals[base..].to_vec());
-        vals.truncate(base);
-        id
-    }
-}
 
 /// A node of the flattened input tree.
 #[derive(Clone, Copy, Debug)]
@@ -121,13 +57,13 @@ struct Frame {
     arity: u32,
 }
 
-/// One interned output node: the exact key (symbol + child identities)
-/// plus the shared value. Values are kept alive by the table, which is
-/// what makes identity-based keys sound.
-struct InternEntry<V> {
+/// One interned output node: the exact key (symbol + child `Rc`
+/// addresses) plus the shared tree. The table keeps its trees alive, so
+/// an address cannot be reused while it keys the table.
+struct InternEntry {
     sym: u32,
     children: Box<[u64]>,
-    val: V,
+    val: Tree,
 }
 
 /// Trivial hasher for pre-mixed `u64` keys.
@@ -148,11 +84,8 @@ impl std::hash::Hasher for PremixedHasher {
     }
 }
 
-type InternMap<V> = std::collections::HashMap<
-    u64,
-    Vec<InternEntry<V>>,
-    std::hash::BuildHasherDefault<PremixedHasher>,
->;
+type InternMap =
+    std::collections::HashMap<u64, Vec<InternEntry>, std::hash::BuildHasherDefault<PremixedHasher>>;
 
 /// Intern-table size bound; crossing it clears the table (bulk workloads
 /// re-warm it within a document or two).
@@ -162,40 +95,28 @@ const INTERN_CAP: usize = 1 << 17;
 /// every [`CompiledDtop::eval`] call; buffers are retained across
 /// documents, so steady-state evaluation allocates nothing.
 #[derive(Default)]
-pub struct EvalScratch<V> {
+pub struct EvalScratch {
     nodes: Vec<FlatNode>,
     children: Vec<u32>,
-    memo: Vec<Option<V>>,
+    memo: Vec<Option<Tree>>,
     /// Memo slots written during the current document; resetting clears
     /// exactly these instead of the whole table.
     dirty: Vec<usize>,
-    /// Per-instruction cache of leaf values (see [`Sink::CACHE_LEAVES`]),
-    /// valid for the compiled transducer identified by `cached_fp`.
-    leaf_cache: Vec<Option<V>>,
+    /// Per-instruction cache of leaf trees, valid for the compiled
+    /// transducer identified by `cached_fp`.
+    leaf_cache: Vec<Option<Tree>>,
     cached_fp: Option<u64>,
-    /// Cross-document hash-consing of output nodes (see [`Sink::INTERN`]).
-    intern: InternMap<V>,
+    /// Cross-document hash-consing of output nodes.
+    intern: InternMap,
     interned: usize,
     acts: Vec<Activation>,
-    vals: Vec<V>,
+    vals: Vec<Tree>,
     frames: Vec<Frame>,
 }
 
-impl<V: Clone> EvalScratch<V> {
-    pub fn new() -> EvalScratch<V> {
-        EvalScratch {
-            nodes: Vec::new(),
-            children: Vec::new(),
-            memo: Vec::new(),
-            dirty: Vec::new(),
-            leaf_cache: Vec::new(),
-            cached_fp: None,
-            intern: InternMap::default(),
-            interned: 0,
-            acts: Vec::new(),
-            vals: Vec::new(),
-            frames: Vec::new(),
-        }
+impl EvalScratch {
+    pub fn new() -> EvalScratch {
+        EvalScratch::default()
     }
 
     /// Flattens `input` and resets the memo table for `c`.
@@ -244,27 +165,14 @@ impl CompiledDtop {
     /// Evaluates `⟦M⟧(input)` with reusable scratch state. `None` iff
     /// `input ∉ dom(⟦M⟧)` — bit-for-bit the partiality of
     /// `xtt_transducer::eval::eval`.
-    pub fn eval(&self, input: &Tree, scratch: &mut EvalScratch<Tree>) -> Option<Tree> {
+    pub fn eval(&self, input: &Tree, scratch: &mut EvalScratch) -> Option<Tree> {
         scratch.prepare(self, input);
-        run(self, scratch, &mut TreeSink)
+        run(self, scratch)
     }
 
     /// One-shot convenience wrapper around [`CompiledDtop::eval`].
     pub fn eval_once(&self, input: &Tree) -> Option<Tree> {
         self.eval(input, &mut EvalScratch::new())
-    }
-
-    /// Evaluates into a [`TreeDag`]: the output is returned as a node of
-    /// the arena and shared subtrees are stored once, so exponential
-    /// outputs cost linear time and space.
-    pub fn eval_dag(
-        &self,
-        input: &Tree,
-        scratch: &mut EvalScratch<DagId>,
-        dag: &mut TreeDag,
-    ) -> Option<DagId> {
-        scratch.prepare(self, input);
-        run(self, scratch, &mut DagSink(dag))
     }
 }
 
@@ -275,10 +183,10 @@ impl CompiledDtop {
 /// early is exact).
 ///
 /// The current activation is kept in locals (only suspended rules touch
-/// the activation stack), leaf instructions hit the per-instruction value
-/// cache when the sink allows it, and memo writes are dirty-tracked so
-/// the next document resets only what this one touched.
-fn run<S: Sink>(c: &CompiledDtop, sc: &mut EvalScratch<S::Val>, sink: &mut S) -> Option<S::Val> {
+/// the activation stack), leaf instructions hit the per-instruction leaf
+/// cache, and memo writes are dirty-tracked so the next document resets
+/// only what this one touched.
+fn run(c: &CompiledDtop, sc: &mut EvalScratch) -> Option<Tree> {
     let n_nodes = sc.nodes.len();
     sc.acts.clear();
     sc.vals.clear();
@@ -299,22 +207,9 @@ fn run<S: Sink>(c: &CompiledDtop, sc: &mut EvalScratch<S::Val>, sink: &mut S) ->
             act.ip += 1;
             match instr {
                 Instr::Out { sym, arity: 0 } => {
-                    let v = if S::CACHE_LEAVES {
-                        match &sc.leaf_cache[at] {
-                            Some(v) => v.clone(),
-                            None => {
-                                let base = sc.vals.len();
-                                let v = sink.node(sym, &mut sc.vals, base);
-                                sc.leaf_cache[at] = Some(v.clone());
-                                v
-                            }
-                        }
-                    } else {
-                        let base = sc.vals.len();
-                        sink.node(sym, &mut sc.vals, base)
-                    };
-                    sc.vals.push(v);
-                    complete_frames(sc, sink, act.fbase);
+                    let v = sc.leaf_cache[at].get_or_insert_with(|| Tree::leaf(sym));
+                    sc.vals.push(v.clone());
+                    complete_frames(sc, act.fbase);
                 }
                 Instr::Out { sym, arity } => sc.frames.push(Frame {
                     sym,
@@ -334,7 +229,7 @@ fn run<S: Sink>(c: &CompiledDtop, sc: &mut EvalScratch<S::Val>, sink: &mut S) ->
                     let slot = q as usize * n_nodes + node as usize;
                     if let Some(v) = sc.memo[slot].clone() {
                         sc.vals.push(v);
-                        complete_frames(sc, sink, act.fbase);
+                        complete_frames(sc, act.fbase);
                     } else {
                         let sym = sc.nodes[node as usize].sym;
                         let (start, end) = c.rule_range(q, sym)?;
@@ -365,7 +260,7 @@ fn run<S: Sink>(c: &CompiledDtop, sc: &mut EvalScratch<S::Val>, sink: &mut S) ->
             }
             Some(parent) => {
                 act = parent;
-                complete_frames(sc, sink, act.fbase);
+                complete_frames(sc, act.fbase);
             }
         }
     }
@@ -373,7 +268,7 @@ fn run<S: Sink>(c: &CompiledDtop, sc: &mut EvalScratch<S::Val>, sink: &mut S) ->
 
 /// Pops every frame (down to `floor`) whose children are all on the value
 /// stack, building the corresponding output nodes.
-fn complete_frames<S: Sink>(sc: &mut EvalScratch<S::Val>, sink: &mut S, floor: u32) {
+fn complete_frames(sc: &mut EvalScratch, floor: u32) {
     while sc.frames.len() as u32 > floor {
         let f = *sc.frames.last().expect("frame");
         if sc.vals.len() as u32 != f.base + f.arity {
@@ -384,7 +279,6 @@ fn complete_frames<S: Sink>(sc: &mut EvalScratch<S::Val>, sink: &mut S, floor: u
             &mut sc.vals,
             &mut sc.intern,
             &mut sc.interned,
-            sink,
             f.sym,
             f.base as usize,
         );
@@ -392,25 +286,21 @@ fn complete_frames<S: Sink>(sc: &mut EvalScratch<S::Val>, sink: &mut S, floor: u
     }
 }
 
-/// Builds `sym(vals[base..])` through the sink, hash-consing the node
-/// across documents when the sink supports it: if an identical node
-/// (same symbol, same child identities) was built before, the shared
-/// value is reused and no construction happens at all.
-fn make_node<S: Sink>(
-    vals: &mut Vec<S::Val>,
-    intern: &mut InternMap<S::Val>,
+/// Builds `sym(vals[base..])`, hash-consing the node across documents:
+/// if an identical node (same symbol, same child `Rc` addresses) was
+/// built before, the shared tree is reused and no construction happens
+/// at all.
+fn make_node(
+    vals: &mut Vec<Tree>,
+    intern: &mut InternMap,
     interned: &mut usize,
-    sink: &mut S,
     sym: Symbol,
     base: usize,
-) -> S::Val {
-    if !S::INTERN {
-        return sink.node(sym, vals, base);
-    }
+) -> Tree {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ u64::from(sym.id());
     h = h.wrapping_mul(0x100_0000_01b3);
     for v in &vals[base..] {
-        h ^= S::identity(v);
+        h ^= v.addr() as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     if let Some(bucket) = intern.get(&h) {
@@ -419,7 +309,7 @@ fn make_node<S: Sink>(
                 continue;
             }
             for (&id, v) in entry.children.iter().zip(&vals[base..]) {
-                if id != S::identity(v) {
+                if id != v.addr() as u64 {
                     continue 'entry;
                 }
             }
@@ -428,8 +318,8 @@ fn make_node<S: Sink>(
             return val;
         }
     }
-    let children: Box<[u64]> = vals[base..].iter().map(S::identity).collect();
-    let val = sink.node(sym, vals, base);
+    let children: Box<[u64]> = vals[base..].iter().map(|v| v.addr() as u64).collect();
+    let val = Tree::new(sym, vals.split_off(base));
     if *interned >= INTERN_CAP {
         intern.clear();
         *interned = 0;
@@ -448,7 +338,7 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use xtt_transducer::{eval as walk_eval, examples};
-    use xtt_trees::{gen::enumerate_trees, parse_tree};
+    use xtt_trees::{gen::enumerate_trees, parse_tree, TreeDag};
 
     #[test]
     fn agrees_with_tree_walk_on_fixtures() {
@@ -512,32 +402,17 @@ mod tests {
     #[test]
     fn dag_output_is_minimal_for_copying() {
         let c = compile(&examples::monadic_to_binary().dtop).unwrap();
-        let mut scratch = EvalScratch::new();
-        let mut dag = TreeDag::new();
         let mut input = Tree::leaf_named("e");
         for _ in 0..40 {
             input = Tree::node("f", vec![input]);
         }
-        // 2^41 - 1 output nodes as a 41-node DAG, without materializing.
-        let id = c.eval_dag(&input, &mut scratch, &mut dag).unwrap();
+        // 2^41 - 1 output nodes as a 41-node DAG: `eval` shares repeated
+        // output subtrees, so the output is never unfolded.
+        let mut dag = TreeDag::new();
+        let id = dag.insert(&c.eval_once(&input).unwrap());
         let stats = dag.stats(id);
         assert_eq!(stats.tree_size, (1u64 << 41) - 1);
         assert_eq!(stats.dag_size, 41);
-    }
-
-    #[test]
-    fn dag_output_extracts_to_walk_result() {
-        for fix in [examples::flip(), examples::library()] {
-            let c = compile(&fix.dtop).unwrap();
-            let mut scratch = EvalScratch::new();
-            let mut dag = TreeDag::new();
-            for t in enumerate_trees(fix.dtop.input(), 60, 8) {
-                let via_dag = c
-                    .eval_dag(&t, &mut scratch, &mut dag)
-                    .map(|id| dag.extract(id));
-                assert_eq!(via_dag, walk_eval(&fix.dtop, &t), "on {t}");
-            }
-        }
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! Partiality is exact: a live state without a rule for the node's symbol,
 //! or a call to a child the node does not have, aborts with `None` — the
 //! same inputs are undefined as for `xtt_transducer::eval::eval`.
+//!
+//! [`StreamEvaluator`] runs one compiled machine over one source: start
+//! (the axiom's committed prefix), feed every event — fast-forwarding the
+//! source past each subtree the run deletes — then finish.
+//! [`GuardedSource`] puts a domain guard in lockstep in front of any
+//! source.
 
 use std::collections::VecDeque;
 use std::io;
@@ -273,9 +279,8 @@ impl TreeEventSource for XmlRankedEvents<'_> {
 /// forwards; a pipeline's *chain* guard can be stricter than the
 /// composed machine executing it (it checks positions later stages
 /// delete), so a skip the guard does not share is declined and the
-/// events stream through the run instead. This is the engine's guarded
-/// streaming front end; `xtt_typecheck::GuardedEvents` remains the
-/// plain-iterator form.
+/// events stream through the run instead. This is the one lockstep guard
+/// adaptor: every guarded streaming path wraps its source in it.
 pub struct GuardedSource<'g, S> {
     inner: S,
     run: DttaRun<'g>,
@@ -634,7 +639,7 @@ enum Ctx {
 
 /// What a [`StreamRun`] asks of its driver after one input event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Feed {
+enum Feed {
     /// Keep feeding events.
     More,
     /// The event opened a subtree no state inspects. The run will count
@@ -651,13 +656,12 @@ pub enum Feed {
     Done,
 }
 
-/// One incremental streaming evaluation — one stage of a
-/// [`ChainedEvaluator`], which drives it from the source (the first
-/// stage) or from the upstream stage's committed output (every other).
-/// Feed pre-order input events one at a time; committed output prefixes
-/// flow to the sink the moment they commit.
+/// One incremental streaming evaluation, driven by
+/// [`StreamEvaluator::eval_streaming`]: feed pre-order input events one
+/// at a time; committed output prefixes flow to the sink the moment they
+/// commit.
 #[derive(Default)]
-pub struct StreamRun {
+struct StreamRun {
     frames: Vec<SFrame>,
     /// Scratch for rule execution (see [`StreamRun::exec_range`]).
     exec_vals: Vec<Tree>,
@@ -677,11 +681,7 @@ impl StreamRun {
     /// Resets the run for a fresh input and executes the axiom's
     /// committed prefix (emitted before the first input event when the
     /// axiom is live).
-    pub fn start<S: OutputSink + ?Sized>(
-        &mut self,
-        c: &CompiledDtop,
-        sink: &mut S,
-    ) -> io::Result<()> {
+    fn start<S: OutputSink + ?Sized>(&mut self, c: &CompiledDtop, sink: &mut S) -> io::Result<()> {
         self.frames.clear();
         self.stats = EmitStats::default();
         self.buffered = 0;
@@ -714,7 +714,7 @@ impl StreamRun {
     /// Feeds one pre-order input event. Must be called between
     /// [`StreamRun::start`] and [`StreamRun::finish`] with the same
     /// compiled dtop and sink.
-    pub fn feed<S: OutputSink + ?Sized>(
+    fn feed<S: OutputSink + ?Sized>(
         &mut self,
         c: &CompiledDtop,
         event: TreeEvent,
@@ -927,7 +927,7 @@ impl StreamRun {
     /// The driver fast-forwarded its source past the subtree whose
     /// `Open` just returned [`Feed::SkipOpen`] (descendants *and* the
     /// matching `Close` consumed at the source).
-    pub fn fast_forwarded(&mut self) {
+    fn fast_forwarded(&mut self) {
         debug_assert_eq!(self.skip_depth, 1);
         self.skip_depth = 0;
     }
@@ -935,7 +935,7 @@ impl StreamRun {
     /// Ends the input stream: emits a constant axiom if the whole input
     /// was deleted, and delivers the final verdict — `Some(stats)` on a
     /// completed run, `None` if the input was rejected or incomplete.
-    pub fn finish<S: OutputSink + ?Sized>(
+    fn finish<S: OutputSink + ?Sized>(
         &mut self,
         c: &CompiledDtop,
         sink: &mut S,
@@ -958,17 +958,12 @@ impl StreamRun {
         self.rejected = true;
         Ok(None) // empty or unterminated stream
     }
-
-    /// Emission statistics so far (complete once the run is done).
-    pub fn stats(&self) -> EmitStats {
-        self.stats
-    }
 }
 
-/// Reusable streaming evaluator of one compiled dtop — a
-/// [`ChainedEvaluator`] of length one; create once per worker thread.
+/// Reusable streaming evaluator of one compiled dtop; create once per
+/// worker thread.
 #[derive(Default)]
-pub struct StreamEvaluator(ChainedEvaluator);
+pub struct StreamEvaluator(StreamRun);
 
 impl StreamEvaluator {
     pub fn new() -> StreamEvaluator {
@@ -1013,7 +1008,20 @@ impl StreamEvaluator {
         source: &mut impl TreeEventSource,
         sink: &mut S,
     ) -> io::Result<Option<EmitStats>> {
-        self.0.eval_streaming(&[c], source, &mut &mut *sink)
+        let run = &mut self.0;
+        run.start(c, sink)?;
+        while let Some(event) = source.next_event() {
+            match run.feed(c, event, sink)? {
+                Feed::Rejected => return Ok(None),
+                Feed::SkipOpen => {
+                    if source.skip_subtree() {
+                        run.fast_forwarded();
+                    }
+                }
+                Feed::More | Feed::Done => {}
+            }
+        }
+        run.finish(c, sink)
     }
 
     /// Convenience: stream a materialized tree (used by benches and the
@@ -1057,136 +1065,6 @@ impl StreamRun {
         debug_assert!(self.exec_frames.is_empty());
         debug_assert_eq!(self.exec_vals.len(), 1);
         self.exec_vals.pop()
-    }
-}
-
-/// The relay between chained stages: a queue of committed events.
-impl OutputSink for VecDeque<TreeEvent> {
-    fn event(&mut self, ev: TreeEvent) -> io::Result<()> {
-        self.push_back(ev);
-        Ok(())
-    }
-}
-
-/// Chained streaming evaluation of a pipeline τₙ ∘ … ∘ τ₁: stage `i`'s
-/// committed output events feed stage `i+1`'s [`StreamRun`] through a
-/// relay queue, drained downstream-first so intermediate output is
-/// materialized only where a single stage would buffer anyway
-/// (permuting/copying regions). Stage 1 is driven from the real source
-/// and keeps its skip fast path; the final stage writes to the caller's
-/// sink.
-///
-/// Rejection anywhere rejects the chain (`Ok(None)`), exactly like
-/// evaluating the composed transducer: stage `i` rejects at the first
-/// event proving its input — stage `i-1`'s committed output — outside
-/// its domain. A single transducer is a chain of length one.
-#[derive(Default)]
-pub struct ChainedEvaluator {
-    runs: Vec<StreamRun>,
-    queues: Vec<VecDeque<TreeEvent>>,
-}
-
-/// Stage `i`'s output: the relay queue into stage `i+1`, or the caller's
-/// sink for the last stage.
-fn stage_out<'s>(
-    queues: &'s mut [VecDeque<TreeEvent>],
-    sink: &'s mut dyn OutputSink,
-    i: usize,
-) -> &'s mut dyn OutputSink {
-    match queues.get_mut(i) {
-        Some(queue) => queue,
-        None => sink,
-    }
-}
-
-impl ChainedEvaluator {
-    pub fn new() -> ChainedEvaluator {
-        ChainedEvaluator::default()
-    }
-
-    /// Per-stage emission statistics of the most recent run (complete
-    /// after a successful [`ChainedEvaluator::eval_streaming`]).
-    pub fn stage_stats(&self) -> impl Iterator<Item = EmitStats> + '_ {
-        self.runs.iter().map(StreamRun::stats)
-    }
-
-    /// Drains the relay queues, downstream-first (so queued events move
-    /// toward the sink before more are produced); `false` = some stage
-    /// rejected its input.
-    fn pump<C: AsRef<CompiledDtop>>(
-        &mut self,
-        stages: &[C],
-        sink: &mut dyn OutputSink,
-    ) -> io::Result<bool> {
-        while let Some(i) = (0..self.queues.len()).rfind(|&i| !self.queues[i].is_empty()) {
-            let ev = self.queues[i].pop_front().expect("checked nonempty");
-            let out = stage_out(&mut self.queues, sink, i + 1);
-            if self.runs[i + 1].feed(stages[i + 1].as_ref(), ev, out)? == Feed::Rejected {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Streams `source` through every stage (`stages[0]` first). Returns
-    /// the **final** stage's emission stats on success (per-stage stats
-    /// via [`ChainedEvaluator::stage_stats`]), `Ok(None)` when any stage
-    /// rejects, `Err` only when the sink fails.
-    pub fn eval_streaming<C: AsRef<CompiledDtop>>(
-        &mut self,
-        stages: &[C],
-        source: &mut impl TreeEventSource,
-        sink: &mut dyn OutputSink,
-    ) -> io::Result<Option<EmitStats>> {
-        assert!(!stages.is_empty(), "a pipeline has at least one stage");
-        let n = stages.len();
-        self.runs.resize_with(n, StreamRun::default);
-        self.runs.truncate(n);
-        self.queues.resize_with(n - 1, VecDeque::new);
-        self.queues.truncate(n - 1);
-        self.queues.iter_mut().for_each(VecDeque::clear);
-        // Start downstream-first, pumping between: every consumer is
-        // live before an upstream axiom prefix reaches it.
-        for i in (0..n).rev() {
-            let out = stage_out(&mut self.queues, sink, i);
-            self.runs[i].start(stages[i].as_ref(), out)?;
-            if !self.pump(stages, sink)? {
-                return Ok(None);
-            }
-        }
-        let first = stages[0].as_ref();
-        while let Some(event) = source.next_event() {
-            match self.runs[0].feed(first, event, stage_out(&mut self.queues, sink, 0))? {
-                Feed::Rejected => return Ok(None),
-                Feed::SkipOpen => {
-                    if source.skip_subtree() {
-                        self.runs[0].fast_forwarded();
-                    }
-                }
-                Feed::More | Feed::Done => {}
-            }
-            if n > 1 && !self.pump(stages, sink)? {
-                return Ok(None);
-            }
-        }
-        // Finish upstream-first, pumping between: stage i's trailing
-        // output (a constant axiom, a whole-input deletion) cascades
-        // before stage i+1's own end-of-stream verdict.
-        for i in 0..n {
-            let out = stage_out(&mut self.queues, sink, i);
-            if self.runs[i].finish(stages[i].as_ref(), out)?.is_none()
-                || !self.pump(stages, sink)?
-            {
-                return Ok(None);
-            }
-        }
-        Ok(Some(self.runs[n - 1].stats()))
-    }
-}
-
-impl AsRef<CompiledDtop> for CompiledDtop {
-    fn as_ref(&self) -> &CompiledDtop {
-        self
     }
 }
 
@@ -1440,69 +1318,6 @@ mod tests {
         assert!(s.next_event().is_none());
         assert!(s.take_error().is_none());
         assert_eq!(s.skipped_subtrees(), 2);
-    }
-
-    #[test]
-    fn chained_stages_match_the_composed_transducer() {
-        // τ₂ ∘ τ₁ executed as a two-stage chain must agree with the
-        // statically composed dtop on the chain's domain (τ₁ fully
-        // defined, then τ₂); outside it the composed product may accept
-        // *more* — it evaluates τ₁ lazily and never checks partiality
-        // under positions τ₂ deletes — which is exactly why pipeline
-        // plans guard with the chain domain, not dom(composed).
-        let library = examples::library().dtop;
-        let pairs = [
-            (examples::flip().dtop, examples::flip().dtop),
-            (library.clone(), xtt_transducer::identity(library.output())),
-        ];
-        for (m1, m2) in pairs {
-            let c1 = compile(&m1).unwrap();
-            let c2 = compile(&m2).unwrap();
-            let composed = xtt_transducer::compose(&m2, &m1).unwrap();
-            let cc = compile(&composed).unwrap();
-            let mut chain = ChainedEvaluator::new();
-            let mut ev = StreamEvaluator::new();
-            for t in enumerate_trees(m1.input(), 120, 8) {
-                let mut sink = TreeCollector::new();
-                let got = chain
-                    .eval_streaming(&[&c1, &c2], &mut IterEvents(t.events()), &mut sink)
-                    .unwrap();
-                match (got, ev.eval_tree(&cc, &t)) {
-                    (Some(_), Some(want)) => {
-                        assert_eq!(sink.into_tree().unwrap(), want, "on {t}");
-                    }
-                    (Some(_), None) => panic!("chain accepted out-of-domain {t}"),
-                    // The chain is allowed to reject where the lazy
-                    // composed product accepts, never the reverse.
-                    (None, _) => {}
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chained_keeps_the_stage_one_skip_fast_path() {
-        // Stage 1 deletes `a`'s first subtree; the chain must still
-        // fast-forward the raw tokenizer past it. Stage 2 is the
-        // identity (flip's own output leaves its domain).
-        let fix = examples::flip();
-        let c = compile(&fix.dtop).unwrap();
-        let id = compile(&xtt_transducer::identity(fix.dtop.output())).unwrap();
-        let mut chain = ChainedEvaluator::new();
-        let xml = "<root><a><junk><x/></junk><a># #</a></a><b># #</b></root>";
-        let mut source = XmlRankedEvents::bounded(xml);
-        let mut sink = TreeCollector::new();
-        let got = chain
-            .eval_streaming(&[&c, &id], &mut source, &mut sink)
-            .unwrap();
-        assert!(got.is_some());
-        assert_eq!(
-            sink.into_tree().unwrap().to_string(),
-            "root(b(#,#),a(#,a(#,#)))"
-        );
-        assert!(source.skipped_subtrees() >= 1, "fast path must engage");
-        assert_eq!(Symbol::lookup("junk"), None, "skipped names never interned");
-        assert_eq!(chain.stage_stats().count(), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use xtt_engine::{compile, EvalScratch, StreamEvaluator};
 use xtt_transducer::{eval as walk_eval, random_partial_dtop, random_total_dtop, RandomDtopConfig};
-use xtt_trees::{gen, RankedAlphabet, Tree, TreeDag};
+use xtt_trees::{gen, RankedAlphabet, Tree};
 
 fn alphabets() -> (RankedAlphabet, RankedAlphabet) {
     (
@@ -66,23 +66,8 @@ proptest! {
         }
     }
 
-    /// DAG-sink evaluation unfolds to the tree-walk result.
-    #[test]
-    fn dag_eval_agrees(seed in any::<u64>(), keep in 35u32..95) {
-        let (input, output) = alphabets();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = random_partial_dtop(&mut rng, &input, &output, &config(), keep);
-        let c = compile(&m).unwrap();
-        let mut scratch = EvalScratch::new();
-        let mut dag = TreeDag::new();
-        for t in workload(&input, &mut rng) {
-            let via_dag = c.eval_dag(&t, &mut scratch, &mut dag).map(|id| dag.extract(id));
-            prop_assert_eq!(via_dag, walk_eval(&m, &t), "on {}", t);
-        }
-    }
-
     /// Total dtops (universal domain): every layer is defined everywhere
-    /// and all four results coincide.
+    /// and all three results coincide.
     #[test]
     fn total_dtops_always_defined(seed in any::<u64>()) {
         let (input, output) = alphabets();
@@ -90,18 +75,12 @@ proptest! {
         let m = random_total_dtop(&mut rng, &input, &output, &config());
         let c = compile(&m).unwrap();
         let mut scratch = EvalScratch::new();
-        let mut dag_scratch = EvalScratch::new();
         let mut stream = StreamEvaluator::new();
-        let mut dag = TreeDag::new();
         for t in workload(&input, &mut rng) {
             let reference = walk_eval(&m, &t);
             prop_assert!(reference.is_some(), "total dtop undefined on {}", t);
             prop_assert_eq!(c.eval(&t, &mut scratch), reference.clone());
-            prop_assert_eq!(stream.eval_tree(&c, &t), reference.clone());
-            let via_dag = c
-                .eval_dag(&t, &mut dag_scratch, &mut dag)
-                .map(|id| dag.extract(id));
-            prop_assert_eq!(via_dag, reference);
+            prop_assert_eq!(stream.eval_tree(&c, &t), reference);
         }
     }
 }

@@ -119,9 +119,8 @@ fn concurrent_distinct_transducers_stay_bit_identical() {
                     // the LRU sees adversarial interleavings.
                     let case = &cases[(t * 7 + i * 5 + 3) % cases.len()];
                     // Every call resolves through the churning LRU.
-                    let (stage, _) = engine.resolve(&case.dtop, false).expect("compiles");
-                    let stages = std::slice::from_ref(&stage);
-                    let req = Request::new(stages, None, &DocFormat::Term, mode);
+                    let (machine, _) = engine.resolve(&case.dtop, false).expect("compiles");
+                    let req = Request::new(&machine, None, &DocFormat::Term, mode);
                     if i % 3 == 0 {
                         // Whole-batch path (shares one compiled Arc).
                         let results = engine.run_batch(&case.docs, req);

@@ -10,15 +10,15 @@
 //! One document per input line; results (or `!error: …`) one per output
 //! line, in input order. `--demo N` generates a synthetic corpus for the
 //! chosen example instead of reading stdin, which is how the CI smoke
-//! test and quick benchmarking run it. A single transducer runs as a
-//! one-stage chain, so `--example` and `--pipeline` take the same path
-//! through the engine.
+//! test and quick benchmarking run it. `--example` and `--pipeline` take
+//! the same path through the engine: one compiled machine (a pipeline's
+//! is its composition) and its guard.
 
 use std::io::{BufWriter, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use xtt_engine::{tree_to_xml, ChainStage, DocFormat, Engine, EngineOptions, EvalMode, Request};
+use xtt_engine::{tree_to_xml, CompiledDtop, DocFormat, Engine, EngineOptions, EvalMode, Request};
 use xtt_obs::{EvalObserver, Trace};
 use xtt_pipeline::{plan, StageDef, StrategyChoice};
 use xtt_transducer::{examples, Dtop, DtopBuilder};
@@ -35,8 +35,8 @@ OPTIONS:
   --pipeline <t1,t2[,t3]>        run a composition pipeline of built-in
                                  transducers (τₙ∘…∘τ₁, t1 applied first)
                                  instead of a single --example, as their
-                                 composed transducer (with --validate,
-                                 guarded by the chain domain)
+                                 composed transducer, always guarded by
+                                 the chain domain
   --mode <tree|stream>           tree: collect the input tree, evaluate,
                                  then write; stream: one streaming pass
                                  (`compiled` = tree)       [default: tree]
@@ -230,19 +230,18 @@ fn demo_doc(example: &str, i: usize, format: &DocFormat) -> String {
     }
 }
 
-/// The chain a run executes: `--pipeline` plans the composition into one
-/// compiled machine (and its chain-domain guard), `--example` is a
-/// one-stage chain.
+/// The machine a run executes and its guard: `--example` guards only with
+/// `--validate`; `--pipeline` always runs under the chain-domain guard,
+/// since the composed machine alone over-accepts.
 fn resolve(
     engine: &Engine,
     args: &Args,
-) -> Result<(Vec<ChainStage>, Option<Arc<CompiledDtta>>), String> {
+) -> Result<(Arc<CompiledDtop>, Option<Arc<CompiledDtta>>), String> {
     let Some(names) = &args.pipeline else {
         let dtop = example_dtop(&args.example)?;
-        let (stage, guard) = engine
+        return engine
             .resolve(&dtop, args.validate)
-            .map_err(|e| e.to_string())?;
-        return Ok((vec![stage], guard));
+            .map_err(|e| e.to_string());
     };
     let mut stages = Vec::with_capacity(names.len());
     for name in names {
@@ -253,10 +252,7 @@ fn resolve(
     }
     let plan =
         plan(&stages, None, StrategyChoice::Auto).map_err(|e| format!("planning pipeline: {e}"))?;
-    Ok((
-        plan.exec_stages().to_vec(),
-        args.validate.then(|| plan.guard_arc()),
-    ))
+    Ok((Arc::clone(plan.machine()), Some(plan.guard_arc())))
 }
 
 /// Tracks whether a failing document already flushed a partial prefix.
@@ -289,13 +285,14 @@ fn main() {
         workers: args.jobs,
         ..EngineOptions::default()
     });
-    let (stages, guard) = match resolve(&engine, &args) {
-        Ok(chain) => chain,
+    let (machine, guard) = match resolve(&engine, &args) {
+        Ok(resolved) => resolved,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
     };
+    let guard = guard.as_deref();
 
     let docs: Vec<String> = match args.demo {
         Some(n) => (0..n)
@@ -341,7 +338,7 @@ fn main() {
             };
             let req = Request {
                 observer: trace.as_mut().map(|t| t as &mut dyn EvalObserver),
-                ..Request::new(&stages, guard.as_deref(), &args.format, EvalMode::Streaming)
+                ..Request::new(&machine, guard, &args.format, EvalMode::Streaming)
             };
             match engine.run_doc(doc, &mut counted, req) {
                 Ok(outcome) => {
@@ -366,7 +363,7 @@ fn main() {
     } else {
         let req = Request {
             observer: trace.as_mut().map(|t| t as &mut dyn EvalObserver),
-            ..Request::new(&stages, guard.as_deref(), &args.format, args.mode)
+            ..Request::new(&machine, guard, &args.format, args.mode)
         };
         for result in engine.run_batch(&docs, req) {
             match result {

@@ -2,11 +2,11 @@
 //!
 //! Composition pipelines over learned dtops. The paper's transducer class
 //! is closed under composition (Engelfriet 1975, the paper's reference
-//! [8]); this crate turns that theorem into a serving feature: a **named
+//! \[8\]); this crate turns that theorem into a serving feature: a **named
 //! pipeline** is a sequence of registered transducers τₙ ∘ … ∘ τ₁ plus an
 //! optional input schema, planned once into an executable form.
 //!
-//! * [`plan`] builds a [`Plan`]: it schema-specializes each stage
+//! * [`plan()`] builds a [`Plan`]: it schema-specializes each stage
 //!   ([`specialize`], the Martens & Neven fixed-input-schema restriction),
 //!   composes the stages, normalizes the product to the paper's earliest
 //!   minimal form, and compiles it into one [`CompiledDtop`].
@@ -16,11 +16,11 @@
 //!   stage's partial output — so the composed machine accepts exactly the
 //!   inputs on which running the stages one after another is defined,
 //!   and rejects at the same node: the property the differential
-//!   proptests pin down against that stage-by-stage run.
+//!   proptests pin down against the stages' reference evaluation.
 //! * [`PlanCache`] memoizes plans per pipeline fingerprint with exact
 //!   rendering verification, reusing the engine's LRU.
 //!
-//! Execution happens in `xtt-engine`: [`Plan::exec_stages`] and
+//! Execution happens in `xtt-engine`: [`Plan::machine`] and
 //! [`Plan::guard`] fill an [`xtt_engine::Request`], so a pipeline runs
 //! exactly like a validated transducer — one compiled machine plus its
 //! guard.

@@ -15,15 +15,15 @@
 //! checks the earlier stage's partiality there — so the prefix
 //! intersection is what makes the plan accept exactly the inputs on which
 //! running the stages one after another is defined, and reject at exactly
-//! the same node. That stage-by-stage run (the engine's n-stage path over
-//! the compiled stages) is the reference the tests and E17 compare the
-//! plan against.
+//! the same node. The tests check the plan against the reference
+//! evaluator applied stage by stage, `eval(τ₂, eval(τ₁, t))`; E17 times it
+//! against the stages run one after another, one engine batch per stage.
 
 use std::fmt;
 use std::sync::Arc;
 
 use xtt_automata::{is_empty, trim, Dtta};
-use xtt_engine::{compile, fingerprint, ChainStage, CompileError};
+use xtt_engine::{compile, fingerprint, ChainStage, CompileError, CompiledDtop};
 use xtt_transducer::{
     canonical_number, chain_domain_raw, compose, minimize, to_earliest, Dtop, DtopError, NormError,
 };
@@ -31,11 +31,9 @@ use xtt_typecheck::{guard_from_domain, CompiledDtta, TypecheckError};
 
 use crate::specialize::{specialize_to_schema, specialize_to_symbols};
 
-/// The caller's say in how a plan executes. A pipeline always runs as
-/// its composed transducer (the composed machine out-ran the
-/// stage-by-stage chain on every pipeline measured, and the plan's guard
-/// decides every answer either way), so `Auto` is the only choice; the
-/// type stays because `plan`'s signature is pinned by existing callers.
+/// A pipeline always runs as its composed transducer, so `Auto` is the
+/// only choice. Kept only because `perfbench/src/layers.rs` passes
+/// `StrategyChoice::Auto` to [`plan()`].
 #[derive(Clone, Copy, Debug)]
 pub enum StrategyChoice {
     Auto,
@@ -139,9 +137,8 @@ impl PlanReport {
     }
 }
 
-/// An executable pipeline plan: [`Plan::exec_stages`] (the composed
-/// machine, a chain of length one) plus [`Plan::guard`] are the stages
-/// and guard of an [`xtt_engine::Request`].
+/// An executable pipeline plan: [`Plan::machine`] plus [`Plan::guard`]
+/// are the machine and guard of an [`xtt_engine::Request`].
 pub struct Plan {
     stage: ChainStage,
     guard: Arc<CompiledDtta>,
@@ -149,7 +146,13 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The stage list the plan executes: the composed machine alone.
+    /// The composed machine the plan executes.
+    pub fn machine(&self) -> &Arc<CompiledDtop> {
+        &self.stage.compiled
+    }
+
+    /// [`Plan::machine`] as a one-element stage list, kept only for
+    /// `perfbench/src/layers.rs` (`Engine::transform_batch_chain`).
     pub fn exec_stages(&self) -> &[ChainStage] {
         std::slice::from_ref(&self.stage)
     }

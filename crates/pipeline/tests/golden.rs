@@ -1,14 +1,18 @@
 //! Golden pipeline corpus: fixed transducers, fixed documents, hardcoded
-//! expected bytes. The plan's composed machine and the stage-by-stage
-//! chain of the compiled stages must reproduce them exactly in every
-//! eval mode — including the rejection diagnostic for the out-of-domain
-//! document, which must be the same string everywhere.
+//! expected bytes. The plan's composed machine, under its guard, must
+//! reproduce them exactly in both eval modes and through both engine
+//! calls — including the rejection diagnostic for out-of-domain
+//! documents, which must be the same string everywhere — and the
+//! expected bytes are the reference evaluator's stages applied one after
+//! another, exactly on the chain domain.
 
 use std::sync::Arc;
 
-use xtt_engine::{compile, ChainStage, DocFormat, Engine, EngineOptions, EvalMode, Request};
+use xtt_engine::{
+    tree_to_xml, DocFormat, Engine, EngineOptions, EvalMode, Request, XmlRankedEvents,
+};
 use xtt_pipeline::{plan, Plan, StageDef, StrategyChoice};
-use xtt_transducer::parse_dtop;
+use xtt_transducer::{eval as walk_eval, parse_dtop};
 
 /// Stage 1: swap the children of every `f`, keep `g` and `a`. Partial:
 /// no rule for `b` (the dead rule only keeps `b` in the alphabet), so
@@ -41,41 +45,56 @@ fn stage(name: &str, text: &str) -> StageDef {
 
 const MODES: [EvalMode; 2] = [EvalMode::Compiled, EvalMode::Streaming];
 
-/// The stage-by-stage reference: every stage compiled on its own and run
-/// one after another by the engine's n-stage path.
-fn chain(stages: &[StageDef]) -> Vec<ChainStage> {
-    stages
+/// Runs `doc` through the plan under its guard in both modes, one result
+/// per mode — `Ok(bytes)` for in-domain documents, `Err(diagnostic)` for
+/// rejected ones — after asserting that the batch call's text equals the
+/// one-document call's bytes, errors included.
+fn run_both_modes(p: &Plan, doc: &str) -> Vec<Result<String, String>> {
+    let engine = Engine::new(EngineOptions::default());
+    MODES
         .iter()
-        .map(|s| ChainStage {
-            compiled: Arc::new(compile(&s.dtop).unwrap()),
+        .map(|&mode| {
+            let req = || Request::new(p.machine(), Some(p.guard()), &DocFormat::Xml, mode);
+            let text = engine.run_batch(&[doc], req()).pop().unwrap();
+            let text = text.map_err(|e| e.to_string());
+            let mut out = Vec::new();
+            let bytes = engine
+                .run_doc(doc, &mut out, req())
+                .map(|_| String::from_utf8(out).unwrap())
+                .map_err(|e| e.to_string());
+            assert_eq!(
+                text, bytes,
+                "{mode:?}: batch text vs document bytes on {doc}"
+            );
+            text
         })
         .collect()
 }
 
-/// Runs `doc` through the plan and the chain (both under the plan's
-/// guard) in every mode, one result each: `Ok(bytes)` for in-domain
-/// documents, `Err(diagnostic)` for rejected ones.
-fn run_everywhere(p: &Plan, chain: &[ChainStage], doc: &str) -> Vec<Result<String, String>> {
-    let engine = Engine::new(EngineOptions::default());
-    let mut results = Vec::new();
-    for stages in [p.exec_stages(), chain] {
-        for mode in MODES {
-            let req = Request::new(stages, Some(p.guard()), &DocFormat::Xml, mode);
-            let got = engine.run_batch(&[doc], req).pop().unwrap();
-            results.push(got.map_err(|e| e.to_string()));
-        }
+/// The reference: the stages applied one after another by the reference
+/// evaluator, rendered as XML; `None` off the chain domain.
+fn reference(stages: &[StageDef], doc: &str) -> Option<String> {
+    let mut t = XmlRankedEvents::new(doc).collect_tree().unwrap();
+    for s in stages {
+        t = walk_eval(&s.dtop, &t)?;
     }
-    results
+    Some(tree_to_xml(&t))
 }
 
-/// Asserts one golden result, byte-identical across all four executions.
-fn assert_golden(p: &Plan, chain: &[ChainStage], doc: &str, want: &Result<&str, &str>) {
-    for (i, got) in run_everywhere(p, chain, doc).iter().enumerate() {
-        let (runner, mode) = (["plan", "chain"][i / 2], MODES[i % 2]);
+/// Asserts one golden result: the reference agrees with it (defined
+/// exactly when `want` is `Ok`), and the plan reproduces it in both
+/// modes.
+fn assert_golden(stages: &[StageDef], p: &Plan, doc: &str, want: &Result<&str, &str>) {
+    assert_eq!(
+        reference(stages, doc).as_deref(),
+        want.as_ref().ok().copied(),
+        "reference on {doc}"
+    );
+    for (mode, got) in MODES.iter().zip(run_both_modes(p, doc)) {
         assert_eq!(
             got.as_deref().map_err(String::as_str),
             *want,
-            "{runner}/{mode:?} on {doc}"
+            "{mode:?} on {doc}"
         );
     }
 }
@@ -84,7 +103,6 @@ fn assert_golden(p: &Plan, chain: &[ChainStage], doc: &str, want: &Result<&str, 
 fn two_stage_golden_corpus() {
     let stages = vec![stage("swap", SWAP), stage("wrap", WRAP)];
     let p = plan(&stages, None, StrategyChoice::Auto).unwrap();
-    let chain = chain(&stages);
     for (doc, want) in [
         ("<a/>", Ok("<c/>")),
         (
@@ -100,7 +118,7 @@ fn two_stage_golden_corpus() {
             Ok("<u><v><v><c/></v></v><u><c/><c/></u></u>"),
         ),
     ] {
-        assert_golden(&p, &chain, doc, &want);
+        assert_golden(&stages, &p, doc, &want);
     }
 }
 
@@ -108,10 +126,11 @@ fn two_stage_golden_corpus() {
 fn two_stage_rejection_is_identical_everywhere() {
     let stages = vec![stage("swap", SWAP), stage("wrap", WRAP)];
     let p = plan(&stages, None, StrategyChoice::Auto).unwrap();
-    // `b` at path 2 has no rule in stage 1: all four executions must
-    // report the *same* first-violation diagnostic.
+    // `b` at path 2 has no rule in stage 1: the reference is undefined,
+    // and both modes must report the *same* first-violation diagnostic.
     let doc = "<f><a/><b/></f>";
-    let errors: Vec<String> = run_everywhere(&p, &chain(&stages), doc)
+    assert_eq!(reference(&stages, doc), None);
+    let errors: Vec<String> = run_both_modes(&p, doc)
         .into_iter()
         .map(|got| got.expect_err(&format!("accepted {doc}")))
         .collect();
@@ -134,7 +153,6 @@ fn three_stage_golden_corpus_with_deleting_stage() {
         stage("unwrap", UNWRAP),
     ];
     let p = plan(&stages, None, StrategyChoice::Auto).unwrap();
-    let chain = chain(&stages);
     for (doc, want) in [
         ("<a/>", Ok("<x/>")),
         ("<g><a/></g>", Ok("<x/>")),
@@ -149,6 +167,6 @@ fn three_stage_golden_corpus_with_deleting_stage() {
             Err("type error at 1: symbol b not allowed in state {q}|{r∘q}|{s∘r∘q}"),
         ),
     ] {
-        assert_golden(&p, &chain, doc, &want);
+        assert_golden(&stages, &p, doc, &want);
     }
 }

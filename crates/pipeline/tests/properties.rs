@@ -1,10 +1,10 @@
 //! Differential property tests for the pipeline planner: the plan's
-//! statically composed machine and the stage-by-stage chain of the
-//! compiled stages must be **byte-identical** through the engine's public
-//! entry points — same XML output on the pipeline's domain, same
-//! rejection (same position, same diagnostic) outside it — and
-//! schema-specialized plans must guard exactly the schema-valid subset of
-//! the domain.
+//! statically composed machine, under its guard, must equal the reference
+//! evaluator applied stage by stage through the engine's public entry
+//! points — the same XML output exactly on the chain domain, a rejection
+//! outside it — with both entry points and both modes byte-identical,
+//! errors included; and schema-specialized plans must guard exactly the
+//! schema-valid subset of the domain.
 
 use std::sync::Arc;
 
@@ -12,9 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use xtt_engine::{
-    compile, tree_to_xml, ChainStage, DocFormat, Engine, EngineOptions, EvalMode, Request,
-};
+use xtt_engine::{tree_to_xml, DocFormat, Engine, EngineOptions, EvalMode, Request};
 use xtt_pipeline::{plan, PlanError, StageDef, StrategyChoice};
 use xtt_transducer::{domain_dtta, eval as walk_eval, random_partial_dtop, RandomDtopConfig};
 use xtt_trees::{gen, RankedAlphabet, Tree};
@@ -51,29 +49,17 @@ fn stage(name: &str, dtop: xtt_transducer::Dtop) -> StageDef {
     }
 }
 
-/// The stage-by-stage reference: every stage compiled on its own and run
-/// one after another by the engine's n-stage path.
-fn chain(stages: &[StageDef]) -> Vec<ChainStage> {
-    stages
-        .iter()
-        .map(|s| ChainStage {
-            compiled: Arc::new(compile(&s.dtop).unwrap()),
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The plan and the stage-by-stage chain (both under the plan's
-    /// guard) are byte-identical over XML on random partial two-stage
-    /// pipelines: same output bytes on the domain, same error (position
-    /// included) off it — in both the materialized (`tree`) and fused
-    /// streaming modes. The plan is a one-stage chain, so this pins the
-    /// single-transducer path too: for both and every mode the
-    /// one-document byte call equals the batch text (errors included),
-    /// and the output is the reference evaluator's τ₂(τ₁(t)) rendered as
-    /// XML exactly on the chain's domain.
+    /// The composed plan under its guard against the stages chained
+    /// through the reference evaluator, over XML on random partial
+    /// two-stage pipelines, in both the materialized (`tree`) and fused
+    /// streaming modes: the one-document byte call equals the batch text
+    /// (errors included), the two modes agree (a rejection names the same
+    /// position either way), and the output is τ₂(τ₁(t)) rendered as XML
+    /// exactly on the chain's domain. A pipeline runs like a validated
+    /// transducer, so this pins the single-transducer path too.
     #[test]
     fn composed_and_chained_agree_byte_for_byte(seed in any::<u64>(), keep in 40u32..95) {
         let (alpha_a, alpha_b, alpha_c) = alphabets();
@@ -88,30 +74,27 @@ proptest! {
             Err(PlanError::EmptyComposition) => return Ok(()),
             Err(e) => return Err(format!("plan failed: {e}")),
         };
-        let chain = chain(&stages);
         let engine = Engine::new(EngineOptions::default());
         for t in workload(&alpha_a, &mut rng) {
             let doc = tree_to_xml(&t);
             let want = walk_eval(&m1, &t)
                 .and_then(|u| walk_eval(&m2, &u))
                 .map(|out| tree_to_xml(&out));
+            let mut texts = Vec::new();
             for mode in [EvalMode::Compiled, EvalMode::Streaming] {
-                let mut texts = Vec::new();
-                for (runner, stages) in [("plan", p.exec_stages()), ("chain", &chain[..])] {
-                    let req = || Request::new(stages, Some(p.guard()), &DocFormat::Xml, mode);
-                    let text = engine.run_batch(&[&doc], req()).pop().unwrap();
-                    let text = text.map_err(|e| e.to_string());
-                    let mut out = Vec::new();
-                    let bytes = engine
-                        .run_doc(&doc, &mut out, req())
-                        .map(|_| String::from_utf8(out).unwrap())
-                        .map_err(|e| e.to_string());
-                    prop_assert_eq!(&text, &bytes, "{}/{:?} on {}", runner, mode, doc);
-                    texts.push(text);
-                }
-                prop_assert_eq!(&texts[0], &texts[1], "mode {:?} on {}", mode, doc);
-                prop_assert_eq!(texts[0].as_ref().ok(), want.as_ref(), "mode {:?} on {}", mode, doc);
+                let req = || Request::new(p.machine(), Some(p.guard()), &DocFormat::Xml, mode);
+                let text = engine.run_batch(&[&doc], req()).pop().unwrap();
+                let text = text.map_err(|e| e.to_string());
+                let mut out = Vec::new();
+                let bytes = engine
+                    .run_doc(&doc, &mut out, req())
+                    .map(|_| String::from_utf8(out).unwrap())
+                    .map_err(|e| e.to_string());
+                prop_assert_eq!(&text, &bytes, "{:?} on {}", mode, doc);
+                prop_assert_eq!(text.as_ref().ok(), want.as_ref(), "mode {:?} on {}", mode, doc);
+                texts.push(text);
             }
+            prop_assert_eq!(&texts[0], &texts[1], "modes disagree on {}", doc);
         }
     }
 

@@ -160,7 +160,7 @@ impl ServeClient {
 }
 
 /// A keep-alive client session: requests share one TCP connection until
-/// the server (or [`ServeSession::close`]) ends it. Used by the
+/// the server ends it (or [`ServeSession::request_close`] asks it to). Used by the
 /// integration tests to pin connection-reuse behavior.
 pub struct ServeSession {
     addr: SocketAddr,

@@ -101,47 +101,6 @@ impl Request {
     }
 }
 
-/// Reads one request from the stream (`Content-Length` bodies only).
-pub fn read_request(stream: &mut dyn Read, max_body: usize) -> Result<Request, HttpError> {
-    read_request_carry(stream, max_body, &mut Vec::new())
-}
-
-/// [`read_request`] for keep-alive connections: `carry` holds bytes read
-/// past the previous request (pipelining clients send the next request
-/// before the response arrives) and receives any bytes read past this
-/// one's body. Implemented as a blocking read loop around
-/// [`try_parse_request`] — the event loop uses the incremental parser
-/// directly, this wrapper serves tests and any blocking caller.
-pub fn read_request_carry(
-    stream: &mut dyn Read,
-    max_body: usize,
-    carry: &mut Vec<u8>,
-) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = std::mem::take(carry);
-    let mut scan_from = 0;
-    loop {
-        if let Some((request, consumed)) = try_parse_request(&buf, max_body, &mut scan_from)? {
-            buf.drain(..consumed);
-            *carry = buf;
-            return Ok(request);
-        }
-        let mut chunk = [0u8; 65536];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            if buf.is_empty() {
-                // Clean close between requests (keep-alive end).
-                return Err(HttpError::Closed);
-            }
-            return Err(if find_subsequence(&buf, b"\r\n\r\n").is_none() {
-                HttpError::Malformed("connection closed before the end of the headers".into())
-            } else {
-                HttpError::Malformed("connection closed mid-body".into())
-            });
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// Attempts to parse one complete request out of `buf` without blocking.
 ///
 /// Returns `Ok(None)` while the bytes so far are a valid *prefix* of a
@@ -571,7 +530,7 @@ pub fn read_response(stream: &mut dyn Read) -> Result<Response, HttpError> {
 /// [`read_response`] for pipelined connections: bytes read past the end
 /// of this response (the start of the next one, when the server answers
 /// back-to-back) are preserved in `carry` and consumed first on the next
-/// call — the response-side analogue of [`read_request_carry`].
+/// call.
 pub fn read_response_carry(
     stream: &mut dyn Read,
     carry: &mut Vec<u8>,
@@ -636,20 +595,11 @@ pub fn read_response_carry(
 /// a corrupt peer rather than an allocation request.
 const MAX_CHUNK: usize = 1 << 30;
 
-/// Decodes a chunked body; `rest` holds bytes already read past the head.
+/// Decodes a chunked response body; `rest` holds bytes already read past
+/// the head. Only absurd single-chunk size lines are refused. Trailer
+/// fields after the last chunk are consumed and discarded; bytes past
+/// the terminator stay in `rest`.
 fn decode_chunked(stream: &mut dyn Read, rest: &mut Vec<u8>) -> Result<Vec<u8>, HttpError> {
-    decode_chunked_capped(stream, rest, None)
-}
-
-/// [`decode_chunked`] with an optional cap on the *decoded* size (the
-/// request path caps at `max_body`; the client side only guards against
-/// absurd single-chunk size lines). Trailer fields after the last chunk
-/// are consumed and discarded; bytes past the terminator stay in `rest`.
-fn decode_chunked_capped(
-    stream: &mut dyn Read,
-    rest: &mut Vec<u8>,
-    cap: Option<usize>,
-) -> Result<Vec<u8>, HttpError> {
     let mut out = Vec::new();
     loop {
         let line = read_line(stream, rest)?;
@@ -668,9 +618,6 @@ fn decode_chunked_capped(
                     return Ok(out);
                 }
             }
-        }
-        if cap.is_some_and(|max| out.len() + size > max) {
-            return Err(HttpError::TooLarge("body"));
         }
         while rest.len() < size + 2 {
             let mut buf = [0u8; 8192];
@@ -706,11 +653,18 @@ fn read_line(stream: &mut dyn Read, rest: &mut Vec<u8>) -> Result<String, HttpEr
 mod tests {
     use super::*;
 
+    /// One complete request parsed out of the front of `raw`, and the
+    /// bytes left behind it (the next pipelined request).
+    fn parse(raw: &[u8], max_body: usize) -> Result<(Request, &[u8]), HttpError> {
+        let (req, used) = try_parse_request(raw, max_body, &mut 0)?.expect("complete request");
+        Ok((req, &raw[used..]))
+    }
+
     #[test]
     fn parses_a_put_with_body() {
         let raw =
             b"PUT /transducers/flip?learn=1 HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
-        let req = read_request(&mut &raw[..], 1024).unwrap();
+        let (req, _) = parse(raw, 1024).unwrap();
         assert_eq!(req.method, "PUT");
         assert_eq!(req.path, "/transducers/flip");
         assert_eq!(req.query_param("learn"), Some("1"));
@@ -720,7 +674,7 @@ mod tests {
     #[test]
     fn percent_decoding_applies_to_path_and_query() {
         let raw = b"GET /transducers/my%2dname?mode=tree&x=a%20b HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut &raw[..], 1024).unwrap();
+        let (req, _) = parse(raw, 1024).unwrap();
         assert_eq!(req.path, "/transducers/my-name");
         assert_eq!(req.query_param("x"), Some("a b"));
     }
@@ -730,21 +684,15 @@ mod tests {
         // Two requests in one buffer: the bytes past the first body are
         // not a protocol error — they seed the next read.
         let raw = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /b HTTP/1.1\r\n\r\n";
-        let mut carry = Vec::new();
-        let mut stream = &raw[..];
-        let first = read_request_carry(&mut stream, 1024, &mut carry).unwrap();
+        let (first, carry) = parse(raw, 1024).unwrap();
         assert_eq!(
             (first.path.as_str(), first.body.as_slice()),
             ("/a", &b"hi"[..])
         );
         assert!(!carry.is_empty(), "second request must be carried over");
-        let second = read_request_carry(&mut stream, 1024, &mut carry).unwrap();
+        let (second, carry) = parse(carry, 1024).unwrap();
         assert_eq!(second.path, "/b");
         assert!(carry.is_empty());
-        assert!(matches!(
-            read_request_carry(&mut stream, 1024, &mut carry),
-            Err(HttpError::Closed)
-        ));
     }
 
     #[test]
@@ -755,21 +703,16 @@ mod tests {
         let raw = b"POST /t HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
                     5\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: 1\r\n\r\n\
                     GET /b HTTP/1.1\r\n\r\n";
-        let mut carry = Vec::new();
-        let mut stream = &raw[..];
-        let req = read_request_carry(&mut stream, 1024, &mut carry).unwrap();
+        let (req, carry) = parse(raw, 1024).unwrap();
         assert_eq!(req.body, b"hello world");
-        let second = read_request_carry(&mut stream, 1024, &mut carry).unwrap();
+        let (second, _) = parse(carry, 1024).unwrap();
         assert_eq!(second.path, "/b");
     }
 
     #[test]
     fn rejects_oversized_bodies_chunked_or_not() {
         let raw = b"POST /t HTTP/1.1\r\nContent-Length: 2048\r\n\r\n";
-        assert!(matches!(
-            read_request(&mut &raw[..], 1024),
-            Err(HttpError::TooLarge(_))
-        ));
+        assert!(matches!(parse(raw, 1024), Err(HttpError::TooLarge(_))));
         // The cap applies to the *decoded* chunked size too.
         let mut raw = b"POST /t HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
         for _ in 0..3 {
@@ -778,16 +721,10 @@ mod tests {
             raw.extend_from_slice(b"\r\n");
         }
         raw.extend_from_slice(b"0\r\n\r\n");
-        assert!(matches!(
-            read_request(&mut &raw[..], 1024),
-            Err(HttpError::TooLarge(_))
-        ));
+        assert!(matches!(parse(&raw, 1024), Err(HttpError::TooLarge(_))));
         // Exotic transfer encodings are still refused outright.
         let raw = b"POST /t HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n";
-        assert!(matches!(
-            read_request(&mut &raw[..], 1024),
-            Err(HttpError::Unsupported(_))
-        ));
+        assert!(matches!(parse(raw, 1024), Err(HttpError::Unsupported(_))));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   (`?encoding=fcns` or a DTD uploaded via `PUT /encodings/{name}`) —
 //!   in either execution mode (`?mode=tree|stream`), with strictly
 //!   per-document positional errors and chunked responses — a
-//!   transducer and a pipeline run through the same engine core, a
-//!   transducer as a one-stage chain;
+//!   transducer and a pipeline run through the same engine core, each
+//!   as one compiled machine (a pipeline's is its composition);
 //! * **observe** (`/healthz`, `/stats`: cache hits, queue depth,
 //!   per-endpoint latency) and **shut down gracefully** (SIGTERM/SIGINT
 //!   or `POST /shutdown`: stop accepting, drain, finish in-flight, exit).

@@ -56,7 +56,7 @@
 //!
 //! Concurrency model: **one event-loop thread owns every socket** (see
 //! `event_loop`) — it accepts, reads, and parses requests incrementally,
-//! and writes responses from a bounded per-connection [`Outbuf`]. A
+//! and writes responses from a bounded per-connection `Outbuf`. A
 //! parsed request is handed to the bounded [`WorkQueue`]; `N` worker
 //! threads pop requests, run the CPU work, and push the finished
 //! disposition back through the event loop's wakeup pipe. A parked
@@ -70,15 +70,16 @@
 //! drains the queue, finishes in-flight requests, and joins the workers
 //! before [`Server::run`] returns.
 //!
-//! Execution: a transform request resolves its target once — a
-//! registered transducer as a one-stage chain, a pipeline as its plan's
-//! stages and chain guard — into one engine request, then makes one
-//! engine call per mode: `tree` answers with the whole batch's text
-//! (`Engine::run_batch`), `stream` writes each document's output bytes
-//! straight into the chunked response as its prefixes commit
-//! (`Engine::run_doc`). In both, every document runs source → stages →
-//! sink in the engine; tracing, validation and per-stage event counts
-//! ride on the same request.
+//! Execution: a transform request resolves its target once into one
+//! compiled machine and an optional guard — a registered transducer's
+//! own machine (guarded with `?validate=1`), a pipeline's composed
+//! machine under its plan's chain guard — and makes one engine request
+//! of them, then one engine call per mode: `tree` answers with the whole
+//! batch's text (`Engine::run_batch`), `stream` writes each document's
+//! output bytes straight into the chunked response as its prefixes
+//! commit (`Engine::run_doc`). In both, every document runs source →
+//! machine → sink in the engine; tracing and validation ride on the
+//! same request.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -86,7 +87,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use xtt_engine::{ChainStage, DocFormat, Engine, EngineError, EngineOptions, EvalMode};
+use xtt_engine::{CompiledDtop, DocFormat, Engine, EngineError, EngineOptions, EvalMode};
 use xtt_netio::Waker;
 use xtt_obs::{EvalObserver, Trace, TraceSampler};
 use xtt_pipeline::StageDef;
@@ -208,22 +209,18 @@ pub(crate) enum Disposition {
     Yield { job: StreamJob },
 }
 
-/// What a transform request executes, resolved once per request into an
-/// engine chain: a registered transducer as a one-stage chain (through
-/// the engine's compiled-dtop and guard caches), or a registered
+/// What a transform request executes, resolved once per request into one
+/// compiled machine and its guard: a registered transducer's own
+/// (through the engine's compiled-dtop and guard caches), or a registered
 /// pipeline's composed machine with the plan's chain guard.
 pub(crate) struct StreamTarget {
     name: String,
-    /// The stages and guard, or the error every document answers with
+    /// The machine and guard, or the error every document answers with
     /// when the transducer cannot be compiled or guarded.
-    chain: Result<Chain, Box<EngineError>>,
-    /// Pipelines: records each stage's output events into its
-    /// pre-registered `xtt_pipeline_stage_events{stage=…}` histogram, so
-    /// the per-document callback never touches the registry mutex.
-    stage_events: Option<Box<dyn Fn(usize, u64) + Send + Sync>>,
+    machine: Result<Machine, Box<EngineError>>,
 }
 
-type Chain = (Vec<ChainStage>, Option<Arc<CompiledDtta>>);
+type Machine = (Arc<CompiledDtop>, Option<Arc<CompiledDtta>>);
 
 impl StreamTarget {
     /// The engine request for this target, or its resolution error.
@@ -233,11 +230,10 @@ impl StreamTarget {
         mode: EvalMode,
         trace: Option<&'a mut Trace>,
     ) -> Result<xtt_engine::Request<'a>, EngineError> {
-        let (stages, guard) = self.chain.as_ref().map_err(|e| (**e).clone())?;
+        let (machine, guard) = self.machine.as_ref().map_err(|e| (**e).clone())?;
         Ok(xtt_engine::Request {
             observer: trace.map(|t| t as &mut dyn EvalObserver),
-            stage_events: self.stage_events.as_deref().map(|f| f as _),
-            ..xtt_engine::Request::new(stages, guard.as_deref(), format, mode)
+            ..xtt_engine::Request::new(machine, guard.as_deref(), format, mode)
         })
     }
 }
@@ -921,13 +917,12 @@ fn transform(
             shared
                 .stats
                 .record_transform_target("transducer", &entry.name);
-            let chain = shared.engine.resolve(&entry.dtop, validate);
             StreamTarget {
                 name: entry.name.clone(),
-                chain: chain
-                    .map(|(stage, guard)| (vec![stage], guard))
+                machine: shared
+                    .engine
+                    .resolve(&entry.dtop, validate)
                     .map_err(Box::new),
-                stage_events: None,
             }
         }
         // The plan's guard (the chain domain ∩ schema) always validates a
@@ -939,14 +934,10 @@ fn transform(
                 .stats
                 .record_transform_target("pipeline", &entry.name);
             shared.stats.pipeline_transforms.inc();
-            let stages = entry.plan.exec_stages().to_vec();
-            let hists: Vec<_> = (0..stages.len())
-                .map(|i| shared.stats.stage_events(i))
-                .collect();
+            let machine = Arc::clone(entry.plan.machine());
             StreamTarget {
                 name: entry.name.clone(),
-                chain: Ok((stages, Some(entry.plan.guard_arc()))),
-                stage_events: Some(Box::new(move |i, n| hists[i].record(n))),
+                machine: Ok((machine, Some(entry.plan.guard_arc()))),
             }
         }
     };

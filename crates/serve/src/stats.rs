@@ -387,7 +387,7 @@ impl ServerStats {
 
     /// Bumps the per-target transform counter
     /// `xtt_transform_requests_by_target_total{kind=…,name=…}`. The first
-    /// [`TARGET_LABEL_CAP`] distinct names get their own series; later
+    /// `TARGET_LABEL_CAP` (64) distinct names get their own series; later
     /// ones collapse into `name="__other"` so registry churn cannot blow
     /// up the exposition.
     pub fn record_transform_target(&self, kind: &str, name: &str) {
@@ -410,18 +410,6 @@ impl ServerStats {
                 &[("kind", kind), ("name", label)],
             )
             .inc();
-    }
-
-    /// The per-stage pipeline histogram
-    /// `xtt_pipeline_stage_events{stage="i"}` — input events each pipeline
-    /// stage processed per document. Registration is idempotent;
-    /// cardinality is bounded by the longest registered pipeline.
-    pub fn stage_events(&self, stage: usize) -> Arc<Histogram> {
-        self.metrics.histogram(
-            "xtt_pipeline_stage_events",
-            "Input events processed per pipeline stage per document.",
-            &[("stage", &stage.to_string())],
-        )
     }
 
     /// Mirrors the values owned elsewhere (engine counters, registry

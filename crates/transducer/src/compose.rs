@@ -1,7 +1,7 @@
 //! Composition of dtops.
 //!
 //! Total deterministic top-down tree transducers are closed under
-//! composition ([Engelfriet 1975] — reference [8] of the paper, also the
+//! composition (\[Engelfriet 1975\] — reference \[8\] of the paper, also the
 //! basis of the paper's remark that dtops are "a large and well-studied
 //! class"). The construction is a product: a state of `M₂ ∘ M₁` is a pair
 //! `(q₂, q₁)`; its rule on `f` is obtained by *symbolically running* `M₂`

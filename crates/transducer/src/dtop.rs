@@ -4,7 +4,7 @@
 //! output ranked alphabets, an axiom `ax ∈ T_G(Q × {x₀})`, and a partial
 //! rule function `rhs(q, f) ∈ T_G(Q × X_k)` for `f ∈ F^(k)`. The induced
 //! transduction `⟦M⟧` is the partial function evaluated by
-//! [`crate::eval`].
+//! [`crate::eval()`].
 
 use std::collections::HashMap;
 use std::fmt;

@@ -6,7 +6,8 @@
 //!
 //! * [`flip`] — `Mflip` from the introduction (4 states);
 //! * [`constant_m1`]/[`constant_m2`]/[`constant_m3`] — Example 1;
-//! * [`example6`] — the four transducers of Example 6 (§7) over the domain
+//! * [`example6_m0`]…[`example6_m3`] — the four transducers of Example 6
+//!   (§7) over the domain [`example6_domain`]
 //!   `D = {f(c,a), f(c,b)}`;
 //! * [`library`] — the §10 library transformation over DTD-encoded trees;
 //! * [`monadic_to_binary`] — the monadic-input/full-binary-output copier

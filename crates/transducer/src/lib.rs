@@ -6,13 +6,13 @@
 //!
 //! * [`dtop::Dtop`] + [`rhs::Rhs`] — Definition 1, with a builder that
 //!   accepts the paper's textual rule syntax;
-//! * [`eval`] — the semantics `⟦M⟧` / `⟦M⟧_q` and the stopped computation
+//! * [`mod@eval`] — the semantics `⟦M⟧` / `⟦M⟧_q` and the stopped computation
 //!   `⟦Mx⟧(s[u←x])` (Definition 3, Proposition 4), memoized so copying
 //!   transducers stay polynomial;
 //! * [`domain::domain_dtta`] — the subset-construction domain automaton
 //!   (Proposition 2);
 //! * [`earliest`] — the earliest normal form (Section 3 / Definition 8);
-//! * [`minimize`] — merging of equivalent states and canonical numbering,
+//! * [`mod@minimize`] — merging of equivalent states and canonical numbering,
 //!   yielding the paper's unique `min(τ)` (Definition 24, Theorem 28);
 //! * [`equiv`] — polynomial equivalence checking via canonical forms;
 //! * [`iopaths`] — state- and trans-io-paths under the order `<` of

@@ -11,7 +11,9 @@
 //! stored exactly once. Insertion of an [`crate::tree::Tree`] is linear in
 //! the number of *distinct* subtrees thanks to a memo table keyed on the
 //! `Rc` address of shared nodes (outputs of copying transducers are already
-//! heavily shared in memory).
+//! heavily shared in memory). The memo lives for one insertion only: the
+//! inserted tree keeps every address it holds alive, while an address
+//! from an earlier, since-dropped tree may belong to a new tree by now.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -41,8 +43,6 @@ struct DagNode {
 pub struct TreeDag {
     nodes: Vec<DagNode>,
     intern: HashMap<DagNode, DagId>,
-    /// Memo from `Tree::addr()` to id, so shared subtrees are revisited O(1).
-    tree_memo: HashMap<usize, DagId>,
     /// Per-node tree-unfolding size, maintained at intern time so
     /// [`TreeDag::tree_size`] is O(1) (saturating at `u64::MAX`).
     sizes: Vec<u64>,
@@ -80,9 +80,9 @@ impl TreeDag {
 
     /// Inserts a tree, sharing all equal subtrees. Returns the root id.
     pub fn insert(&mut self, tree: &Tree) -> DagId {
-        if let Some(&id) = self.tree_memo.get(&tree.addr()) {
-            return id;
-        }
+        // `Tree::addr()` → id, so shared subtrees are revisited O(1). Local
+        // to this call: `tree` keeps the addresses it holds alive.
+        let mut memo: HashMap<usize, DagId> = HashMap::new();
         // Explicit stack to avoid recursion limits on path-shaped trees.
         enum Frame<'a> {
             Enter(&'a Tree),
@@ -93,7 +93,7 @@ impl TreeDag {
         while let Some(frame) = stack.pop() {
             match frame {
                 Frame::Enter(t) => {
-                    if let Some(&id) = self.tree_memo.get(&t.addr()) {
+                    if let Some(&id) = memo.get(&t.addr()) {
                         results.push(id);
                         continue;
                     }
@@ -106,7 +106,7 @@ impl TreeDag {
                     let k = t.arity();
                     let children = results.split_off(results.len() - k);
                     let id = self.intern_node(t.symbol(), children);
-                    self.tree_memo.insert(t.addr(), id);
+                    memo.insert(t.addr(), id);
                     results.push(id);
                 }
             }
@@ -263,6 +263,32 @@ mod tests {
         dag.insert(&parse_tree("g(a,b)").unwrap());
         // only the root g is new
         assert_eq!(dag.node_count(), before + 1);
+    }
+
+    /// A dropped tree's `Rc` addresses are free for reuse by later
+    /// allocations, so the address memo must not outlive one `insert`: a
+    /// new tree allocated at a dead tree's address would get its id.
+    #[test]
+    fn insert_after_drop_never_reuses_a_dead_trees_id() {
+        let mut aliased = Vec::new();
+        for i in 0..1_000 {
+            let (a, b) = (format!("a{i}"), format!("b{i}"));
+            let mut dag = TreeDag::new();
+            let dropped = Tree::node("f", vec![Tree::leaf_named(&a), Tree::leaf_named(&b)]);
+            dag.insert(&dropped);
+            drop(dropped);
+            let t = Tree::node("f", vec![Tree::leaf_named(&b), Tree::leaf_named(&a)]);
+            let id = dag.insert(&t);
+            if dag.extract(id) != t {
+                aliased.push(format!("{t} came back as {}", dag.extract(id)));
+            }
+        }
+        assert!(
+            aliased.is_empty(),
+            "{} aliased, e.g. {:?}",
+            aliased.len(),
+            aliased.first()
+        );
     }
 
     #[test]

@@ -216,7 +216,8 @@ impl CompiledDtta {
         self.skip[state as usize]
     }
 
-    /// Dense id of a symbol, or [`NONE_U32`] if it is not in the alphabet.
+    /// Dense id of a symbol, or `NONE_U32` (`u32::MAX`) if it is not in
+    /// the alphabet.
     #[inline]
     pub fn dense_sym(&self, sym: Symbol) -> u32 {
         self.sym_map

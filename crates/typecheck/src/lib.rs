@@ -17,17 +17,16 @@
 //!   coincides with evaluation *exactly*;
 //! * [`run`] — fail-fast streaming validation: [`DttaRun`] consumes
 //!   pre-order events and rejects at the **first violating node** with a
-//!   typed diagnostic ([`TypeError`] carrying the violation path), and
-//!   [`GuardedEvents`] runs the guard in lockstep with a downstream
-//!   streaming evaluator, consuming strictly fewer events than the
-//!   document contains when it rejects;
+//!   typed diagnostic ([`TypeError`] carrying the violation path),
+//!   consuming strictly fewer events than the document contains; the
+//!   engine runs it in lockstep with its streaming evaluator;
 //! * [`output`] — output typechecking: [`output_typecheck`] decides
 //!   `dom(τ) ⊆ τ⁻¹(L(S_out))` by inverse type inference over the
 //!   domain/schema product, returning a concrete counterexample input
 //!   (assembled from `xtt-automata`'s minimal witnesses) when it fails.
 //!
 //! `xtt-engine` consumes this crate for its `validate` mode (guarded
-//! evaluation across all four eval modes) and `xtt-serve` for
+//! evaluation in both eval modes) and `xtt-serve` for
 //! `POST /typecheck/{name}` and per-document positional type errors.
 
 pub mod compiled;
@@ -39,4 +38,4 @@ pub use compiled::{
     TypecheckError,
 };
 pub use output::{output_typecheck, TypecheckVerdict};
-pub use run::{DttaRun, GuardedEvents};
+pub use run::DttaRun;

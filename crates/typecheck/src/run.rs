@@ -7,9 +7,10 @@
 //! rejected at the **first violating node**, after consuming strictly
 //! fewer events than the document contains. [`DttaRun`] is the single
 //! implementation behind both the pre-flight tree check
-//! ([`CompiledDtta::check_tree`]) and the lockstep streaming guard
-//! ([`GuardedEvents`]), which is what makes the reported diagnostics
-//! bit-identical across the engine's tree / stream / dag / walk modes.
+//! ([`CompiledDtta::check_tree`]) and the engine's lockstep streaming
+//! guard (`xtt_engine::GuardedSource`), which is what makes the reported
+//! diagnostics bit-identical across the engine's `tree` and `stream`
+//! modes.
 //!
 //! Memory is `O(depth)`: one frame per open node, one path index per
 //! level, and skipped (deleted) subtrees cost a single integer.
@@ -178,72 +179,24 @@ impl<'a> DttaRun<'a> {
     }
 }
 
-/// Wraps a pre-order event stream, running the guard in lockstep: events
-/// pass through until the first violation, at which point the stream ends
-/// (so a downstream [`StreamEvaluator`] stops immediately) and the
-/// violation is recorded for the caller.
-///
-/// [`StreamEvaluator`]: https://docs.rs/xtt-engine
-pub struct GuardedEvents<'a, I> {
-    inner: I,
-    run: DttaRun<'a>,
-    violation: Option<TypeError>,
-}
-
-impl<'a, I> GuardedEvents<'a, I>
-where
-    I: Iterator<Item = TreeEvent>,
-{
-    pub fn new(guard: &'a CompiledDtta, inner: I) -> GuardedEvents<'a, I> {
-        GuardedEvents {
-            inner,
-            run: guard.run(),
-            violation: None,
-        }
-    }
-
-    /// The recorded violation, if the guard rejected the stream.
-    pub fn violation(&self) -> Option<&TypeError> {
-        self.violation.as_ref()
-    }
-
-    /// Takes the recorded violation out of the adaptor.
-    pub fn take_violation(&mut self) -> Option<TypeError> {
-        self.violation.take()
-    }
-
-    /// Events consumed before acceptance ended or the violation hit.
-    pub fn events_consumed(&self) -> u64 {
-        self.run.events_consumed()
-    }
-}
-
-impl<I> Iterator for GuardedEvents<'_, I>
-where
-    I: Iterator<Item = TreeEvent>,
-{
-    type Item = TreeEvent;
-
-    fn next(&mut self) -> Option<TreeEvent> {
-        if self.violation.is_some() {
-            return None;
-        }
-        let event = self.inner.next()?;
-        match self.run.feed(event) {
-            Ok(()) => Some(event),
-            Err(e) => {
-                self.violation = Some(e);
-                None
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compiled::domain_guard;
     use xtt_trees::parse_tree;
+
+    /// Feeds `t`'s events until the first violation: the events accepted
+    /// before it, and the violation.
+    fn feed_all(run: &mut DttaRun<'_>, t: &xtt_trees::Tree) -> (u64, Option<TypeError>) {
+        let mut passed = 0;
+        for event in t.events() {
+            if let Err(violation) = run.feed(event) {
+                return (passed, Some(violation));
+            }
+            passed += 1;
+        }
+        (passed, None)
+    }
 
     #[test]
     fn guarded_events_stop_strictly_early_on_rejection() {
@@ -252,13 +205,13 @@ mod tests {
         // Violation at node 1.2 of a document with a long tail.
         let t = parse_tree("root(a(#,b(#,#)),b(#,b(#,b(#,#))))").unwrap();
         let total = 2 * t.size();
-        let mut guarded = GuardedEvents::new(&g, t.events());
-        let passed = (&mut guarded).count() as u64;
-        let violation = guarded.take_violation().expect("out of domain");
+        let mut run = g.run();
+        let (passed, violation) = feed_all(&mut run, &t);
+        let violation = violation.expect("out of domain");
         assert_eq!(violation.path().to_string(), "1.2");
-        assert!(guarded.events_consumed() < total);
-        // The violating event itself is consumed but not passed through.
-        assert_eq!(passed + 1, guarded.events_consumed());
+        assert!(run.events_consumed() < total);
+        // The violating event itself is consumed but not accepted.
+        assert_eq!(passed + 1, run.events_consumed());
     }
 
     #[test]
@@ -267,10 +220,10 @@ mod tests {
         let g = domain_guard(&fix.dtop).unwrap();
         let t = parse_tree("root(a(#,a(#,#)),b(#,#))").unwrap();
         let total = 2 * t.size();
-        let mut guarded = GuardedEvents::new(&g, t.events());
-        let passed = (&mut guarded).count() as u64;
+        let mut run = g.run();
+        let (passed, violation) = feed_all(&mut run, &t);
         assert_eq!(passed, total);
-        assert!(guarded.violation().is_none());
+        assert!(violation.is_none());
     }
 
     #[test]

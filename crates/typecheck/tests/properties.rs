@@ -18,7 +18,7 @@ use xtt_transducer::{
     domain_dtta, eval as walk_eval, random_partial_dtop, Dtop, QId, RandomDtopConfig,
 };
 use xtt_trees::{gen, NodePath, RankedAlphabet, Tree};
-use xtt_typecheck::{domain_guard, output_typecheck, GuardedEvents, TypecheckVerdict};
+use xtt_typecheck::{domain_guard, output_typecheck, TypecheckVerdict};
 
 fn alphabets() -> (RankedAlphabet, RankedAlphabet) {
     (
@@ -94,19 +94,18 @@ proptest! {
             prop_assert_eq!(domain.accepts(&t), defined, "domain_dtta differs on {}", t);
 
             let total_events = 2 * t.size();
-            let mut guarded = GuardedEvents::new(&guard, t.events());
-            (&mut guarded).for_each(drop);
-            match guarded.take_violation() {
+            let mut run = guard.run();
+            match t.events().try_for_each(|event| run.feed(event)).err() {
                 None => {
                     prop_assert!(defined, "guard accepted undefined input {}", t);
-                    prop_assert_eq!(guarded.events_consumed(), total_events);
+                    prop_assert_eq!(run.events_consumed(), total_events);
                 }
                 Some(violation) => {
                     prop_assert!(!defined, "guard rejected defined input {}", t);
                     prop_assert!(
-                        guarded.events_consumed() < total_events,
+                        run.events_consumed() < total_events,
                         "guard must stop early on {} ({} of {} events)",
-                        t, guarded.events_consumed(), total_events
+                        t, run.events_consumed(), total_events
                     );
                     // The pre-flight tree check reports the same violation...
                     prop_assert_eq!(guard.check_tree(&t), Err(violation.clone()));

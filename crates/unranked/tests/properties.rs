@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use xtt_trees::{RankedAlphabet, TreeEvent};
-use xtt_typecheck::{domain_guard, GuardedEvents};
+use xtt_typecheck::domain_guard;
 use xtt_unranked::XmlCodec;
 use xtt_xml::encode::EncodingStyle;
 use xtt_xml::{fcns_decode, fcns_encode, parse_xml, write_xml, Dtd, Encoding, PcDataMode, UTree};
@@ -205,22 +205,20 @@ proptest! {
         let xml = format!("<root>{children}</root>");
         let codec = XmlCodec::fcns();
         let total = stream_events(&codec, &xml).len() as u64;
-        let events = codec.events(&xml).map(Result::unwrap);
-        let mut guarded = GuardedEvents::new(&guard, events);
-        (&mut guarded).for_each(drop);
-        prop_assert!(guarded.violation().is_some(), "document must be rejected");
+        let mut run = guard.run();
+        let verdict = codec.events(&xml).try_for_each(|event| run.feed(event.unwrap()));
+        prop_assert!(verdict.is_err(), "document must be rejected");
         prop_assert!(
-            guarded.events_consumed() < total,
+            run.events_consumed() < total,
             "consumed {} of {} events",
-            guarded.events_consumed(),
+            run.events_consumed(),
             total
         );
-        // In-domain documents pass every event through unchanged.
+        // In-domain documents: every event is accepted.
         let ok_xml = format!("<root>{}</root>", "<a/>".repeat(k + tail));
-        let ok_events = codec.events(&ok_xml).map(Result::unwrap);
-        let mut guarded = GuardedEvents::new(&guard, ok_events);
-        let passed = (&mut guarded).count() as u64;
-        prop_assert!(guarded.violation().is_none());
-        prop_assert_eq!(passed, stream_events(&codec, &ok_xml).len() as u64);
+        let mut run = guard.run();
+        let verdict = codec.events(&ok_xml).try_for_each(|event| run.feed(event.unwrap()));
+        prop_assert!(verdict.is_ok());
+        prop_assert_eq!(run.events_consumed(), stream_events(&codec, &ok_xml).len() as u64);
     }
 }

@@ -8,7 +8,7 @@
 //!   minimal canonical transducer is measured in experiment E3).
 //! * Over the first-child/next-sibling encoding it is **not** realizable
 //!   by any dtop, because the `b`s are descendants of the `a`s and a dtop
-//!   cannot exchange a node with a descendant; [`fcns_residual_inputs`]
+//!   cannot exchange a node with a descendant; [`fcns_flip_input`]
 //!   provides the io-path family whose residuals are pairwise distinct
 //!   (unbounded Myhill–Nerode index), which experiment E3 verifies.
 

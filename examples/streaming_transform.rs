@@ -1,13 +1,14 @@
 //! The `xtt-engine` execution pipeline end to end: compile a learned
 //! transducer, evaluate it three ways (tree-walk, compiled, streaming
 //! over XML events), serve a batch across the worker pool, and produce an
-//! exponentially large output as a minimal DAG.
+//! exponentially large output as a shared tree, measured as its minimal
+//! DAG.
 //!
 //! Run with `cargo run --release --example streaming_transform`.
 
 use std::time::Instant;
 
-use xtt::engine::{tree_to_xml, DagSink, DocFormat, Request, XmlRankedEvents};
+use xtt::engine::{tree_to_xml, DocFormat, Request, XmlRankedEvents};
 use xtt::prelude::*;
 use xtt::transducer::examples;
 use xtt::trees::TreeDag;
@@ -42,17 +43,16 @@ fn main() {
         tree_to_xml(&streamed)
     );
 
-    // Batch serving: the transducer as a one-stage chain, a corpus
-    // sharded across the worker pool.
+    // Batch serving: the transducer's compiled machine, a corpus sharded
+    // across the worker pool.
     let docs: Vec<String> = (0..50_000)
         .map(|i| examples::flip_input(i % 20 + 1, i % 13 + 1).to_string())
         .collect();
     let engine = Engine::new(EngineOptions::default());
     let t0 = Instant::now();
-    let (stage, guard) = engine.resolve(&fixture.dtop, false).unwrap();
-    let stages = std::slice::from_ref(&stage);
+    let (machine, guard) = engine.resolve(&fixture.dtop, false).unwrap();
     let req = Request::new(
-        stages,
+        &machine,
         guard.as_deref(),
         &DocFormat::Term,
         EvalMode::Compiled,
@@ -69,17 +69,16 @@ fn main() {
         engine.cache_stats(),
     );
 
-    // Exponential outputs as minimal DAGs (the paper's Section 1 trick):
-    // a monadic input of height 40 maps to 2^41 - 1 output nodes, built
-    // here as a 41-node DAG.
+    // Exponential outputs stay linear (the paper's Section 1 trick): a
+    // monadic input of height 40 maps to 2^41 - 1 output nodes, which the
+    // compiled evaluator builds as shared subtrees — a 41-node DAG.
     let copier = compile(&examples::monadic_to_binary().dtop).unwrap();
     let mut input = Tree::leaf_named("e");
     for _ in 0..40 {
         input = Tree::node("f", vec![input]);
     }
     let mut dag = TreeDag::new();
-    let mut dag_scratch = EvalScratch::new();
-    let id = copier.eval_dag(&input, &mut dag_scratch, &mut dag).unwrap();
+    let id = dag.insert(&copier.eval_once(&input).unwrap());
     let stats = dag.stats(id);
     println!(
         "\ncopying dtop on height-40 input: output tree {} nodes, DAG {} nodes ({}x compression)",
@@ -87,7 +86,6 @@ fn main() {
         stats.dag_size,
         stats.compression_ratio() as u64,
     );
-    let _ = DagSink; // re-exported for custom pipelines
 
     // XML-format batch, streaming mode: documents are tokenized and
     // transformed without ever materializing the input tree.

@@ -36,13 +36,15 @@ fn main() {
     // 3. The streaming guard consumes strictly fewer events than the
     //    document contains: rejection costs a prefix, not a parse.
     let bad = parse_tree("root(a(#,b(#,#)),b(#,b(#,b(#,#))))").unwrap();
-    let mut guarded = GuardedEvents::new(&guard, bad.events());
-    (&mut guarded).for_each(drop);
+    let mut run = guard.run();
+    let violation = bad
+        .events()
+        .try_for_each(|event| run.feed(event))
+        .expect_err("out of domain");
     println!(
-        "streaming rejection consumed {} of {} events ({})",
-        guarded.events_consumed(),
+        "streaming rejection consumed {} of {} events ({violation})",
+        run.events_consumed(),
         2 * bad.size(),
-        guarded.violation().expect("out of domain"),
     );
 
     // 4. Output typechecking: dom(τ) ⊆ τ⁻¹(L(S_out))? The correct output

@@ -13,7 +13,7 @@ use xtt::engine::{DocFormat, Engine, EngineError, EngineOptions, EvalMode, Reque
 use xtt::prelude::*;
 use xtt::xml::xmlflip;
 
-/// One document through the engine core: `dtop` as a one-stage chain.
+/// One document through the engine core on `dtop`'s compiled machine.
 fn run(
     engine: &Engine,
     dtop: &Dtop,
@@ -21,8 +21,8 @@ fn run(
     mode: EvalMode,
     format: &DocFormat,
 ) -> Result<String, EngineError> {
-    let (stage, guard) = engine.resolve(dtop, false)?;
-    let req = Request::new(std::slice::from_ref(&stage), guard.as_deref(), format, mode);
+    let (machine, guard) = engine.resolve(dtop, false)?;
+    let req = Request::new(&machine, guard.as_deref(), format, mode);
     engine
         .run_batch(&[doc], req)
         .pop()

@@ -34,7 +34,7 @@
 //! ## Serving at scale
 //!
 //! Once a transducer is learned, [`engine`] (`xtt-engine`) turns it into a
-//! production runtime: [`engine::compile`] lowers it to flat jump tables,
+//! production runtime: [`engine::compile()`] lowers it to flat jump tables,
 //! [`engine::Engine::run_batch`] shards document batches across a worker
 //! pool (with an LRU of compiled transducers), and the streaming evaluator
 //! applies it directly to SAX-style XML events. The `xtt-transform` CLI
@@ -87,7 +87,7 @@ pub mod prelude {
     };
     pub use xtt_trees::{parse_tree, FPath, RankedAlphabet, Symbol, Tree, TreeEvent};
     pub use xtt_typecheck::{
-        domain_guard, output_typecheck, CompiledDtta, GuardedEvents, TypeError, TypecheckVerdict,
+        domain_guard, output_typecheck, CompiledDtta, TypeError, TypecheckVerdict,
     };
     pub use xtt_unranked::{UnrankedError, UnrankedEvents, XmlCodec};
     pub use xtt_xml::{parse_xml, Dtd, Encoding, PcDataMode, UTree};

@@ -1,9 +1,9 @@
 //! Golden-corpus tests: checked-in `(transducer, input, expected)`
-//! triples under `tests/golden/`, each run through all four evaluation
+//! triples under `tests/golden/`, each run through all three evaluation
 //! paths — the research tree-walk evaluator, the compiled interpreter,
-//! the streaming evaluator, and the DAG evaluator — and diffed against
-//! the expected output *exactly*. `!undefined` expects all four paths to
-//! agree the input is outside the domain; `!type-error at <path>: …`
+//! and the streaming evaluator — and diffed against the expected output
+//! *exactly*. `!undefined` expects all three paths to agree the input is
+//! outside the domain; `!type-error at <path>: …`
 //! additionally pins the *diagnostic* that guarded (validate-mode)
 //! evaluation must report, bit-identical across the engine's `tree` and
 //! `stream` modes.
@@ -17,7 +17,7 @@ use std::path::Path;
 
 use xtt::engine::{compile, EvalScratch, StreamEvaluator};
 use xtt::transducer::{eval, parse_dtop};
-use xtt::trees::{parse_tree, Tree, TreeDag};
+use xtt::trees::{parse_tree, Tree};
 
 struct GoldenCase {
     name: String,
@@ -81,25 +81,17 @@ fn load_corpus() -> Vec<GoldenCase> {
     cases
 }
 
-/// All four evaluation paths on one input; `None` = outside the domain.
+/// All three evaluation paths on one input; `None` = outside the domain.
 fn run_all_paths(case: &GoldenCase, input: &Tree) -> Vec<(&'static str, Option<Tree>)> {
     let dtop = parse_dtop(&case.transducer)
         .unwrap_or_else(|e| panic!("{}: bad transducer: {e}", case.name));
     let compiled = compile(&dtop).unwrap_or_else(|e| panic!("{}: compile failed: {e}", case.name));
     let mut scratch = EvalScratch::new();
     let mut stream = StreamEvaluator::new();
-    let mut dag = TreeDag::new();
-    let mut dag_scratch = EvalScratch::new();
     vec![
         ("eval", eval(&dtop, input)),
         ("compiled", compiled.eval(input, &mut scratch)),
         ("stream", stream.eval_tree(&compiled, input)),
-        (
-            "dag",
-            compiled
-                .eval_dag(input, &mut dag_scratch, &mut dag)
-                .map(|id| dag.extract(id)),
-        ),
     ]
 }
 
@@ -153,10 +145,9 @@ fn golden_type_error_diagnostics_exact_across_guarded_modes() {
         }
         covered += 1;
         let dtop = parse_dtop(&case.transducer).unwrap();
-        let (stage, guard) = engine.resolve(&dtop, true).unwrap();
+        let (machine, guard) = engine.resolve(&dtop, true).unwrap();
         for mode in [EvalMode::Compiled, EvalMode::Streaming] {
-            let stages = std::slice::from_ref(&stage);
-            let req = Request::new(stages, guard.as_deref(), &DocFormat::Term, mode);
+            let req = Request::new(&machine, guard.as_deref(), &DocFormat::Term, mode);
             let err = engine
                 .run_batch(&[&case.input], req)
                 .pop()

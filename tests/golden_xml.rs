@@ -1,7 +1,7 @@
 //! Golden corpus for the unranked-XML pipeline: checked-in
 //! `(transducer, encoding, XML input, XML output)` quadruples under
-//! `tests/golden_xml/`, each run through **all four** evaluation modes
-//! of the engine's encoded path (`DocFormat::Encoded`) and asserted
+//! `tests/golden_xml/`, each run through both evaluation modes (with
+//! and without validation) of the engine's encoded path (`DocFormat::Encoded`) and asserted
 //! byte-identical against the expected XML text — the documents are
 //! genuine unranked XML, encoded incrementally off the SAX tokenizer
 //! and decoded back by the streaming writers.
@@ -119,10 +119,9 @@ fn golden_xml_corpus_all_modes_exact() {
                 validate,
                 ..EngineOptions::default()
             });
-            let (stage, guard) = engine.resolve(&dtop, validate).unwrap();
+            let (machine, guard) = engine.resolve(&dtop, validate).unwrap();
             for mode in [EvalMode::Compiled, EvalMode::Streaming] {
-                let stages = std::slice::from_ref(&stage);
-                let req = Request::new(stages, guard.as_deref(), &format, mode);
+                let req = Request::new(&machine, guard.as_deref(), &format, mode);
                 let got = engine.run_batch(&[&case.input], req).pop().unwrap();
                 let got = got.unwrap_or_else(|e| {
                     panic!("{} [{mode:?} validate={validate}]: {e}", case.name)
@@ -152,9 +151,8 @@ fn golden_xml_streamed_emission_is_byte_identical() {
             ..EngineOptions::default()
         });
         for validate in [false, true] {
-            let (stage, _) = engine.resolve(&dtop, false).unwrap();
-            let stages = std::slice::from_ref(&stage);
-            let req = Request::new(stages, None, &format, EvalMode::Streaming);
+            let (machine, _) = engine.resolve(&dtop, false).unwrap();
+            let req = Request::new(&machine, None, &format, EvalMode::Streaming);
             let batch = engine.run_batch(&[&case.input], req).pop().unwrap();
             let batch =
                 batch.unwrap_or_else(|e| panic!("{} [batch validate={validate}]: {e}", case.name));
