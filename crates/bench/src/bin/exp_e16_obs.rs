@@ -1,4 +1,4 @@
-//! E16 — observability overhead: interleaved A/B of the E14
+//! E16 — observability overhead: request-interleaved A/B of the E14
 //! baseline_fresh workload with tracing off vs tracing every request.
 //! Prints the table, verifies the Server-Timing stage reconstruction,
 //! writes `BENCH_obs.json`, and enforces the ≤ 3 % overhead gate.
@@ -26,13 +26,13 @@ fn main() {
     );
     let over = overhead(&rows);
     println!(
-        "tracing overhead on median round throughput: {:.2}%",
+        "tracing overhead (median over rounds of the paired slowdown): {:.2}%",
         over * 100.0
     );
 
     let json = serde_json::json!({
         "experiment": "E16",
-        "description": "observability overhead: E14 baseline_fresh with trace_sample=0 vs trace_sample=1 (every request traced), interleaved rounds, median-of-rounds comparison, plus Server-Timing stage-breakdown reconstruction",
+        "description": "observability overhead: E14 baseline_fresh with trace_sample=0 vs trace_sample=1 (every request traced), requests alternating between the two servers, median over rounds of the per-round slowdown, plus Server-Timing stage-breakdown reconstruction",
         "rows": rows,
         "stage_check": check,
         "overhead_fraction": over,
@@ -44,9 +44,10 @@ fn main() {
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 
-    // The gate: tracing every request may cost at most 3 % of median
-    // round throughput. run_e16's in-run asserts already pinned zero
-    // errors, 1-in-1 sampling, and the stage reconstruction.
+    // The gate: tracing every request may cost at most 3 % of
+    // throughput, as the median over rounds of the paired slowdown.
+    // run_e16's in-run asserts already pinned zero errors, 1-in-1
+    // sampling, and the stage reconstruction.
     if over > 0.03 {
         eprintln!(
             "WARNING: tracing overhead {:.2}% exceeds the 3% gate",

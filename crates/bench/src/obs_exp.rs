@@ -3,10 +3,12 @@
 //! Two identical in-process servers answer the same E14-style
 //! baseline_fresh workload, one with tracing disabled (`trace_sample:
 //! 0`, the default no-observer path) and one tracing **every** request
-//! (`trace_sample: 1`, the worst case). Rounds alternate between the
-//! two servers so clock drift, turbo state, and page-cache warmth hit
-//! both configurations equally; the reported comparison is the median
-//! per-round throughput, which a single noisy round cannot move.
+//! (`trace_sample: 1`, the worst case). Requests alternate between the
+//! two servers, and so does which of them goes first, so clock drift,
+//! turbo state, page-cache warmth and other tenants' load hit both
+//! configurations equally; the gate reads the median over rounds of the
+//! traced server's slowdown in the same round, which a single noisy
+//! round cannot move.
 //!
 //! The run also fetches one traced response and reconstructs the stage
 //! breakdown from its `Server-Timing` header — proving the tracing
@@ -19,7 +21,6 @@
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use xtt_engine::EngineOptions;
 use xtt_obs::Histogram;
 use xtt_serve::{ServeClient, ServeOptions, Server};
 use xtt_transducer::examples;
@@ -30,9 +31,9 @@ use crate::serve_exp::{peak_rss_kb, request_body, stat_u64};
 pub struct E16Options {
     /// Request worker threads per server.
     pub workers: usize,
-    /// Interleaved rounds per configuration.
+    /// Measured rounds.
     pub rounds: usize,
-    /// Sequential requests measured per round.
+    /// Request pairs (one request to each server) per round.
     pub requests_per_round: usize,
     /// Documents per transform request.
     pub docs_per_request: usize,
@@ -42,7 +43,7 @@ impl Default for E16Options {
     fn default() -> E16Options {
         E16Options {
             workers: 4,
-            rounds: 7,
+            rounds: 41,
             requests_per_round: 60,
             docs_per_request: 20,
         }
@@ -59,10 +60,13 @@ pub struct ObsRow {
     pub errors: u64,
     pub docs: u64,
     pub elapsed_millis: u128,
-    /// Throughput over the summed round wall time.
+    /// Throughput over the lane's summed request latency.
     pub docs_per_sec: f64,
-    /// Median of the per-round throughputs — what the gate compares.
+    /// Median of the per-round throughputs.
     pub median_round_docs_per_sec: f64,
+    /// Throughput in each round, in round order — the gate compares the
+    /// two lanes round by round.
+    pub round_docs_per_sec: Vec<f64>,
     pub p50_micros: u64,
     pub p99_micros: u64,
     pub p999_micros: u64,
@@ -106,10 +110,6 @@ fn boot_lane(config: &'static str, trace_sample: u64, workers: usize) -> Lane {
             // Keep the slow log out of the measurement: E16 times the
             // happy path, not stderr formatting.
             slow_request: Duration::ZERO,
-            engine: EngineOptions {
-                workers: 1,
-                ..ServeOptions::default().engine
-            },
             ..ServeOptions::default()
         },
     )
@@ -136,25 +136,38 @@ fn boot_lane(config: &'static str, trace_sample: u64, workers: usize) -> Lane {
     }
 }
 
-/// One measured round of sequential requests against a lane.
-fn round(lane: &mut Lane, body: &str, requests: usize, docs_per_request: usize) {
-    let t0 = Instant::now();
-    let mut docs = 0u64;
-    for _ in 0..requests {
-        let r0 = Instant::now();
-        match lane.client.request("POST", "/transform/flip", body) {
-            Ok(resp) if resp.status == 200 => {
-                lane.latency.record(r0.elapsed().as_micros() as u64);
-                docs += docs_per_request as u64;
+/// One measured round: `requests` pairs of sequential requests, one to
+/// each lane, the lane that goes first alternating from pair to pair. A
+/// lane's round rate is its documents over its own requests' summed
+/// latency, so both rates cover the same stretch of wall time and a
+/// slow spell on the host lands on both.
+fn round(lanes: [&mut Lane; 2], body: &str, requests: usize, docs_per_request: usize) {
+    let mut spent = [Duration::ZERO; 2];
+    let mut docs = [0u64; 2];
+    for i in 0..requests {
+        for k in [i % 2, 1 - i % 2] {
+            let lane = &mut *lanes[k];
+            let r0 = Instant::now();
+            let ok = matches!(
+                lane.client.request("POST", "/transform/flip", body),
+                Ok(resp) if resp.status == 200
+            );
+            let took = r0.elapsed();
+            spent[k] += took;
+            if ok {
+                lane.latency.record(took.as_micros() as u64);
+                docs[k] += docs_per_request as u64;
+            } else {
+                lane.errors += 1;
             }
-            Ok(_) | Err(_) => lane.errors += 1,
         }
     }
-    let elapsed = t0.elapsed();
-    lane.docs += docs;
-    lane.elapsed += elapsed;
-    lane.round_rates
-        .push(docs as f64 / elapsed.as_secs_f64().max(1e-9));
+    for (k, lane) in lanes.into_iter().enumerate() {
+        lane.docs += docs[k];
+        lane.elapsed += spent[k];
+        lane.round_rates
+            .push(docs[k] as f64 / spent[k].as_secs_f64().max(1e-9));
+    }
 }
 
 fn median(rates: &[f64]) -> f64 {
@@ -185,6 +198,7 @@ fn finish_lane(lane: Lane) -> ObsRow {
         elapsed_millis: lane.elapsed.as_millis(),
         docs_per_sec: lane.docs as f64 / lane.elapsed.as_secs_f64().max(1e-9),
         median_round_docs_per_sec: median(&lane.round_rates),
+        round_docs_per_sec: lane.round_rates,
         p50_micros: snap.p50(),
         p99_micros: snap.p99(),
         p999_micros: snap.p999(),
@@ -254,20 +268,18 @@ pub fn run_e16(opts: &E16Options) -> (Vec<ObsRow>, StageCheck) {
     let mut traced = boot_lane("traced_every", 1, opts.workers);
 
     // Warm both lanes (compile cache, page tables) outside the clock.
-    round(&mut untraced, &body, 5, opts.docs_per_request);
-    round(&mut traced, &body, 5, opts.docs_per_request);
+    round(
+        [&mut untraced, &mut traced],
+        &body,
+        5,
+        opts.docs_per_request,
+    );
     untraced.round_rates.clear();
     traced.round_rates.clear();
 
     for _ in 0..opts.rounds {
         round(
-            &mut untraced,
-            &body,
-            opts.requests_per_round,
-            opts.docs_per_request,
-        );
-        round(
-            &mut traced,
+            [&mut untraced, &mut traced],
             &body,
             opts.requests_per_round,
             opts.docs_per_request,
@@ -297,13 +309,21 @@ pub fn run_e16(opts: &E16Options) -> (Vec<ObsRow>, StageCheck) {
     (rows, check)
 }
 
-/// Tracing overhead on median round throughput, as a fraction
-/// (0.03 = traced is 3 % slower). Negative means traced measured faster
-/// (pure noise — the gate treats it as zero overhead).
+/// Tracing overhead as a fraction (0.03 = traced is 3 % slower): the
+/// median over rounds of how much slower the traced lane ran than the
+/// untraced one in the same round. Pairing by round keeps the host's
+/// drift between rounds out of the comparison. Negative means traced
+/// measured faster (pure noise — the gate treats it as zero overhead).
 pub fn overhead(rows: &[ObsRow]) -> f64 {
     let untraced = rows.iter().find(|r| r.trace_sample == 0).expect("untraced");
     let traced = rows.iter().find(|r| r.trace_sample != 0).expect("traced");
-    1.0 - traced.median_round_docs_per_sec / untraced.median_round_docs_per_sec.max(1e-9)
+    let per_round: Vec<f64> = traced
+        .round_docs_per_sec
+        .iter()
+        .zip(&untraced.round_docs_per_sec)
+        .map(|(t, u)| 1.0 - t / u.max(1e-9))
+        .collect();
+    median(&per_round)
 }
 
 /// Renders the E16 table.

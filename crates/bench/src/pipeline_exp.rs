@@ -11,9 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
-use xtt_engine::{
-    compile, tree_to_xml, CompiledDtop, DocFormat, Engine, EngineOptions, EvalMode, Request,
-};
+use xtt_engine::{compile, tree_to_xml, CompiledDtop, DocFormat, Engine, EvalMode, Request};
 use xtt_pipeline::{plan, Plan, StageDef, StrategyChoice};
 use xtt_transducer::{domain_dtta, parse_dtop};
 use xtt_trees::{gen, RankedAlphabet};
@@ -167,10 +165,7 @@ fn measure(
     docs: &[String],
     rounds: usize,
 ) -> [u64; 2] {
-    let engine = Engine::new(EngineOptions {
-        workers: 1,
-        ..EngineOptions::default()
-    });
+    let engine = Engine::default();
     let run_plan = || {
         let req = Request::new(plan.machine(), Some(plan.guard()), &DocFormat::Xml, mode);
         engine.run_batch(docs, req)

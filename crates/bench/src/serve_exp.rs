@@ -32,7 +32,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use xtt_engine::EngineOptions;
 use xtt_obs::Histogram;
 use xtt_serve::{ServeClient, ServeOptions, Server};
 use xtt_transducer::examples;
@@ -213,10 +212,6 @@ fn run_baseline(opts: &E14Options) -> ServeRow {
     let (client, runner) = boot(ServeOptions {
         workers: opts.idle_workers,
         queue_capacity: 256,
-        engine: EngineOptions {
-            workers: 1,
-            ..ServeOptions::default().engine
-        },
         ..ServeOptions::default()
     });
     let measured = fresh_loop(&client, opts.fresh_requests, opts.docs_per_request);
@@ -233,10 +228,6 @@ fn run_idle_heavy(opts: &E14Options) -> ServeRow {
         queue_capacity: 256,
         // The army must outlive the measurement.
         keep_alive_timeout: Duration::from_secs(300),
-        engine: EngineOptions {
-            workers: 1,
-            ..ServeOptions::default().engine
-        },
         ..ServeOptions::default()
     });
 
@@ -293,10 +284,6 @@ fn run_pipelined(opts: &E14Options) -> ServeRow {
     let (client, runner) = boot(ServeOptions {
         workers: opts.idle_workers,
         queue_capacity: 256,
-        engine: EngineOptions {
-            workers: 1,
-            ..ServeOptions::default().engine
-        },
         ..ServeOptions::default()
     });
 

@@ -206,7 +206,6 @@ fn best_of(rounds: usize, mut f: impl FnMut() -> (u128, u128)) -> (u128, u128) {
 /// Runs the E13 grid with the in-run asserts.
 pub fn run_e13(workloads: &[StreamWorkload], rounds: usize) -> Vec<StreamRow> {
     let engine = Engine::new(EngineOptions {
-        workers: 1,
         mode: EvalMode::Streaming,
         ..EngineOptions::default()
     });

@@ -9,15 +9,17 @@
 //! committed output events into the sink as they commit.
 //!
 //! [`Engine::run_doc`] writes one document's bytes; [`Engine::run_batch`]
-//! aims the same routine at a buffer per document and shards the batch
-//! across a worker pool. The `Rc`-based [`Tree`] never crosses a thread
-//! boundary. Compiled transducers and guards live in LRU caches keyed by
-//! [`crate::fingerprint`], so repeat traffic never recompiles.
+//! aims the same routine at a buffer per document. Both run on the
+//! caller's thread — the engine starts no threads, so a server's request
+//! pool is the only concurrency — and the `Rc`-based [`Tree`] never
+//! crosses a thread boundary. Compiled transducers and guards live in
+//! LRU caches keyed by [`crate::fingerprint`], so repeat traffic never
+//! recompiles; a cache miss builds outside the cache's lock.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use xtt_obs::{EvalObserver, Stage};
 use xtt_transducer::Dtop;
@@ -101,9 +103,6 @@ impl DocFormat {
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
-    /// Worker threads for [`Engine::run_batch`]; 0 = one per available
-    /// CPU.
-    pub workers: usize,
     /// Capacity of the compiled-transducer and domain-guard LRU caches.
     pub cache_capacity: usize,
     /// Default mode of [`Engine::transform`] (and of serving layers).
@@ -125,7 +124,6 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> EngineOptions {
         EngineOptions {
-            workers: 0,
             cache_capacity: 8,
             mode: EvalMode::Compiled,
             format: DocFormat::Term,
@@ -215,84 +213,86 @@ struct LruEntry<V> {
     /// The exact rendering the fingerprint hashed; compared on every hit
     /// so a 64-bit collision can never serve the wrong transducer.
     rendering: String,
-    last_used: u64,
     value: V,
 }
 
 /// The one LRU discipline behind the compiled-transducer cache, the
 /// domain-guard cache, and `xtt-pipeline`'s compiled-plan cache:
 /// fingerprint + exact-rendering lookup (a 64-bit collision can never
-/// serve the wrong value), least-recently-used eviction on insert.
+/// serve the wrong value), least-recently-used eviction on insert. Safe
+/// to share: the lock covers lookups and inserts, never a build.
 pub struct LruCache<V> {
-    entries: Vec<LruEntry<V>>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
+    /// Least recently used first.
+    entries: Mutex<Vec<LruEntry<V>>>,
+    capacity: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-impl<V> Default for LruCache<V> {
-    fn default() -> LruCache<V> {
+impl<V: Clone> LruCache<V> {
+    /// An empty cache holding at most `capacity` (at least 1) entries.
+    pub fn new(capacity: usize) -> LruCache<V> {
         LruCache {
-            entries: Vec::new(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
+            entries: Mutex::new(Vec::new()),
+            capacity: capacity.max(1),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
-}
 
-impl<V> LruCache<V> {
-    pub fn new() -> LruCache<V> {
-        LruCache::default()
+    fn lock(&self) -> MutexGuard<'_, Vec<LruEntry<V>>> {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Hit/miss/occupancy counters (monotonic over the cache's life).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.entries.len(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.lock().len(),
         }
     }
-}
 
-impl<V: Clone> LruCache<V> {
-    /// Returns the cached value for `(fp, rendering)`, building and
-    /// inserting it (evicting the least-recently-used entry at
-    /// `capacity`) on a miss. A failed `build` caches nothing.
+    /// The value for `(fp, rendering)`, now the most recently used.
+    fn find(entries: &mut Vec<LruEntry<V>>, fp: u64, rendering: &str) -> Option<V> {
+        let at = entries
+            .iter()
+            .position(|e| e.fp == fp && e.rendering == rendering)?;
+        let entry = entries.remove(at);
+        let value = entry.value.clone();
+        entries.push(entry);
+        Some(value)
+    }
+
+    /// Returns the cached value for `(fp, rendering)`. On a miss, builds
+    /// it with the lock released — so a slow build (a compile, a subset
+    /// construction, a plan) never blocks lookups — then inserts it,
+    /// evicting the least-recently-used entry at capacity. Concurrent
+    /// misses on one key each build; the first insert is kept and
+    /// returned to all of them. A failed `build` caches nothing; every
+    /// successful one counts as a miss.
     pub fn get_or_insert_with<E>(
-        &mut self,
+        &self,
         fp: u64,
         rendering: String,
-        capacity: usize,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.fp == fp && e.rendering == rendering)
-        {
-            entry.last_used = tick;
-            self.hits += 1;
-            return Ok(entry.value.clone());
+        if let Some(value) = Self::find(&mut self.lock(), fp, &rendering) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(value);
         }
         let value = build()?;
-        self.misses += 1;
-        if self.entries.len() >= capacity.max(1) {
-            let (evict, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .expect("cache not empty");
-            self.entries.swap_remove(evict);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut entries = self.lock();
+        if let Some(value) = Self::find(&mut entries, fp, &rendering) {
+            return Ok(value);
         }
-        self.entries.push(LruEntry {
+        if entries.len() >= self.capacity {
+            entries.remove(0);
+        }
+        entries.push(LruEntry {
             fp,
             rendering,
-            last_used: tick,
             value: value.clone(),
         });
         Ok(value)
@@ -382,8 +382,8 @@ impl<'a> Request<'a> {
 /// A reusable transformation service; see the module docs.
 pub struct Engine {
     opts: EngineOptions,
-    cache: Mutex<LruCache<Arc<CompiledDtop>>>,
-    guards: Mutex<LruCache<Arc<CompiledDtta>>>,
+    cache: LruCache<Arc<CompiledDtop>>,
+    guards: LruCache<Arc<CompiledDtta>>,
     /// Guarded documents, and the ones their guard rejected.
     validated: AtomicU64,
     rejected: AtomicU64,
@@ -401,9 +401,9 @@ impl Default for Engine {
 impl Engine {
     pub fn new(opts: EngineOptions) -> Engine {
         Engine {
+            cache: LruCache::new(opts.cache_capacity),
+            guards: LruCache::new(opts.cache_capacity),
             opts,
-            cache: Mutex::new(LruCache::default()),
-            guards: Mutex::new(LruCache::default()),
             validated: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             skips: AtomicU64::new(0),
@@ -424,14 +424,12 @@ impl Engine {
     /// fingerprint was seen before (hits are verified against the exact
     /// rendered structure, not just the hash).
     pub fn compiled(&self, dtop: &Dtop) -> Result<Arc<CompiledDtop>, CompileError> {
-        cached(&self.cache, dtop, self.opts.cache_capacity, || {
-            compile(dtop).map(Arc::new)
-        })
+        cached(&self.cache, dtop, || compile(dtop).map(Arc::new))
     }
 
     /// Cache counters (for observability and tests).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().unwrap_or_else(|e| e.into_inner()).stats()
+        self.cache.stats()
     }
 
     /// The compiled domain guard of `dtop`, from its own LRU cache (same
@@ -440,7 +438,7 @@ impl Engine {
     /// capacity overrun surfaces as [`EngineError::Compile`] instead of
     /// taking the process down.
     pub fn guard(&self, dtop: &Dtop) -> Result<Arc<CompiledDtta>, EngineError> {
-        cached(&self.guards, dtop, self.opts.cache_capacity, || {
+        cached(&self.guards, dtop, || {
             catch_unwind(AssertUnwindSafe(|| domain_guard(dtop)))
                 .map_err(|_| EngineError::Compile("domain guard construction blew up".into()))?
                 .map(Arc::new)
@@ -468,7 +466,7 @@ impl Engine {
         ValidationStats {
             docs_validated: self.validated.load(Ordering::Relaxed),
             docs_rejected_pre_eval: self.rejected.load(Ordering::Relaxed),
-            guards_compiled: self.guards.lock().unwrap_or_else(|e| e.into_inner()).misses,
+            guards_compiled: self.guards.stats().misses,
         }
     }
 
@@ -493,55 +491,21 @@ impl Engine {
         self.rejected.fetch_add(rejected as u64, Ordering::Relaxed);
     }
 
-    /// Runs a batch and returns every document's output text (its
-    /// [`Engine::run_doc`] bytes) in input order; failures — even
-    /// evaluator panics — are per-document and positional. Documents are
-    /// sharded across [`EngineOptions::workers`] threads by an atomic
-    /// cursor, unless the request carries an observer: then one worker
-    /// runs them in order and the stamps accumulate into one breakdown.
-    pub fn run_batch<D: AsRef<str> + Sync>(
+    /// Runs a batch on the calling thread and returns every document's
+    /// output text (its [`Engine::run_doc`] bytes) in input order;
+    /// failures — even evaluator panics — are per-document and
+    /// positional. One worker, created for this call, runs the documents
+    /// in order, so an observer's stamps accumulate into one breakdown.
+    pub fn run_batch<D: AsRef<str>>(
         &self,
         docs: &[D],
         mut req: Request<'_>,
     ) -> Vec<Result<String, EngineError>> {
-        let workers = match req.observer {
-            Some(_) => 1,
-            None => effective_workers(self.opts.workers, docs.len()),
-        };
-        let results = if workers <= 1 {
-            let mut worker = Worker::new();
-            docs.iter()
-                .map(|d| worker.text(self, d.as_ref(), &mut req))
-                .collect()
-        } else {
-            // No observer here: every thread gets its own copy.
-            let (machine, guard, format, mode) = (req.machine, req.guard, req.format, req.mode);
-            let next = AtomicUsize::new(0);
-            let mut results =
-                vec![Err(EngineError::Internal("result was never produced".into())); docs.len()];
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut worker = Worker::new();
-                            let mut req = Request::new(machine, guard, format, mode);
-                            let mut done = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(doc) = docs.get(i) else { break done };
-                                done.push((i, worker.text(self, doc.as_ref(), &mut req)));
-                            }
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (i, r) in handle.join().expect("engine worker panicked") {
-                        results[i] = r;
-                    }
-                }
-            });
-            results
-        };
+        let mut worker = Worker::new();
+        let results: Vec<_> = docs
+            .iter()
+            .map(|d| worker.text(self, d.as_ref(), &mut req))
+            .collect();
         if req.guard.is_some() {
             self.record_validation(&results);
         }
@@ -997,13 +961,11 @@ fn verdict(
 /// `dtop`'s entry in one of the engine's LRU caches, keyed by its
 /// structural fingerprint and verified against its rendering.
 fn cached<V: Clone, E>(
-    cache: &Mutex<LruCache<V>>,
+    cache: &LruCache<V>,
     dtop: &Dtop,
-    capacity: usize,
     build: impl FnOnce() -> Result<V, E>,
 ) -> Result<V, E> {
-    let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-    cache.get_or_insert_with(fingerprint(dtop), dtop.to_string(), capacity, build)
+    cache.get_or_insert_with(fingerprint(dtop), dtop.to_string(), build)
 }
 
 /// Stamps a stage boundary on the observer, if one is attached. The
@@ -1015,14 +977,11 @@ fn stamp(obs: &mut Option<&mut dyn EvalObserver>, stage: Stage) {
     }
 }
 
-fn effective_workers(configured: usize, docs: usize) -> usize {
-    let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let w = if configured == 0 { auto } else { configured };
-    w.min(docs.max(1))
-}
-
-/// Per-thread execution state, warm across documents; recreated after a
-/// caught panic (which can leave the scratches inconsistent).
+/// Execution state for one engine call, warm across that call's
+/// documents; recreated after a caught panic (which can leave the
+/// scratches inconsistent). Never kept past the call: the scratch's
+/// cross-document intern table, and the trees it keeps alive, would
+/// outlive the request and its machine.
 struct Worker {
     scratch: EvalScratch,
     stream: StreamEvaluator,
@@ -1036,8 +995,8 @@ impl Worker {
         }
     }
 
-    /// [`Worker::run`] into a buffer, as text. Turning the bytes into the
-    /// result is charged to emit.
+    /// [`Worker::run`] into a buffer, as text, with exactly its stage
+    /// stamps: one per stage per document is what tracing a batch costs.
     fn text(
         &mut self,
         engine: &Engine,
@@ -1046,9 +1005,7 @@ impl Worker {
     ) -> Result<String, EngineError> {
         let mut out = Vec::with_capacity(doc.len());
         self.run(engine, doc, &mut out, req)?;
-        let text = String::from_utf8(out).map_err(|e| EngineError::Internal(e.to_string()))?;
-        stamp(&mut req.observer, Stage::Emit);
-        Ok(text)
+        String::from_utf8(out).map_err(|e| EngineError::Internal(e.to_string()))
     }
 
     /// The per-document routine: the format's sink over `out`, fed by the
@@ -1206,6 +1163,12 @@ impl Worker {
                 let result = self
                     .stream
                     .eval_streaming(req.machine, &mut guarded, &mut cap);
+                // A pipeline's normalized machine can stop above the raw
+                // chain guard's first violation: run the guard on to it,
+                // the violation `tree` mode names.
+                if matches!(result, Ok(None)) {
+                    while guarded.next_event().is_some() {}
+                }
                 (result, guarded.take_violation())
             }
             None => (
@@ -1262,10 +1225,7 @@ mod tests {
     #[test]
     fn batch_results_are_in_input_order() {
         let fix = examples::flip();
-        let engine = Engine::new(EngineOptions {
-            workers: 4,
-            ..EngineOptions::default()
-        });
+        let engine = Engine::default();
         let docs = flip_docs(101);
         let results = batch(&engine, &fix.dtop, &docs);
         assert_eq!(results.len(), docs.len());
@@ -1283,10 +1243,7 @@ mod tests {
     #[test]
     fn documents_fail_independently() {
         let fix = examples::flip();
-        let engine = Engine::new(EngineOptions {
-            workers: 2,
-            ..EngineOptions::default()
-        });
+        let engine = Engine::default();
         let docs = vec![
             "root(a(#,#),b(#,#))".to_owned(),
             "root(b(#,#),#)".to_owned(), // outside the domain
@@ -1307,7 +1264,6 @@ mod tests {
         let mut outputs: Vec<Vec<Result<String, EngineError>>> = Vec::new();
         for mode in MODES {
             let engine = Engine::new(EngineOptions {
-                workers: 3,
                 mode,
                 ..EngineOptions::default()
             });
@@ -1339,10 +1295,11 @@ mod tests {
             )
             .unwrap();
             assert_eq!(plain, observed);
-            let names: Vec<&str> = trace.stages().iter().map(|(n, _)| *n).collect();
+            let names: Vec<&str> = trace.stages().map(|(n, _)| n).collect();
             if mode == EvalMode::Streaming {
-                // Guard and evaluation run fused in lockstep.
-                assert_eq!(names, ["tokenize", "eval", "emit"], "mode {mode:?}");
+                // Guard, evaluation and emission run fused in lockstep;
+                // the term sink has no tail to charge to emit.
+                assert_eq!(names, ["tokenize", "eval"], "mode {mode:?}");
             } else {
                 assert_eq!(
                     names,
@@ -1369,7 +1326,7 @@ mod tests {
         engine
             .run_doc("root(a(#,#),b(#,#))", &mut out, req)
             .unwrap();
-        let names: Vec<&str> = trace.stages().iter().map(|(n, _)| *n).collect();
+        let names: Vec<&str> = trace.stages().map(|(n, _)| n).collect();
         assert_eq!(names, ["tokenize", "eval"]);
 
         let docs = flip_docs(8);
@@ -1381,14 +1338,14 @@ mod tests {
         let observed = engine.run_batch(&docs, req);
         let plain = batch(&engine, &fix.dtop, &docs);
         assert_eq!(observed, plain);
-        let names: Vec<&str> = trace.stages().iter().map(|(n, _)| *n).collect();
+        let names: Vec<&str> = trace.stages().map(|(n, _)| n).collect();
         assert_eq!(names, ["tokenize", "eval", "emit"], "stages accumulate");
     }
 
     /// Regression test for the serving contract: a large batch with
     /// malformed and out-of-domain documents sprinkled in reports each
     /// failure *positionally* — no abort on first error, every other
-    /// document still transformed, in every mode and at any worker count.
+    /// document still transformed, in every mode.
     #[test]
     fn batch_errors_are_positional_not_aborting() {
         let fix = examples::flip();
@@ -1397,20 +1354,17 @@ mod tests {
         docs[57] = "root(b(#,#),#)".to_owned(); // outside the domain
         docs[99] = "((".to_owned(); // malformed
         for mode in MODES {
-            for workers in [1, 4] {
-                let engine = Engine::new(EngineOptions {
-                    workers,
-                    mode,
-                    ..EngineOptions::default()
-                });
-                let results = batch(&engine, &fix.dtop, &docs);
-                assert_eq!(results.len(), docs.len());
-                assert!(matches!(results[13], Err(EngineError::Parse(_))));
-                assert_eq!(results[57], Err(EngineError::Undefined));
-                assert!(matches!(results[99], Err(EngineError::Parse(_))));
-                let ok = results.iter().filter(|r| r.is_ok()).count();
-                assert_eq!(ok, 97, "every well-formed document must succeed");
-            }
+            let engine = Engine::new(EngineOptions {
+                mode,
+                ..EngineOptions::default()
+            });
+            let results = batch(&engine, &fix.dtop, &docs);
+            assert_eq!(results.len(), docs.len());
+            assert!(matches!(results[13], Err(EngineError::Parse(_))));
+            assert_eq!(results[57], Err(EngineError::Undefined));
+            assert!(matches!(results[99], Err(EngineError::Parse(_))));
+            let ok = results.iter().filter(|r| r.is_ok()).count();
+            assert_eq!(ok, 97, "every well-formed document must succeed");
         }
     }
 
@@ -1422,7 +1376,6 @@ mod tests {
         let copier = examples::monadic_to_binary().dtop; // output 2^(depth+1)-1 nodes
         let engine = Engine::new(EngineOptions {
             max_output_nodes: Some(10_000),
-            workers: 1,
             ..EngineOptions::default()
         });
         let mut deep = String::from("e");
@@ -1483,7 +1436,6 @@ mod tests {
         let engine = Engine::new(EngineOptions {
             format: DocFormat::Xml,
             mode: EvalMode::Streaming,
-            workers: 1,
             ..EngineOptions::default()
         });
         let out = engine
@@ -1500,7 +1452,6 @@ mod tests {
         let fix = examples::flip();
         let engine = Engine::new(EngineOptions {
             validate: true,
-            workers: 1,
             ..EngineOptions::default()
         });
         let bad = "root(a(#,b(#,#)),b(#,#))"; // violation at node 1.2
@@ -1579,7 +1530,6 @@ mod tests {
         let engine = Engine::new(EngineOptions {
             validate: true,
             max_output_nodes: Some(1_000),
-            workers: 1,
             ..EngineOptions::default()
         });
         let mut deep = String::from("e");
@@ -1641,7 +1591,6 @@ mod tests {
         for validate in [false, true] {
             for mode in MODES {
                 let engine = Engine::new(EngineOptions {
-                    workers: 1,
                     max_output_nodes: if validate { Some(10_000) } else { None },
                     ..EngineOptions::default()
                 });
@@ -1726,10 +1675,7 @@ mod tests {
         let format = DocFormat::parse("xml+attrs").unwrap();
         for validate in [false, true] {
             for mode in MODES {
-                let engine = Engine::new(EngineOptions {
-                    workers: 1,
-                    ..EngineOptions::default()
-                });
+                let engine = Engine::default();
                 let stripped =
                     run_one(&engine, &strip, doc, mode, &format, validate, None).unwrap();
                 assert_eq!(stripped, "<root><x/><x/><z/></root>", "{mode:?}");
@@ -1766,10 +1712,7 @@ mod tests {
             std::sync::Arc::new(xmlflip::output_encoding()),
         );
         let format = DocFormat::Encoded(codec);
-        let engine = Engine::new(EngineOptions {
-            workers: 1,
-            ..EngineOptions::default()
-        });
+        let engine = Engine::default();
         for mode in MODES {
             let run = |doc: &str| run_one(&engine, &m, doc, mode, &format, false, None);
             let out = run("<root><a/><a/><b/></root>").unwrap();
@@ -1789,7 +1732,6 @@ mod tests {
         let format = DocFormat::parse("fcns").unwrap();
         let engine = Engine::new(EngineOptions {
             validate: true,
-            workers: 1,
             ..EngineOptions::default()
         });
         // `c` is not in prune's alphabet and sits in an inspected
@@ -1813,10 +1755,7 @@ mod tests {
     #[test]
     fn transform_streaming_matches_batch_output() {
         let fix = examples::flip();
-        let engine = Engine::new(EngineOptions {
-            workers: 1,
-            ..EngineOptions::default()
-        });
+        let engine = Engine::default();
         let prune = fcns_prune();
         let cases = [
             (&fix.dtop, DocFormat::Term, "root(a(#,#),b(#,#))"),
@@ -1874,10 +1813,7 @@ mod tests {
     fn encoded_streaming_skips_deleted_subtrees() {
         let prune = fcns_prune();
         let format = DocFormat::parse("fcns").unwrap();
-        let engine = Engine::new(EngineOptions {
-            workers: 1,
-            ..EngineOptions::default()
-        });
+        let engine = Engine::default();
         // Every `b` content forest is deleted; the inner junk would fail
         // fc/ns encoding if it were tokenized (undeclared depth is fine,
         // but the skip counter is the direct evidence).
@@ -2026,6 +1962,37 @@ mod tests {
         assert_eq!(stats.misses, 3);
         engine.compiled(&m2).unwrap(); // was evicted → miss
         assert_eq!(engine.cache_stats().misses, 4);
+    }
+
+    /// A miss builds with the cache unlocked: a build that waits for
+    /// another thread's `compiled` call completes, and both results are
+    /// cached. Were the lock held across the build, that call would wait
+    /// for the build, and the build would time out.
+    #[test]
+    fn a_cache_miss_does_not_block_other_lookups() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let engine = Engine::default();
+        let (flip, library) = (examples::flip().dtop, examples::library().dtop);
+        let (done, other_returned) = mpsc::channel();
+        let built = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                engine.compiled(&library).unwrap();
+                let _ = done.send(());
+            });
+            cached(&engine.cache, &flip, || {
+                other_returned
+                    .recv_timeout(Duration::from_secs(5))
+                    .map(|()| Arc::new(compile(&flip).unwrap()))
+            })
+        });
+        assert!(built.is_ok(), "the concurrent lookup waited for the build");
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
+        assert!(Arc::ptr_eq(
+            &built.unwrap(),
+            &engine.compiled(&flip).unwrap()
+        ));
     }
 
     /// A 200,000-deep document through the identity returns its own

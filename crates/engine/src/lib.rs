@@ -29,8 +29,8 @@
 //!   (`tree` or `stream`) decides what runs in between. A pipeline is its
 //!   composed machine under its chain-domain guard, so it runs exactly
 //!   like a validated transducer. [`Engine::run_doc`] writes one
-//!   document's bytes; [`Engine::run_batch`] returns text for a batch
-//!   sharded across a worker pool; LRU caches of compiled transducers
+//!   document's bytes; [`Engine::run_batch`] returns text for a batch,
+//!   both on the caller's thread; LRU caches of compiled transducers
 //!   and guards are keyed by structural [`fingerprint`]. The
 //!   `xtt-transform` binary and `xtt-serve` are thin layers over it.
 //!

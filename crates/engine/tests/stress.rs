@@ -101,7 +101,6 @@ fn concurrent_distinct_transducers_stay_bit_identical() {
     // LRU far below the 12-transducer working set → constant eviction.
     let engine = Arc::new(Engine::new(EngineOptions {
         cache_capacity: 4,
-        workers: 1, // callers are the concurrency; no nested pools
         ..EngineOptions::default()
     }));
     let threads = 8;

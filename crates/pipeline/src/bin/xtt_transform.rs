@@ -18,7 +18,7 @@ use std::io::{BufWriter, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use xtt_engine::{tree_to_xml, CompiledDtop, DocFormat, Engine, EngineOptions, EvalMode, Request};
+use xtt_engine::{tree_to_xml, CompiledDtop, DocFormat, Engine, EngineError, EvalMode, Request};
 use xtt_obs::{EvalObserver, Trace};
 use xtt_pipeline::{plan, StageDef, StrategyChoice};
 use xtt_transducer::{examples, Dtop, DtopBuilder};
@@ -48,7 +48,10 @@ OPTIONS:
                                  (overrides --format; streaming mode
                                  encodes off the tokenizer with no
                                  intermediate tree)
-  --jobs <N>                     worker threads (0 = auto)  [default: 0]
+  --jobs <N>                     split the corpus into N contiguous
+                                 chunks, each run on its own thread
+                                 (0 = one per CPU; --stream-output and
+                                 --profile run one)         [default: 0]
   --demo <N>                     generate N demo documents instead of stdin
   --validate                     guarded evaluation: reject out-of-domain
                                  documents with a typed violation path
@@ -273,6 +276,35 @@ impl Write for CountingWriter<'_> {
     }
 }
 
+/// Runs the corpus as `jobs` contiguous chunks (0 = one per CPU, never
+/// more chunks than documents), one [`Engine::run_batch`] per chunk on
+/// its own scoped thread, and returns the results in input order. An
+/// observed run is one chunk, so its stamps add up to one breakdown.
+fn run_sharded(
+    engine: &Engine,
+    docs: &[String],
+    jobs: usize,
+    req: Request<'_>,
+) -> Vec<Result<String, EngineError>> {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let jobs = if jobs == 0 { cpus } else { jobs };
+    if jobs.min(docs.len()) <= 1 || req.observer.is_some() {
+        return engine.run_batch(docs, req);
+    }
+    let (machine, guard, format, mode) = (req.machine, req.guard, req.format, req.mode);
+    let run = |chunk| engine.run_batch(chunk, Request::new(machine, guard, format, mode));
+    std::thread::scope(|scope| {
+        let shards: Vec<_> = docs
+            .chunks(docs.len().div_ceil(jobs))
+            .map(|chunk| scope.spawn(move || run(chunk)))
+            .collect();
+        shards
+            .into_iter()
+            .flat_map(|s| s.join().expect("a shard panicked"))
+            .collect()
+    })
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -281,10 +313,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let engine = Engine::new(EngineOptions {
-        workers: args.jobs,
-        ..EngineOptions::default()
-    });
+    let engine = Engine::default();
     let (machine, guard) = match resolve(&engine, &args) {
         Ok(resolved) => resolved,
         Err(e) => {
@@ -365,7 +394,7 @@ fn main() {
             observer: trace.as_mut().map(|t| t as &mut dyn EvalObserver),
             ..Request::new(&machine, guard, &args.format, args.mode)
         };
-        for result in engine.run_batch(&docs, req) {
+        for result in run_sharded(&engine, &docs, args.jobs, req) {
             match result {
                 Ok(text) => writeln!(sink, "{text}").expect("write stdout"),
                 Err(e) => {

@@ -5,7 +5,7 @@
 //! collision-checked [`LruCache`], so re-registering a pipeline with an
 //! unchanged definition is free and any change to a stage's rules misses.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xtt_automata::Dtta;
 use xtt_engine::{CacheStats, LruCache};
@@ -15,24 +15,23 @@ use crate::plan::{
 };
 
 pub struct PlanCache {
-    inner: Mutex<LruCache<Arc<Plan>>>,
-    capacity: usize,
+    inner: LruCache<Arc<Plan>>,
 }
 
 impl PlanCache {
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
-            inner: Mutex::new(LruCache::new()),
-            capacity: capacity.max(1),
+            inner: LruCache::new(capacity),
         }
     }
 
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap().stats()
+        self.inner.stats()
     }
 
-    /// The cached plan for this exact pipeline, planning on a miss. A
-    /// failed plan caches nothing (the next attempt re-plans).
+    /// The cached plan for this exact pipeline, planning on a miss with
+    /// the cache unlocked. A failed plan caches nothing (the next attempt
+    /// re-plans).
     pub fn get_or_plan(
         &self,
         stages: &[StageDef],
@@ -40,11 +39,8 @@ impl PlanCache {
     ) -> Result<Arc<Plan>, PlanError> {
         let rendering = pipeline_rendering(stages, schema);
         let fp = pipeline_fingerprint(stages, schema);
-        self.inner
-            .lock()
-            .unwrap()
-            .get_or_insert_with(fp, rendering, self.capacity, || {
-                plan(stages, schema, StrategyChoice::Auto).map(Arc::new)
-            })
+        self.inner.get_or_insert_with(fp, rendering, || {
+            plan(stages, schema, StrategyChoice::Auto).map(Arc::new)
+        })
     }
 }

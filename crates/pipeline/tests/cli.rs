@@ -1,5 +1,6 @@
-//! `xtt-transform --pipeline` end to end: a pipeline always runs under its
-//! plan's chain-domain guard, `--validate` or not.
+//! `xtt-transform` end to end: a pipeline always runs under its plan's
+//! chain-domain guard, `--validate` or not, and `--jobs` never changes
+//! the output.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -42,5 +43,34 @@ fn pipeline_runs_under_its_chain_guard_without_validate() {
             "{mode}: {}",
             lines[1]
         );
+    }
+}
+
+/// `--jobs` splits the corpus into contiguous chunks run side by side;
+/// the output is the one-chunk output byte for byte, failures included,
+/// each `!error:` line at its document's position.
+#[test]
+fn jobs_shard_the_corpus_without_reordering_it() {
+    let chain =
+        |sym: &str, n: usize| (0..n).fold("#".to_owned(), |inner, _| format!("{sym}(#,{inner})"));
+    let mut docs: Vec<String> = (0..50)
+        .map(|i| format!("root({},{})", chain("a", i % 4), chain("b", i % 3)))
+        .collect();
+    docs[7] = "root(a(#,#)".to_owned(); // malformed
+    docs[31] = "root(b(#,#),#)".to_owned(); // outside flip's domain
+    let input = docs.join("\n") + "\n";
+    for mode in ["tree", "stream"] {
+        let one = xtt_transform(&["--mode", mode, "--jobs", "1"], &input);
+        let three = xtt_transform(&["--mode", mode, "--jobs", "3"], &input);
+        assert_eq!(one, three, "{mode}");
+        let lines: Vec<&str> = three.lines().collect();
+        assert_eq!(lines.len(), docs.len(), "{mode}");
+        for (i, line) in lines.iter().enumerate() {
+            let failed = line.starts_with("!error:");
+            assert_eq!(failed, i == 7 || i == 31, "{mode}, document {i}: {line}");
+        }
+        assert!(lines[7].starts_with("!error: parse error"), "{mode}");
+        assert_eq!(lines[0], "root(#,#)", "{mode}");
+        assert_eq!(lines[5], "root(b(#,b(#,#)),a(#,#))", "{mode}");
     }
 }

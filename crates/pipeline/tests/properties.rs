@@ -148,3 +148,42 @@ proptest! {
         }
     }
 }
+
+/// A case of the property above (drawn under `XTT_PROPTEST_SEED=1`): the
+/// normalized machine has no rule for `g` at the root, while the raw
+/// chain guard accepts `g` there and rejects its child. `stream` mode
+/// must not stop with the machine's `input outside the transduction
+/// domain`: both modes name the guard's violation.
+#[test]
+fn both_modes_name_the_guard_violation_when_the_machine_stops_first() {
+    let m1 = xtt_transducer::parse_dtop(
+        "ax = <r1,x0>\n\
+         r0(f(x1,x2)) -> <r1,x1>\nr0(g(x1)) -> <r0,x1>\nr0(a) -> u(c,v(v(c)))\nr0(b) -> v(c)\n\
+         r1(g(x1)) -> <r2,x1>\nr1(a) -> u(c,c)\nr1(b) -> u(d,v(d))\n\
+         r2(f(x1,x2)) -> d\nr2(g(x1)) -> v(u(d,u(<r1,x1>,d)))\nr2(b) -> c\n",
+    )
+    .unwrap();
+    let m2 = xtt_transducer::parse_dtop(
+        "ax = n(n(<r1,x0>))\n\
+         r0(u(x1,x2)) -> <r1,x1>\nr0(v(x1)) -> n(x)\nr0(c) -> y\n\
+         r1(u(x1,x2)) -> <r2,x1>\nr1(v(x1)) -> m(<r1,x1>,<r2,x1>)\n\
+         r2(u(x1,x2)) -> m(<r1,x1>,m(y,<r0,x2>))\nr2(c) -> m(x,y)\nr2(d) -> m(x,x)\n",
+    )
+    .unwrap();
+    let p = plan(
+        &[stage("s1", m1), stage("s2", m2)],
+        None,
+        StrategyChoice::Auto,
+    )
+    .unwrap();
+    let engine = Engine::default();
+    for mode in [EvalMode::Compiled, EvalMode::Streaming] {
+        let req = Request::new(p.machine(), Some(p.guard()), &DocFormat::Xml, mode);
+        let result = engine.run_batch(&["<g><a/></g>"], req).pop().unwrap();
+        let err = result.expect_err("outside the chain domain").to_string();
+        assert!(
+            err.starts_with("type error at 1: symbol a"),
+            "{mode:?}: {err}"
+        );
+    }
+}

@@ -23,7 +23,9 @@ USAGE: xtt-serve [OPTIONS]
 
 OPTIONS:
   --addr <ip:port>        bind address (port 0 = ephemeral) [default: 127.0.0.1:7878]
-  --workers <N>           request worker threads (0 = auto)  [default: 0]
+  --workers <N>           request worker threads, the only
+                          thread pool; each request runs on
+                          one of them (0 = one per CPU)      [default: 0]
   --queue <N>             backpressure queue capacity        [default: 128]
   --cache <N>             compiled-transducer LRU capacity   [default: 8]
   --max-output <N>        per-document output-tree node bound

@@ -415,7 +415,7 @@ pub fn write_response_conn(
         body.len()
     );
     for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        head.extend([*name, ": ", value, "\r\n"]);
     }
     head.push_str("\r\n");
     stream.write_all(head.as_bytes())?;
@@ -456,7 +456,7 @@ impl<'a> ChunkedWriter<'a> {
             connection_header(keep_alive)
         );
         for (name, value) in extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            head.extend([*name, ": ", value, "\r\n"]);
         }
         head.push_str("\r\n");
         stream.write_all(head.as_bytes())?;

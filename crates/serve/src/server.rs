@@ -59,7 +59,9 @@
 //! and writes responses from a bounded per-connection `Outbuf`. A
 //! parsed request is handed to the bounded [`WorkQueue`]; `N` worker
 //! threads pop requests, run the CPU work, and push the finished
-//! disposition back through the event loop's wakeup pipe. A parked
+//! disposition back through the event loop's wakeup pipe. They are the
+//! only thread pool: the engine runs a request's documents on the
+//! worker that popped it and never starts threads of its own. A parked
 //! keep-alive connection therefore holds *no thread* — only an epoll
 //! registration and a buffer — so idle connections scale to the fd
 //! limit, not the thread count. A full queue is answered `503`
@@ -105,7 +107,8 @@ use crate::stats::ServerStats;
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Worker threads answering requests; 0 = one per available CPU.
+    /// Worker threads answering requests — the only thread pool on the
+    /// serving path; 0 = one per available CPU.
     pub workers: usize,
     /// Backpressure bound: requests queued ahead of the workers.
     pub queue_capacity: usize,
@@ -141,8 +144,9 @@ pub struct ServeOptions {
     /// stderr (with the stage breakdown when the request was sampled).
     /// Zero disables the log.
     pub slow_request: Duration,
-    /// The wrapped engine (cache capacity, default mode/format, batch
-    /// workers *inside* one transform request).
+    /// The wrapped engine (cache capacity, default mode/format, output
+    /// bound). It starts no threads: a request runs on the worker that
+    /// took it.
     pub engine: EngineOptions,
 }
 

@@ -9,7 +9,6 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use xtt_engine::EngineOptions;
 use xtt_serve::{ServeClient, ServeOptions, Server};
 use xtt_transducer::examples;
 
@@ -91,10 +90,6 @@ fn idle_keep_alive_army_does_not_starve_fresh_requests() {
         queue_capacity: 64,
         // The army must stay parked for the whole test.
         keep_alive_timeout: Duration::from_secs(60),
-        engine: EngineOptions {
-            workers: 2,
-            ..ServeOptions::default().engine
-        },
         ..ServeOptions::default()
     };
     let (client, runner, _handle) = boot(opts);
@@ -162,10 +157,6 @@ fn slow_stream_reader_yields_its_worker_and_resumes_correctly() {
         // the parked connection survives our deliberate stall.
         stream_buffer: 16 * 1024,
         stream_write_deadline: Duration::from_secs(30),
-        engine: EngineOptions {
-            workers: 2,
-            ..ServeOptions::default().engine
-        },
         ..ServeOptions::default()
     };
     let (client, runner, _handle) = boot(opts);

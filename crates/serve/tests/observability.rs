@@ -7,7 +7,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use xtt_engine::EngineOptions;
 use xtt_serve::{ServeClient, ServeOptions, Server};
 use xtt_transducer::examples;
 
@@ -27,10 +26,6 @@ fn opts(trace_sample: u64) -> ServeOptions {
         workers: 4,
         queue_capacity: 64,
         trace_sample,
-        engine: EngineOptions {
-            workers: 2,
-            ..ServeOptions::default().engine
-        },
         ..ServeOptions::default()
     }
 }

@@ -5,7 +5,6 @@
 
 use std::time::Duration;
 
-use xtt_engine::EngineOptions;
 use xtt_serve::{ServeClient, ServeOptions, Server};
 use xtt_transducer::{examples, identity};
 
@@ -34,10 +33,6 @@ fn small_opts() -> ServeOptions {
         // Every request is "slow" at a 1ns threshold, so the /slow ring
         // fills deterministically.
         slow_request: Duration::from_nanos(1),
-        engine: EngineOptions {
-            workers: 2,
-            ..ServeOptions::default().engine
-        },
         ..ServeOptions::default()
     }
 }

@@ -6,7 +6,6 @@
 
 use std::time::Duration;
 
-use xtt_engine::EngineOptions;
 use xtt_serve::{ServeClient, ServeOptions, Server};
 use xtt_transducer::examples;
 
@@ -34,13 +33,6 @@ fn small_opts() -> ServeOptions {
     ServeOptions {
         workers: 4,
         queue_capacity: 64,
-        engine: EngineOptions {
-            workers: 2,
-            // Inherit the serve defaults (notably max_output_nodes) —
-            // `EngineOptions::default()` is the *library* default, which
-            // is unbounded.
-            ..ServeOptions::default().engine
-        },
         ..ServeOptions::default()
     }
 }

@@ -295,6 +295,7 @@ impl Dtd {
         let mut p = DtdParser {
             input: input.as_bytes(),
             pos: 0,
+            groups: 0,
         };
         let mut elements = Vec::new();
         loop {
@@ -339,9 +340,18 @@ impl fmt::Display for Dtd {
     }
 }
 
+/// The deepest group nesting [`Dtd::parse`] accepts in a content model.
+/// The parser recurses once per group, and every later walk over the
+/// [`Regex`] (`nullable`, `first`, validation, `render`, drop) recurses
+/// on its depth, which one postfix operator per particle keeps at most
+/// 2 · groups + 1. No real DTD nests more than a few levels.
+pub const MAX_MODEL_NESTING: usize = 256;
+
 struct DtdParser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Groups open around the current position.
+    groups: usize,
 }
 
 impl<'a> DtdParser<'a> {
@@ -403,40 +413,41 @@ impl<'a> DtdParser<'a> {
         Ok((name, content))
     }
 
-    /// regex := atom postfix*  — at top level also (a|b) / (a,b) groups.
+    /// regex := atom postfix?  — at top level also (a|b) / (a,b) groups.
+    /// XML allows one `*`, `+` or `?` per particle; a second is an error.
     fn regex(&mut self) -> Result<Regex, DtdError> {
         self.skip_ws();
-        let mut r = self.atom()?;
-        loop {
-            match self.input.get(self.pos) {
-                Some(b'*') => {
-                    self.pos += 1;
-                    r = Regex::Star(Box::new(r));
-                }
-                Some(b'+') => {
-                    self.pos += 1;
-                    r = Regex::Plus(Box::new(r));
-                }
-                Some(b'?') => {
-                    self.pos += 1;
-                    r = Regex::Opt(Box::new(r));
-                }
-                _ => return Ok(r),
-            }
+        let r = self.atom()?;
+        let wrap = match self.input.get(self.pos) {
+            Some(b'*') => Regex::Star,
+            Some(b'+') => Regex::Plus,
+            Some(b'?') => Regex::Opt,
+            _ => return Ok(r),
+        };
+        self.pos += 1;
+        if matches!(self.input.get(self.pos), Some(b'*' | b'+' | b'?')) {
+            return Err(self.err("at most one '*', '+' or '?' per particle"));
         }
+        Ok(wrap(Box::new(r)))
     }
 
     fn atom(&mut self) -> Result<Regex, DtdError> {
         self.skip_ws();
         match self.input.get(self.pos) {
             Some(b'(') => {
+                if self.groups == MAX_MODEL_NESTING {
+                    return Err(self.err(format!(
+                        "content model nests more than {MAX_MODEL_NESTING} groups"
+                    )));
+                }
+                self.groups += 1;
                 self.pos += 1;
                 let first = self.regex()?;
                 self.skip_ws();
-                match self.input.get(self.pos) {
+                let r = match self.input.get(self.pos) {
                     Some(b')') => {
                         self.pos += 1;
-                        Ok(first)
+                        first
                     }
                     Some(&sep @ (b',' | b'|')) => {
                         let mut parts = vec![first];
@@ -449,14 +460,16 @@ impl<'a> DtdParser<'a> {
                             return Err(self.err("expected ')'"));
                         }
                         self.pos += 1;
-                        Ok(if sep == b',' {
+                        if sep == b',' {
                             Regex::Seq(parts)
                         } else {
                             Regex::Alt(parts)
-                        })
+                        }
                     }
-                    _ => Err(self.err("expected ')', ',' or '|'")),
-                }
+                    _ => return Err(self.err("expected ')', ',' or '|'")),
+                };
+                self.groups -= 1;
+                Ok(r)
             }
             Some(b'#') => {
                 self.literal("#PCDATA")?;
@@ -546,5 +559,36 @@ mod tests {
     fn duplicate_declarations_rejected() {
         let err = Dtd::parse("<!ELEMENT a EMPTY >\n<!ELEMENT a EMPTY >").unwrap_err();
         assert!(matches!(err, DtdError::DuplicateElement(_)));
+    }
+
+    /// Groups nest up to [`MAX_MODEL_NESTING`] deep; one more is a syntax
+    /// error at the innermost `(`. A particle takes one postfix operator;
+    /// a second is a syntax error at its offset.
+    #[test]
+    fn content_model_nesting_is_bounded() {
+        let decl = |model: String| format!("<!ELEMENT r {model} >\n<!ELEMENT a EMPTY >");
+        let groups = |n: usize| decl(format!("{}a{}", "(".repeat(n), ")".repeat(n)));
+        let prefix = "<!ELEMENT r ".len();
+        let offset = |err: DtdError| match err {
+            DtdError::Parse { offset, .. } => offset,
+            other => panic!("expected a syntax error, got {other}"),
+        };
+
+        let d = Dtd::parse(&groups(MAX_MODEL_NESTING)).unwrap();
+        assert_eq!(
+            d.content("r"),
+            Some(&Content::Model(Regex::Elem("a".into())))
+        );
+        let err = Dtd::parse(&groups(MAX_MODEL_NESTING + 1)).unwrap_err();
+        assert_eq!(offset(err), prefix + MAX_MODEL_NESTING, "the innermost '('");
+
+        let d = Dtd::parse(&decl("(a*)".into())).unwrap();
+        let star = Regex::Star(Box::new(Regex::Elem("a".into())));
+        assert_eq!(d.content("r"), Some(&Content::Model(star)));
+        for stacked in ["(a**)", "(a*+)", "(a?*)", "(a)+?"] {
+            let err = Dtd::parse(&decl(stacked.into())).unwrap_err();
+            let second = stacked.rfind(['*', '+', '?']).unwrap();
+            assert_eq!(offset(err), prefix + second, "{stacked}");
+        }
     }
 }

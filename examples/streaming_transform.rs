@@ -1,6 +1,6 @@
 //! The `xtt-engine` execution pipeline end to end: compile a learned
 //! transducer, evaluate it three ways (tree-walk, compiled, streaming
-//! over XML events), serve a batch across the worker pool, and produce an
+//! over XML events), serve a batch on one thread, and produce an
 //! exponentially large output as a shared tree, measured as its minimal
 //! DAG.
 //!
@@ -43,8 +43,8 @@ fn main() {
         tree_to_xml(&streamed)
     );
 
-    // Batch serving: the transducer's compiled machine, a corpus sharded
-    // across the worker pool.
+    // Batch serving: the transducer's compiled machine over a corpus, on
+    // the calling thread.
     let docs: Vec<String> = (0..50_000)
         .map(|i| examples::flip_input(i % 20 + 1, i % 13 + 1).to_string())
         .collect();

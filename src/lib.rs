@@ -35,8 +35,8 @@
 //!
 //! Once a transducer is learned, [`engine`] (`xtt-engine`) turns it into a
 //! production runtime: [`engine::compile()`] lowers it to flat jump tables,
-//! [`engine::Engine::run_batch`] shards document batches across a worker
-//! pool (with an LRU of compiled transducers), and the streaming evaluator
+//! [`engine::Engine::run_batch`] runs document batches on the caller's
+//! thread (with an LRU of compiled transducers), and the streaming evaluator
 //! applies it directly to SAX-style XML events. The `xtt-transform` CLI
 //! wraps the same API for newline-delimited corpora.
 //!

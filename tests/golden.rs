@@ -135,7 +135,6 @@ fn golden_type_error_diagnostics_exact_across_guarded_modes() {
     use xtt::engine::{DocFormat, Engine, EngineError, EngineOptions, EvalMode, Request};
     let engine = Engine::new(EngineOptions {
         validate: true,
-        workers: 1,
         ..EngineOptions::default()
     });
     let mut covered = 0;

@@ -115,7 +115,6 @@ fn golden_xml_corpus_all_modes_exact() {
         let format = DocFormat::Encoded(codec_for(&case));
         for validate in [false, true] {
             let engine = Engine::new(EngineOptions {
-                workers: 1,
                 validate,
                 ..EngineOptions::default()
             });
@@ -146,10 +145,7 @@ fn golden_xml_streamed_emission_is_byte_identical() {
         let dtop = parse_dtop(&case.transducer)
             .unwrap_or_else(|e| panic!("{}: bad transducer: {e}", case.name));
         let format = DocFormat::Encoded(codec_for(&case));
-        let engine = Engine::new(EngineOptions {
-            workers: 1,
-            ..EngineOptions::default()
-        });
+        let engine = Engine::default();
         for validate in [false, true] {
             let (machine, _) = engine.resolve(&dtop, false).unwrap();
             let req = Request::new(&machine, None, &format, EvalMode::Streaming);
