@@ -7,14 +7,14 @@
 //! $ cargo run --release -p xtt-bench --bin exp_e10_engine
 //! ```
 
-use xtt_bench::engine_exp::run_e10;
+use xtt_bench::engine_exp::{run_e10, EngineRow};
 
 fn main() {
     let rows = run_e10();
     let json = serde_json::json!({
         "experiment": "E10",
         "description": "xtt-engine throughput: walk vs compiled vs streaming (corpus pass, best-of-5)",
-        "rows": rows,
+        "rows": rows.iter().map(EngineRow::json).collect::<Vec<_>>(),
     });
     let path = "BENCH_engine.json";
     match std::fs::write(path, format!("{json}\n")) {

@@ -6,15 +6,15 @@
 //! $ cargo run --release -p xtt-bench --bin exp_e11_typecheck
 //! ```
 
-use xtt_bench::typecheck_exp::run_e11;
+use xtt_bench::typecheck_exp::{run_e11, FailFastRow, OverheadRow};
 
 fn main() {
     let (overhead, failfast) = run_e11();
     let json = serde_json::json!({
         "experiment": "E11",
         "description": "xtt-typecheck: guard overhead (in-domain) and fail-fast win (early violations), best-of-5",
-        "overhead": overhead,
-        "failfast": failfast,
+        "overhead": overhead.iter().map(OverheadRow::json).collect::<Vec<_>>(),
+        "failfast": failfast.iter().map(FailFastRow::json).collect::<Vec<_>>(),
     });
     let path = "BENCH_typecheck.json";
     match std::fs::write(path, format!("{json}\n")) {

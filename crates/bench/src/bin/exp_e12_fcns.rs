@@ -6,14 +6,14 @@
 //! $ cargo run --release -p xtt-bench --bin exp_e12_fcns
 //! ```
 
-use xtt_bench::unranked_exp::run_e12;
+use xtt_bench::unranked_exp::{run_e12, UnrankedRow};
 
 fn main() {
     let rows = run_e12();
     let json = serde_json::json!({
         "experiment": "E12",
         "description": "xtt-unranked: streaming encode vs materialize-then-encode (corpus pass, best-of-5), with peak live nodes",
-        "rows": rows,
+        "rows": rows.iter().map(UnrankedRow::json).collect::<Vec<_>>(),
     });
     let path = "BENCH_fcns.json";
     match std::fs::write(path, format!("{json}\n")) {

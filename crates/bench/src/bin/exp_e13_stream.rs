@@ -8,7 +8,7 @@
 //! $ cargo run --release -p xtt-bench --bin exp_e13_stream
 //! ```
 
-use xtt_bench::stream_exp::{print_e13, run_e13, stream_workloads};
+use xtt_bench::stream_exp::{print_e13, run_e13, stream_workloads, StreamRow};
 
 fn main() {
     let rows = run_e13(&stream_workloads(), 5);
@@ -16,7 +16,7 @@ fn main() {
     let json = serde_json::json!({
         "experiment": "E13",
         "description": "xtt-engine: event-driven output emission (best-of-5) — first-byte latency, early-event ratio, and peak buffered output frames vs tree-at-root-close",
-        "rows": rows,
+        "rows": rows.iter().map(StreamRow::json).collect::<Vec<_>>(),
     });
     let path = "BENCH_stream.json";
     match std::fs::write(path, format!("{json}\n")) {

@@ -7,7 +7,7 @@
 //! $ cargo run --release -p xtt-bench --bin exp_e14_serve
 //! ```
 
-use xtt_bench::serve_exp::{print_e14, run_e14, E14Options};
+use xtt_bench::serve_exp::{print_e14, run_e14, E14Options, ServeRow};
 
 fn main() {
     let opts = E14Options::default();
@@ -16,7 +16,7 @@ fn main() {
     let json = serde_json::json!({
         "experiment": "E14",
         "description": "xtt-serve under xtt-load: fresh-request latency and throughput at baseline, behind 512 parked keep-alive connections (8 workers), and under pipelined concurrency",
-        "rows": rows,
+        "rows": rows.iter().map(ServeRow::json).collect::<Vec<_>>(),
     });
     let path = "BENCH_serve.json";
     match std::fs::write(path, format!("{json}\n")) {

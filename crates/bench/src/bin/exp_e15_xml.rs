@@ -8,14 +8,14 @@
 //! $ cargo run --release -p xtt-bench --bin exp_e15_xml
 //! ```
 
-use xtt_bench::xml_exp::run_e15;
+use xtt_bench::xml_exp::{run_e15, XmlRow};
 
 fn main() {
     let rows = run_e15();
     let json = serde_json::json!({
         "experiment": "E15",
         "description": "xtt-xml tokenizer: full tokenization MB/s, scalar scan vs SIMD/SWAR scan (best-of-7 over generated >=1MB corpora)",
-        "rows": rows,
+        "rows": rows.iter().map(XmlRow::json).collect::<Vec<_>>(),
     });
     let path = "BENCH_xml.json";
     match std::fs::write(path, format!("{json}\n")) {

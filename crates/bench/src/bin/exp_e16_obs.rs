@@ -7,7 +7,7 @@
 //! $ cargo run --release -p xtt-bench --bin exp_e16_obs
 //! ```
 
-use xtt_bench::obs_exp::{overhead, print_e16, run_e16, E16Options};
+use xtt_bench::obs_exp::{overhead, print_e16, run_e16, E16Options, ObsRow};
 
 fn main() {
     let opts = E16Options::default();
@@ -33,8 +33,8 @@ fn main() {
     let json = serde_json::json!({
         "experiment": "E16",
         "description": "observability overhead: E14 baseline_fresh with trace_sample=0 vs trace_sample=1 (every request traced), requests alternating between the two servers, median over rounds of the per-round slowdown, plus Server-Timing stage-breakdown reconstruction",
-        "rows": rows,
-        "stage_check": check,
+        "rows": rows.iter().map(ObsRow::json).collect::<Vec<_>>(),
+        "stage_check": check.json(),
         "overhead_fraction": over,
         "gate_max_overhead_fraction": 0.03,
     });

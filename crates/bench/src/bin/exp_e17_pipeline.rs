@@ -10,7 +10,7 @@
 //! $ cargo run --release -p xtt-bench --bin exp_e17_pipeline
 //! ```
 
-use xtt_bench::pipeline_exp::{print_e17, run_e17, E17Options};
+use xtt_bench::pipeline_exp::{print_e17, run_e17, E17Gate, E17Options, E17Row};
 
 fn main() {
     let opts = E17Options::default();
@@ -20,9 +20,9 @@ fn main() {
     let json = serde_json::json!({
         "experiment": "E17",
         "description": "pipeline execution: the plan's statically composed dtop (one Engine::run_batch under the plan's chain guard) vs the compiled stages run one after another (runner 'chain': one Engine::run_batch per stage over the corpus, stage 1 under the plan's guard, each later stage reading the previous stage's XML output), best-of-rounds over a deterministic corpus; gate: plan vs that baseline's streaming throughput; jump-table shrink from fixed-input-schema stage specialization",
-        "rows": rows,
-        "gate": gates,
-        "schema_specialization": schema,
+        "rows": rows.iter().map(E17Row::json).collect::<Vec<_>>(),
+        "gate": gates.iter().map(E17Gate::json).collect::<Vec<_>>(),
+        "schema_specialization": schema.json(),
         "gate_min_plan_fraction_of_chain": 1.0,
     });
     let path = "BENCH_pipeline.json";

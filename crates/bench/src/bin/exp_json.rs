@@ -14,7 +14,7 @@ fn main() {
         let row = learn_roundtrip(k, &target);
         println!(
             "{}",
-            serde_json::json!({ "experiment": "E4/E5", "family": "flip_k", "row": row })
+            serde_json::json!({ "experiment": "E4/E5", "family": "flip_k", "row": row.json() })
         );
     }
     for n in [2usize, 4, 8, 12, 16] {
@@ -22,14 +22,14 @@ fn main() {
         let row = learn_roundtrip(n, &target);
         println!(
             "{}",
-            serde_json::json!({ "experiment": "E4/E5", "family": "chain", "row": row })
+            serde_json::json!({ "experiment": "E4/E5", "family": "chain", "row": row.json() })
         );
     }
     for h in [4u32, 8, 12, 16, 20] {
         let row = dag_row(h);
         println!(
             "{}",
-            serde_json::json!({ "experiment": "E6", "family": "monadic_to_binary", "row": row })
+            serde_json::json!({ "experiment": "E6", "family": "monadic_to_binary", "row": row.json() })
         );
     }
 }

@@ -7,7 +7,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use xtt_engine::{compile, CompiledDtop, EvalScratch, StreamEvaluator};
 use xtt_transducer::{eval as walk_eval, examples, Dtop};
 use xtt_trees::Tree;
@@ -59,7 +59,7 @@ pub fn engine_workloads() -> Vec<EngineWorkload> {
 }
 
 /// One row of the E10 table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EngineRow {
     pub family: String,
     pub param: usize,
@@ -73,6 +73,25 @@ pub struct EngineRow {
     pub speedup_stream: f64,
     pub compiled_docs_per_sec: f64,
     pub compiled_mnodes_per_sec: f64,
+}
+
+impl EngineRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "family": self.family.as_str(),
+            "param": self.param,
+            "docs": self.docs,
+            "input_nodes": self.input_nodes,
+            "walk_micros": self.walk_micros,
+            "compiled_micros": self.compiled_micros,
+            "stream_micros": self.stream_micros,
+            "speedup_compiled": self.speedup_compiled,
+            "speedup_stream": self.speedup_stream,
+            "compiled_docs_per_sec": self.compiled_docs_per_sec,
+            "compiled_mnodes_per_sec": self.compiled_mnodes_per_sec,
+        })
+    }
 }
 
 fn best_of(rounds: usize, mut f: impl FnMut()) -> Duration {

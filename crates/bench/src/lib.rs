@@ -1,13 +1,13 @@
 //! Shared experiment logic for the PODS 2010 reproduction.
 //!
-//! Every table/figure-equivalent artifact of the paper (see DESIGN.md §4)
-//! is regenerated by a function here; the `exp_*` binaries print the rows
-//! recorded in EXPERIMENTS.md, and the criterion benches time the same
-//! code paths.
+//! Every table/figure-equivalent artifact of the paper is regenerated by
+//! a function here; the `exp_*` binaries print the tables (README,
+//! "Experiments"), and each row type's `json()` is what they write to
+//! `BENCH_*.json` and as `exp_json`'s lines.
 
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use xtt_core::{characteristic_sample, rpni_dtop, Sample};
 use xtt_transducer::{canonical_form, eval, same_canonical, Canonical};
 use xtt_trees::{FPath, Tree, TreeDag};
@@ -25,7 +25,7 @@ pub mod unranked_exp;
 pub mod xml_exp;
 
 /// One row of a learning experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LearnRow {
     /// Family parameter (k, n, …).
     pub param: usize,
@@ -45,6 +45,23 @@ pub struct LearnRow {
     pub learn_micros: u128,
     /// Whether the learned transducer equals `min(τ)` canonically.
     pub identified: bool,
+}
+
+impl LearnRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "param": self.param,
+            "states": self.states,
+            "rules": self.rules,
+            "transducer_size": self.transducer_size,
+            "sample_pairs": self.sample_pairs,
+            "sample_nodes": self.sample_nodes,
+            "gen_micros": self.gen_micros,
+            "learn_micros": self.learn_micros,
+            "identified": self.identified,
+        })
+    }
 }
 
 /// Runs the full teach-and-learn loop for one canonical target.
@@ -75,14 +92,8 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t0.elapsed())
 }
 
-/// Builds the characteristic sample for a target (convenience used by
-/// benches so they share one code path with the binaries).
-pub fn sample_for(target: &Canonical) -> Sample {
-    characteristic_sample(target).expect("sample generation")
-}
-
 /// One row of the DAG-compression experiment (E6).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DagRow {
     pub height: u32,
     pub input_size: u64,
@@ -91,6 +102,21 @@ pub struct DagRow {
     pub compression: f64,
     pub eval_micros: u128,
     pub dag_micros: u128,
+}
+
+impl DagRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "height": self.height,
+            "input_size": self.input_size,
+            "output_tree_size": self.output_tree_size,
+            "output_dag_size": self.output_dag_size,
+            "compression": self.compression,
+            "eval_micros": self.eval_micros,
+            "dag_micros": self.dag_micros,
+        })
+    }
 }
 
 /// Runs the monadic-input → full-binary-output pipeline at one height.

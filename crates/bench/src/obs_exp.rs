@@ -20,7 +20,7 @@
 
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use xtt_obs::Histogram;
 use xtt_serve::{ServeClient, ServeOptions, Server};
 use xtt_transducer::examples;
@@ -51,7 +51,7 @@ impl Default for E16Options {
 }
 
 /// One configuration's aggregate over all its rounds.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ObsRow {
     pub config: &'static str,
     /// The server's `--trace-sample` setting (0 = tracing off).
@@ -76,8 +76,31 @@ pub struct ObsRow {
     pub peak_rss_kb: u64,
 }
 
+impl ObsRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "config": self.config,
+            "trace_sample": self.trace_sample,
+            "requests": self.requests,
+            "errors": self.errors,
+            "docs": self.docs,
+            "elapsed_millis": self.elapsed_millis,
+            "docs_per_sec": self.docs_per_sec,
+            "median_round_docs_per_sec": self.median_round_docs_per_sec,
+            "round_docs_per_sec": self.round_docs_per_sec.clone(),
+            "p50_micros": self.p50_micros,
+            "p99_micros": self.p99_micros,
+            "p999_micros": self.p999_micros,
+            "max_micros": self.max_micros,
+            "traces_sampled": self.traces_sampled,
+            "peak_rss_kb": self.peak_rss_kb,
+        })
+    }
+}
+
 /// The reconstructed stage breakdown of one traced response.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StageCheck {
     /// `X-Xtt-Trace-Id` value (16 hex digits).
     pub trace_id: String,
@@ -86,6 +109,21 @@ pub struct StageCheck {
     pub stages: Vec<(String, f64)>,
     /// Sum of the stage durations, ms.
     pub stage_sum_ms: f64,
+}
+
+impl StageCheck {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "trace_id": self.trace_id.as_str(),
+            "stages": self
+                .stages
+                .iter()
+                .map(|(name, ms)| json!([name.as_str(), *ms]))
+                .collect::<Vec<_>>(),
+            "stage_sum_ms": self.stage_sum_ms,
+        })
+    }
 }
 
 struct Lane {

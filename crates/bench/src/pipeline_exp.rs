@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use xtt_engine::{compile, tree_to_xml, CompiledDtop, DocFormat, Engine, EvalMode, Request};
 use xtt_pipeline::{plan, Plan, StageDef, StrategyChoice};
 use xtt_transducer::{domain_dtta, parse_dtop};
@@ -52,7 +52,7 @@ const CHAIN_ONLY: &str = "ax = <p,x0>\n\
 /// One measured (pipeline × runner × eval-mode) cell; `runner` is
 /// `plan` (the composed machine) or `chain` (the stages run one after
 /// another, one batch per stage).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E17Row {
     pub pipeline: &'static str,
     pub stages: usize,
@@ -65,9 +65,26 @@ pub struct E17Row {
     pub mb_per_sec: f64,
 }
 
+impl E17Row {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "pipeline": self.pipeline,
+            "stages": self.stages,
+            "runner": self.runner,
+            "mode": self.mode,
+            "docs": self.docs,
+            "bytes": self.bytes,
+            "best_ns": self.best_ns,
+            "docs_per_sec": self.docs_per_sec,
+            "mb_per_sec": self.mb_per_sec,
+        })
+    }
+}
+
 /// The gate row for one pipeline: the plan against the stage-by-stage
 /// baseline in streaming mode, the serving hot path.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E17Gate {
     pub pipeline: &'static str,
     pub plan_docs_per_sec: f64,
@@ -78,11 +95,34 @@ pub struct E17Gate {
     pub plan_fraction_of_chain: f64,
 }
 
-#[derive(Debug, Clone, Serialize)]
+impl E17Gate {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "pipeline": self.pipeline,
+            "plan_docs_per_sec": self.plan_docs_per_sec,
+            "chain_docs_per_sec": self.chain_docs_per_sec,
+            "plan_fraction_of_chain": self.plan_fraction_of_chain,
+        })
+    }
+}
+
+#[derive(Debug, Clone)]
 pub struct E17Schema {
     pub jump_entries_unspecialized: usize,
     pub jump_entries_specialized: usize,
     pub jump_table_shrink_pct: f64,
+}
+
+impl E17Schema {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "jump_entries_unspecialized": self.jump_entries_unspecialized,
+            "jump_entries_specialized": self.jump_entries_specialized,
+            "jump_table_shrink_pct": self.jump_table_shrink_pct,
+        })
+    }
 }
 
 pub struct E17Options {

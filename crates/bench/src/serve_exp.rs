@@ -31,7 +31,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use xtt_obs::Histogram;
 use xtt_serve::{ServeClient, ServeOptions, Server};
 use xtt_transducer::examples;
@@ -69,7 +69,7 @@ impl Default for E14Options {
 }
 
 /// One measured scenario of E14.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServeRow {
     pub scenario: &'static str,
     /// Connections open against the server during the measurement
@@ -90,6 +90,28 @@ pub struct ServeRow {
     pub parked_idle: u64,
     /// Process-wide peak RSS (`VmHWM`) after the scenario.
     pub peak_rss_kb: u64,
+}
+
+impl ServeRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "scenario": self.scenario,
+            "connections": self.connections,
+            "workers": self.workers,
+            "requests": self.requests,
+            "errors": self.errors,
+            "docs": self.docs,
+            "elapsed_millis": self.elapsed_millis,
+            "docs_per_sec": self.docs_per_sec,
+            "p50_micros": self.p50_micros,
+            "p99_micros": self.p99_micros,
+            "p999_micros": self.p999_micros,
+            "max_micros": self.max_micros,
+            "parked_idle": self.parked_idle,
+            "peak_rss_kb": self.peak_rss_kb,
+        })
+    }
 }
 
 fn boot(opts: ServeOptions) -> (ServeClient, std::thread::JoinHandle<std::io::Result<()>>) {

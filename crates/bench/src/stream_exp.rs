@@ -21,7 +21,7 @@
 use std::io::{self, Write};
 use std::time::Instant;
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use xtt_engine::{DocFormat, Engine, EngineOptions, EvalMode};
 use xtt_transducer::{examples, Dtop, DtopBuilder};
 use xtt_trees::RankedAlphabet;
@@ -43,7 +43,7 @@ pub struct StreamWorkload {
 }
 
 /// One measured row of E13.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StreamRow {
     pub family: &'static str,
     pub param: usize,
@@ -61,6 +61,26 @@ pub struct StreamRow {
     /// then serialize) — its first byte leaves only after this long.
     pub batch_micros: u128,
     pub order_preserving: bool,
+}
+
+impl StreamRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "family": self.family,
+            "param": self.param,
+            "input_bytes": self.input_bytes,
+            "output_bytes": self.output_bytes,
+            "events_total": self.events_total,
+            "events_early": self.events_early,
+            "peak_buffered_frames": self.peak_buffered_frames,
+            "skipped_subtrees": self.skipped_subtrees,
+            "first_byte_micros": self.first_byte_micros,
+            "total_micros": self.total_micros,
+            "batch_micros": self.batch_micros,
+            "order_preserving": self.order_preserving,
+        })
+    }
 }
 
 /// Identity on monadic chains: `q,f → f(<q,x1>)`, `q,e → e` — fully

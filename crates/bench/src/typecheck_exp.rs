@@ -19,7 +19,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use xtt_engine::{
     compile, ranked_tree_from_xml_bounded, tree_to_xml, EvalScratch, GuardedSource, XmlRankedEvents,
 };
@@ -30,7 +30,7 @@ use xtt_typecheck::domain_guard;
 use crate::engine_exp::engine_workloads;
 
 /// One row of the guard-overhead table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OverheadRow {
     pub family: String,
     pub param: usize,
@@ -44,8 +44,24 @@ pub struct OverheadRow {
     pub overhead_ratio: f64,
 }
 
+impl OverheadRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "family": self.family.as_str(),
+            "param": self.param,
+            "docs": self.docs,
+            "input_nodes": self.input_nodes,
+            "guard_states": self.guard_states,
+            "unguarded_micros": self.unguarded_micros,
+            "guarded_micros": self.guarded_micros,
+            "overhead_ratio": self.overhead_ratio,
+        })
+    }
+}
+
 /// One row of the fail-fast table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FailFastRow {
     pub family: String,
     pub docs: usize,
@@ -57,6 +73,21 @@ pub struct FailFastRow {
     /// Rejection by the lockstep streaming guard (typed, early).
     pub guarded_stream_micros: u128,
     pub speedup: f64,
+}
+
+impl FailFastRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "family": self.family.as_str(),
+            "docs": self.docs,
+            "events_total": self.events_total,
+            "events_consumed": self.events_consumed,
+            "full_parse_micros": self.full_parse_micros,
+            "guarded_stream_micros": self.guarded_stream_micros,
+            "speedup": self.speedup,
+        })
+    }
 }
 
 fn best_of(rounds: usize, mut f: impl FnMut()) -> Duration {

@@ -22,7 +22,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use xtt_unranked::XmlCodec;
 use xtt_xml::{fcns_encode, parse_xml, Dtd, Encoding, PcDataMode};
 
@@ -38,7 +38,7 @@ pub struct UnrankedWorkload {
 }
 
 /// One row of the E12 table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UnrankedRow {
     pub family: String,
     pub docs: usize,
@@ -56,6 +56,27 @@ pub struct UnrankedRow {
     pub peak_live_materialize: u64,
     pub peak_live_stream: u64,
     pub deep: bool,
+}
+
+impl UnrankedRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "family": self.family.as_str(),
+            "docs": self.docs,
+            "depth": self.depth,
+            "xml_bytes": self.xml_bytes,
+            "events": self.events,
+            "materialize_micros": self.materialize_micros,
+            "stream_micros": self.stream_micros,
+            "materialize_events_per_sec": self.materialize_events_per_sec,
+            "stream_events_per_sec": self.stream_events_per_sec,
+            "speedup": self.speedup,
+            "peak_live_materialize": self.peak_live_materialize,
+            "peak_live_stream": self.peak_live_stream,
+            "deep": self.deep,
+        })
+    }
 }
 
 fn deep_doc(depth: usize, i: usize) -> String {

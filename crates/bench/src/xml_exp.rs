@@ -25,7 +25,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use xtt_xml::xmlparse::{xml_events_with, XmlEvent, XmlOptions};
 
 /// One E15 corpus: a single large generated document plus its family tag.
@@ -35,7 +35,7 @@ pub struct XmlWorkload {
 }
 
 /// One row of the E15 table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct XmlRow {
     pub family: String,
     pub bytes: usize,
@@ -47,6 +47,22 @@ pub struct XmlRow {
     pub simd_mb_per_sec: f64,
     /// `scalar / simd` (>1 = the vector scanner wins).
     pub speedup: f64,
+}
+
+impl XmlRow {
+    /// `self` as a JSON object, its fields in declaration order.
+    pub fn json(&self) -> Value {
+        json!({
+            "family": self.family.as_str(),
+            "bytes": self.bytes,
+            "events": self.events,
+            "scalar_micros": self.scalar_micros,
+            "simd_micros": self.simd_micros,
+            "scalar_mb_per_sec": self.scalar_mb_per_sec,
+            "simd_mb_per_sec": self.simd_mb_per_sec,
+            "speedup": self.speedup,
+        })
+    }
 }
 
 /// Deterministic xorshift so corpora are identical across runs.

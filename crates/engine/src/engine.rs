@@ -14,10 +14,10 @@
 //! pool is the only concurrency — and the `Rc`-based [`Tree`] never
 //! crosses a thread boundary. Compiled transducers and guards live in
 //! LRU caches keyed by [`crate::fingerprint`], so repeat traffic never
-//! recompiles; a cache miss builds outside the cache's lock.
+//! recompiles; a cache miss builds once, outside the cache's lock.
 
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -213,7 +213,8 @@ struct LruEntry<V> {
     /// The exact rendering the fingerprint hashed; compared on every hit
     /// so a 64-bit collision can never serve the wrong transducer.
     rendering: String,
-    value: V,
+    /// Empty while its first miss builds; that build holds the lock.
+    slot: Arc<Mutex<Option<V>>>,
 }
 
 /// The one LRU discipline behind the compiled-transducer cache, the
@@ -253,49 +254,61 @@ impl<V: Clone> LruCache<V> {
         }
     }
 
-    /// The value for `(fp, rendering)`, now the most recently used.
-    fn find(entries: &mut Vec<LruEntry<V>>, fp: u64, rendering: &str) -> Option<V> {
-        let at = entries
+    /// The slot for `(fp, rendering)`, now the most recently used: on a
+    /// miss a new, empty one, evicting the least-recently-used entry at
+    /// capacity.
+    fn slot(&self, fp: u64, rendering: String) -> Arc<Mutex<Option<V>>> {
+        let mut entries = self.lock();
+        let entry = match entries
             .iter()
-            .position(|e| e.fp == fp && e.rendering == rendering)?;
-        let entry = entries.remove(at);
-        let value = entry.value.clone();
+            .position(|e| e.fp == fp && e.rendering == rendering)
+        {
+            Some(at) => entries.remove(at),
+            None => {
+                if entries.len() >= self.capacity {
+                    entries.remove(0);
+                }
+                LruEntry {
+                    fp,
+                    rendering,
+                    slot: Arc::default(),
+                }
+            }
+        };
+        let slot = Arc::clone(&entry.slot);
         entries.push(entry);
-        Some(value)
+        slot
     }
 
-    /// Returns the cached value for `(fp, rendering)`. On a miss, builds
-    /// it with the lock released — so a slow build (a compile, a subset
-    /// construction, a plan) never blocks lookups — then inserts it,
-    /// evicting the least-recently-used entry at capacity. Concurrent
-    /// misses on one key each build; the first insert is kept and
-    /// returned to all of them. A failed `build` caches nothing; every
-    /// successful one counts as a miss.
+    /// Returns the cached value for `(fp, rendering)`. A miss inserts the
+    /// key's slot and builds into it with the cache unlocked — so a slow
+    /// build (a compile, a subset construction, a plan) never blocks
+    /// lookups of other keys — and counts as the one miss. A lookup of
+    /// the same key meanwhile waits for that build and takes its value,
+    /// as a hit. A failed or panicking build leaves no entry, and each
+    /// lookup that waited on it builds for itself.
     pub fn get_or_insert_with<E>(
         &self,
         fp: u64,
         rendering: String,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
-        if let Some(value) = Self::find(&mut self.lock(), fp, &rendering) {
+        let slot = self.slot(fp, rendering);
+        let mut value = slot.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(value) = value.as_ref() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(value);
+            return Ok(value.clone());
         }
-        let value = build()?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.lock();
-        if let Some(value) = Self::find(&mut entries, fp, &rendering) {
-            return Ok(value);
+        let built = catch_unwind(AssertUnwindSafe(build));
+        match &built {
+            Ok(Ok(v)) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                *value = Some(v.clone());
+            }
+            _ => self.lock().retain(|e| !Arc::ptr_eq(&e.slot, &slot)),
         }
-        if entries.len() >= self.capacity {
-            entries.remove(0);
-        }
-        entries.push(LruEntry {
-            fp,
-            rendering,
-            value: value.clone(),
-        });
-        Ok(value)
+        drop(value);
+        built.unwrap_or_else(|panic| resume_unwind(panic))
     }
 }
 
@@ -862,7 +875,7 @@ impl FormatSink<'_> {
     }
 }
 
-/// Serializes a ranked tree as XML: XML-name symbols become elements,
+/// Writes a ranked tree as XML: XML-name symbols become elements,
 /// other leaves (like the paper's `#`) text tokens — the inverse of
 /// [`XmlRankedEvents::collect_tree`], iterative in depth. Inner symbols
 /// that are not XML names are written as they are.
@@ -1940,6 +1953,11 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        // A failed build counts nothing and leaves no entry.
+        let library = examples::library().dtop;
+        assert!(cached(&engine.cache, &library, || Err::<Arc<CompiledDtop>, _>(())).is_err());
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]
@@ -1993,6 +2011,44 @@ mod tests {
             &built.unwrap(),
             &engine.compiled(&flip).unwrap()
         ));
+    }
+
+    /// Concurrent misses on one key build once: a lookup of the key while
+    /// its first build runs waits for that build and takes its value, as
+    /// a hit. Were each miss to build, B's build would run.
+    #[test]
+    fn concurrent_misses_on_one_key_build_once() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (engine, flip) = (&Engine::default(), &examples::flip().dtop);
+        let (building, a_is_building) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        let b_builds = &AtomicUsize::new(0);
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(move || {
+                cached(&engine.cache, flip, || {
+                    building.send(()).unwrap();
+                    released
+                        .recv_timeout(Duration::from_secs(5))
+                        .map(|()| Arc::new(compile(flip).unwrap()))
+                })
+            });
+            a_is_building.recv().unwrap();
+            let b = scope.spawn(move || {
+                cached(&engine.cache, flip, || {
+                    b_builds.fetch_add(1, Ordering::Relaxed);
+                    Ok::<_, ()>(Arc::new(compile(flip).unwrap()))
+                })
+            });
+            // Let B reach its lookup while A's build still runs.
+            std::thread::sleep(Duration::from_millis(200));
+            release.send(()).unwrap();
+            (a.join().unwrap().unwrap(), b.join().unwrap().unwrap())
+        });
+        assert_eq!(b_builds.load(Ordering::Relaxed), 0, "B built the key again");
+        assert!(Arc::ptr_eq(&a, &b), "B did not take A's value");
+        assert_eq!(engine.cache_stats().misses, 1);
     }
 
     /// A 200,000-deep document through the identity returns its own

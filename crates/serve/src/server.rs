@@ -791,14 +791,13 @@ fn put_transducer(shared: &Shared, req: &Request, name: &str) -> (u16, String) {
             error_json(&format!("transducer does not compile: {e}")),
         );
     }
-    // Pre-build the domain guard as well (the subset construction can be
-    // expensive, so pay it at upload, not on the first validated
-    // request). When the server validates by default, an unguardable
-    // transducer would poison every transform — reject it here; with
-    // validation off it is registered anyway and only an explicit
-    // `?validate=1` request will surface the guard error per batch.
-    if let Err(e) = shared.engine.guard(&dtop) {
-        if shared.opts.engine.validate {
+    // When the server validates by default, an unguardable transducer
+    // would poison every transform: build its guard now and reject it
+    // here. With validation off the upload builds no guard (the subset
+    // construction can be exponential); the first `?validate=1` request
+    // builds it through the guard cache.
+    if shared.opts.engine.validate {
+        if let Err(e) = shared.engine.guard(&dtop) {
             return (
                 422,
                 error_json(&format!("transducer cannot be guarded: {e}")),

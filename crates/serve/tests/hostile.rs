@@ -55,3 +55,73 @@ fn deep_dtd_uploads_answer_422_and_the_server_stays_up() {
     handle.shutdown();
     runner.join().unwrap().unwrap();
 }
+
+/// `n` states over unary symbols `s1`…`sn`: `q_j` deletes its subtree at
+/// `s_j` and reads past every other `s_i`, and the axiom runs every state
+/// on the root. Any subset of the states can meet at one node, so the
+/// domain guard's subset construction has 2ⁿ states.
+fn exponential_guard_rules(n: usize) -> String {
+    let calls: Vec<String> = (1..=n).map(|j| format!("<q{j},x0>")).collect();
+    let mut rules = format!("ax = c({})\n", calls.join(","));
+    for j in 1..=n {
+        for i in 1..=n {
+            let rhs = if i == j {
+                "e".to_owned()
+            } else {
+                format!("<q{j},x1>")
+            };
+            rules += &format!("q{j}(s{i}(x1)) -> {rhs}\n");
+        }
+        rules += &format!("q{j}(e) -> e\n");
+    }
+    rules
+}
+
+/// With validation off an upload builds no domain guard: two concurrent
+/// uploads whose guard has 2¹⁸ states (about 19 s to build in release)
+/// each answer 201 at once, and neither holds a worker meanwhile.
+#[test]
+fn uploads_with_validation_off_build_no_guard() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeOptions {
+            workers: 2,
+            ..ServeOptions::default()
+        },
+    )
+    .expect("bind ephemeral");
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle();
+    let runner = std::thread::spawn(move || server.run());
+    let client = ServeClient::new(addr)
+        .unwrap()
+        .with_timeout(Duration::from_secs(2));
+    assert!(client.wait_ready(Duration::from_secs(5)), "server not up");
+    let flip = xtt_transducer::examples::flip().dtop.to_string();
+    assert_eq!(client.put_transducer("flip", &flip).unwrap().status, 201);
+
+    let (client, rules) = (&client, &exponential_guard_rules(18));
+    std::thread::scope(|scope| {
+        let uploads = ["wide_a", "wide_b"]
+            .map(|name| scope.spawn(move || (name, client.put_transducer(name, rules))));
+        for upload in uploads {
+            let (name, resp) = upload.join().unwrap();
+            let resp = resp.unwrap_or_else(|e| panic!("{name}: no answer within 2 s ({e})"));
+            assert_eq!(resp.status, 201, "{name}: {}", resp.body_str());
+        }
+    });
+
+    let (resp, lines) = client
+        .transform("flip", "", &["root(a(#,#),b(#,#))"])
+        .unwrap();
+    assert_eq!(
+        (resp.status, lines[0].as_str()),
+        (200, "root(b(#,#),a(#,#))")
+    );
+    assert!(client.healthz(), "server down after the uploads");
+    let stats = client.stats().unwrap().body_str();
+    assert!(stats.contains("\"guards_compiled\":0"), "{stats}");
+
+    handle.shutdown();
+    runner.join().unwrap().unwrap();
+}

@@ -973,14 +973,14 @@ fn attrs_subtree(attrs: &[Attr<'_>]) -> UTree {
     }
 }
 
-/// Serializes a tree to XML text (self-closing tags for empty elements).
+/// Writes a tree as XML text (self-closing tags for empty elements).
 pub fn write_xml(t: &UTree) -> String {
     let mut out = String::new();
     write_node(t, &mut out);
     out
 }
 
-/// Serializes with two-space indentation.
+/// Writes a tree as XML text with two-space indentation.
 pub fn write_xml_pretty(t: &UTree) -> String {
     let mut out = String::new();
     write_pretty(t, 0, &mut out);

@@ -133,7 +133,7 @@ fn arb_noise() -> impl Strategy<Value = Noise> {
     })
 }
 
-/// Serializes `doc` with the selected noise interleaved; returns the text
+/// Writes `doc` as XML with the selected noise interleaved; returns the text
 /// and how many noise constructs were *actually* emitted (flags that find
 /// no injection point — e.g. CDATA with no text nodes — count zero).
 fn write_noisy(doc: &UTree, noise: Noise) -> (String, usize) {
