@@ -1,4 +1,6 @@
-//! Experiment E1 — see DESIGN.md §4 and EXPERIMENTS.md.
+//! Experiment E1 — τflip: states, rules and sample size vs. the paper's §1
+//! figures. Prints the paper-vs-measured table of
+//! `xtt_bench::exps::run_e1`.
 fn main() {
     xtt_bench::exps::run_e1();
 }

@@ -1,4 +1,5 @@
-//! Experiment E2 — see DESIGN.md §4 and EXPERIMENTS.md.
+//! Experiment E2 — the library DTD transformation of the paper's §10.
+//! Prints the paper-vs-measured table of `xtt_bench::exps::run_e2`.
 fn main() {
     xtt_bench::exps::run_e2();
 }

@@ -1,4 +1,5 @@
-//! Experiment E4 — see DESIGN.md §4 and EXPERIMENTS.md.
+//! Experiment E4 — characteristic-sample growth over scaled families (Prop.
+//! 34). Prints the paper-vs-measured table of `xtt_bench::exps::run_e4`.
 fn main() {
     xtt_bench::exps::run_e4();
 }

@@ -1,4 +1,5 @@
-//! Experiment E7 — see DESIGN.md §4 and EXPERIMENTS.md.
+//! Experiment E7 — the canonical-form (earliest + minimize) pipeline.
+//! Prints the paper-vs-measured table of `xtt_bench::exps::run_e7`.
 fn main() {
     xtt_bench::exps::run_e7();
 }

@@ -1,4 +1,5 @@
-//! Experiment E8 — see DESIGN.md §4 and EXPERIMENTS.md.
+//! Experiment E8 — earliest-normal-form fixpoint behaviour. Prints the
+//! paper-vs-measured table of `xtt_bench::exps::run_e8`.
 fn main() {
     xtt_bench::exps::run_e8();
 }

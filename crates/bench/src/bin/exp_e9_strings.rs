@@ -1,4 +1,5 @@
-//! Experiment E9 — see DESIGN.md §4 and EXPERIMENTS.md.
+//! Experiment E9 — subsequential string transducers as monadic dtops.
+//! Prints the paper-vs-measured table of `xtt_bench::exps::run_e9`.
 fn main() {
     xtt_bench::exps::run_e9();
 }

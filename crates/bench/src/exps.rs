@@ -1,5 +1,6 @@
-//! The experiment drivers E1–E9 (see DESIGN.md §4 and EXPERIMENTS.md).
-//! Each prints the paper-vs-measured rows; `exp_all` runs every one.
+//! The experiment drivers E1–E9, one per paper artifact (README,
+//! "Experiments", names the section each reproduces). Each prints the
+//! paper-vs-measured rows; `exp_all` runs every one.
 
 use xtt_core::{characteristic_sample, rpni_dtop};
 use xtt_transducer::{
@@ -79,7 +80,7 @@ pub fn run_e2() {
          T-nodes, which a deterministic transducer cannot do; splitting it\n\
          (qTB/qTT) gives the measured 15 states. Our generic sample generator\n\
          also needs more pairs than the 4 hand-crafted ones because pcdata is\n\
-         modeled with two values (see DESIGN.md)."
+         modeled with two values (see `xtt_transducer::examples::library`)."
     );
     let s2 = xtt_transducer::examples::library_input(2);
     println!("\nτ(s2) = {}", eval(&target.dtop, &s2).unwrap());
@@ -116,7 +117,7 @@ pub fn run_e3() {
     println!(
         "(the measured state counts exceed the paper's 12 because compatibility\n\
          condition (C0) splits list-copier states by domain residual; the paper\n\
-         does not list its 12-state transducer, see EXPERIMENTS.md)"
+         does not list its 12-state transducer)"
     );
 
     println!("\nfc/ns side: distinct residuals among p_0..p_n (must grow unboundedly):");

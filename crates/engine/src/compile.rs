@@ -95,6 +95,11 @@ pub struct CompiledDtop {
 /// key. Stable within a process (it hashes the deterministic `Display`
 /// rendering, which sorts rules).
 pub fn fingerprint(dtop: &Dtop) -> u64 {
+    fingerprint_of(dtop, &dtop.to_string())
+}
+
+/// [`fingerprint`] from a rendering the caller already has.
+pub(crate) fn fingerprint_of(dtop: &Dtop, rendering: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -102,7 +107,7 @@ pub fn fingerprint(dtop: &Dtop) -> u64 {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
     };
-    eat(dtop.to_string().as_bytes());
+    eat(rendering.as_bytes());
     eat(&(dtop.state_count() as u64).to_le_bytes());
     eat(&(dtop.rule_count() as u64).to_le_bytes());
     h

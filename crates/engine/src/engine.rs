@@ -3,18 +3,21 @@
 //! the serializer its output streams into; the machine is one
 //! [`CompiledDtop`] with an optional domain guard ([`Request`]) — a
 //! transducer's own ([`Engine::resolve`]) or a pipeline's composed
-//! machine under its chain-domain guard. `tree` mode collects and guards
-//! the input tree, evaluates it, and replays the output into the sink;
-//! `stream` mode runs the guard in lockstep with the source and writes
-//! committed output events into the sink as they commit.
+//! machine under its chain-domain guard. `tree` mode loads the whole
+//! document into the evaluator's flat arrays in one pass over the source
+//! (the guard fed the same events), evaluates it, and replays the output
+//! arena into the sink; `stream` mode runs the guard in lockstep with the
+//! source and writes committed output events into the sink as they
+//! commit.
 //!
 //! [`Engine::run_doc`] writes one document's bytes; [`Engine::run_batch`]
 //! aims the same routine at a buffer per document. Both run on the
 //! caller's thread — the engine starts no threads, so a server's request
-//! pool is the only concurrency — and the `Rc`-based [`Tree`] never
-//! crosses a thread boundary. Compiled transducers and guards live in
-//! LRU caches keyed by [`crate::fingerprint`], so repeat traffic never
-//! recompiles; a cache miss builds once, outside the cache's lock.
+//! pool is the only concurrency — and the `Rc`-based [`Tree`] that
+//! `stream` mode buffers never crosses a thread boundary. Compiled
+//! transducers and guards live in LRU caches keyed by
+//! [`crate::fingerprint`], so repeat traffic never recompiles; a cache
+//! miss builds once, outside the cache's lock.
 
 use std::io;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -23,12 +26,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use xtt_obs::{EvalObserver, Stage};
 use xtt_transducer::Dtop;
-use xtt_trees::{parse_tree, Symbol, Tree, TreeEvent};
-use xtt_typecheck::{domain_guard, CompiledDtta, TypeError};
+use xtt_trees::{parse_tree, EventError, ParseError, Symbol, TermEvents, Tree, TreeEvent};
+use xtt_typecheck::{domain_guard, CompiledDtta, DttaRun, TypeError};
 use xtt_unranked::{UnrankedError, UnrankedEvents, XmlCodec, XmlWriter};
+use xtt_xml::EncodeError;
 
-use crate::compile::{compile, fingerprint, CompileError, CompiledDtop};
-use crate::eval::EvalScratch;
+use crate::compile::{compile, fingerprint_of, CompileError, CompiledDtop};
+use crate::eval::{self, EvalScratch};
 use crate::stream::{
     EmitStats, GuardedSource, IterEvents, OutputSink, StreamEvaluator, TreeEventSource,
     XmlRankedEvents,
@@ -37,8 +41,9 @@ use crate::stream::{
 /// How the machine runs over a document (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalMode {
-    /// Collect the input tree, guard it, run the compiled evaluator,
-    /// replay the output tree into the sink.
+    /// Load the input into the compiled evaluator in one pass (the guard
+    /// fed the same events), evaluate it, replay the output into the
+    /// sink.
     #[default]
     Compiled,
     /// One pass over the event stream: lockstep guard, streaming
@@ -257,7 +262,7 @@ impl<V: Clone> LruCache<V> {
     /// The slot for `(fp, rendering)`, now the most recently used: on a
     /// miss a new, empty one, evicting the least-recently-used entry at
     /// capacity.
-    fn slot(&self, fp: u64, rendering: String) -> Arc<Mutex<Option<V>>> {
+    fn slot(&self, fp: u64, rendering: &str) -> Arc<Mutex<Option<V>>> {
         let mut entries = self.lock();
         let entry = match entries
             .iter()
@@ -270,7 +275,7 @@ impl<V: Clone> LruCache<V> {
                 }
                 LruEntry {
                     fp,
-                    rendering,
+                    rendering: rendering.to_owned(),
                     slot: Arc::default(),
                 }
             }
@@ -290,7 +295,7 @@ impl<V: Clone> LruCache<V> {
     pub fn get_or_insert_with<E>(
         &self,
         fp: u64,
-        rendering: String,
+        rendering: &str,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
         let slot = self.slot(fp, rendering);
@@ -369,8 +374,8 @@ pub struct Request<'a> {
     pub format: &'a DocFormat,
     pub mode: EvalMode,
     /// Stamped at every stage boundary a document crosses (tokenize,
-    /// encode, guard, eval, emit; fused work is charged to the stage it
-    /// ends in); `None` costs nothing.
+    /// encode, eval, emit; fused work, a guard's included, is charged to
+    /// the stage it ends in); `None` costs nothing.
     pub observer: Option<&'a mut dyn EvalObserver>,
 }
 
@@ -437,7 +442,11 @@ impl Engine {
     /// fingerprint was seen before (hits are verified against the exact
     /// rendered structure, not just the hash).
     pub fn compiled(&self, dtop: &Dtop) -> Result<Arc<CompiledDtop>, CompileError> {
-        cached(&self.cache, dtop, || compile(dtop).map(Arc::new))
+        self.compiled_at(dtop, &Key::of(dtop))
+    }
+
+    fn compiled_at(&self, dtop: &Dtop, key: &Key) -> Result<Arc<CompiledDtop>, CompileError> {
+        cached(&self.cache, key, || compile(dtop).map(Arc::new))
     }
 
     /// Cache counters (for observability and tests).
@@ -451,7 +460,11 @@ impl Engine {
     /// capacity overrun surfaces as [`EngineError::Compile`] instead of
     /// taking the process down.
     pub fn guard(&self, dtop: &Dtop) -> Result<Arc<CompiledDtta>, EngineError> {
-        cached(&self.guards, dtop, || {
+        self.guard_at(dtop, &Key::of(dtop))
+    }
+
+    fn guard_at(&self, dtop: &Dtop, key: &Key) -> Result<Arc<CompiledDtta>, EngineError> {
+        cached(&self.guards, key, || {
             catch_unwind(AssertUnwindSafe(|| domain_guard(dtop)))
                 .map_err(|_| EngineError::Compile("domain guard construction blew up".into()))?
                 .map(Arc::new)
@@ -461,16 +474,18 @@ impl Engine {
 
     /// `dtop`'s compiled machine from the transducer LRU and, when
     /// `validate`, its domain guard from the guard LRU — what a
-    /// [`Request`] for a single transducer carries.
+    /// [`Request`] for a single transducer carries. `dtop` is rendered
+    /// once for both lookups.
     pub fn resolve(
         &self,
         dtop: &Dtop,
         validate: bool,
     ) -> Result<(Arc<CompiledDtop>, Option<Arc<CompiledDtta>>), EngineError> {
+        let key = Key::of(dtop);
         let machine = self
-            .compiled(dtop)
+            .compiled_at(dtop, &key)
             .map_err(|e| EngineError::Compile(e.to_string()))?;
-        let guard = validate.then(|| self.guard(dtop)).transpose()?;
+        let guard = validate.then(|| self.guard_at(dtop, &key)).transpose()?;
         Ok((machine, guard))
     }
 
@@ -606,18 +621,35 @@ impl Engine {
     }
 }
 
-/// [`TreeEventSource`] over the codec's incremental encoder
-/// ([`UnrankedEvents`]), with the raw fast-forward wired through and the
-/// first pipeline error captured for the verdict.
-struct EncodedSource<'a> {
-    inner: UnrankedEvents<'a>,
-    error: Option<UnrankedError>,
+/// [`TreeEventSource`] over a fallible event iterator — the term
+/// tokenizer, the codec's incremental encoder: the first error ends the
+/// stream and is kept for the verdict.
+struct Fallible<I, E> {
+    inner: I,
+    error: Option<E>,
 }
 
-impl TreeEventSource for EncodedSource<'_> {
-    fn next_event(&mut self) -> Option<TreeEvent> {
+impl<I: Iterator<Item = Result<TreeEvent, E>>, E> Fallible<I, E> {
+    fn new(inner: I) -> Fallible<I, E> {
+        Fallible { inner, error: None }
+    }
+
+    fn pull(&mut self) -> Option<TreeEvent> {
         let event = self.inner.next().filter(|_| self.error.is_none())?;
         event.map_err(|e| self.error = Some(e)).ok()
+    }
+}
+
+impl TreeEventSource for Fallible<TermEvents<'_>, ParseError> {
+    fn next_event(&mut self) -> Option<TreeEvent> {
+        self.pull()
+    }
+}
+
+/// The encoder with its raw fast-forward wired through.
+impl TreeEventSource for Fallible<UnrankedEvents<'_>, UnrankedError> {
+    fn next_event(&mut self) -> Option<TreeEvent> {
+        self.pull()
     }
 
     fn skip_subtree(&mut self) -> bool {
@@ -628,6 +660,27 @@ impl TreeEventSource for EncodedSource<'_> {
             self.error = Some(e);
             true
         })
+    }
+}
+
+/// Feeds a guard every event it passes on, without cutting the stream:
+/// `tree` mode reads the whole document before the guard's violation
+/// counts, so a parse error after the violation still wins.
+struct Checked<'g, S> {
+    inner: S,
+    /// `None` once it has reported its violation.
+    run: Option<DttaRun<'g>>,
+    violation: Option<TypeError>,
+}
+
+impl<S: TreeEventSource> TreeEventSource for Checked<'_, S> {
+    fn next_event(&mut self) -> Option<TreeEvent> {
+        let event = self.inner.next_event()?;
+        if let Some(Err(violation)) = self.run.as_mut().map(|run| run.feed(event)) {
+            self.violation = Some(violation);
+            self.run = None;
+        }
+        Some(event)
     }
 }
 
@@ -971,14 +1024,30 @@ fn verdict(
     }
 }
 
-/// `dtop`'s entry in one of the engine's LRU caches, keyed by its
-/// structural fingerprint and verified against its rendering.
+/// A transducer's key in the engine's LRU caches: its rendering, and the
+/// fingerprint of that rendering.
+struct Key {
+    fp: u64,
+    rendering: String,
+}
+
+impl Key {
+    fn of(dtop: &Dtop) -> Key {
+        let rendering = dtop.to_string();
+        Key {
+            fp: fingerprint_of(dtop, &rendering),
+            rendering,
+        }
+    }
+}
+
+/// A transducer's entry in one of the engine's LRU caches.
 fn cached<V: Clone, E>(
     cache: &LruCache<V>,
-    dtop: &Dtop,
+    key: &Key,
     build: impl FnOnce() -> Result<V, E>,
 ) -> Result<V, E> {
-    cache.get_or_insert_with(fingerprint(dtop), dtop.to_string(), build)
+    cache.get_or_insert_with(key.fp, &key.rendering, build)
 }
 
 /// Stamps a stage boundary on the observer, if one is attached. The
@@ -992,9 +1061,7 @@ fn stamp(obs: &mut Option<&mut dyn EvalObserver>, stage: Stage) {
 
 /// Execution state for one engine call, warm across that call's
 /// documents; recreated after a caught panic (which can leave the
-/// scratches inconsistent). Never kept past the call: the scratch's
-/// cross-document intern table, and the trees it keeps alive, would
-/// outlive the request and its machine.
+/// scratches inconsistent).
 struct Worker {
     scratch: EvalScratch,
     stream: StreamEvaluator,
@@ -1054,8 +1121,11 @@ impl Worker {
         })
     }
 
-    /// `tree` mode: collect and guard the input, evaluate it, bound the
-    /// output, replay the output tree into the sink.
+    /// `tree` mode: one pass loads the input into the evaluator's flat
+    /// arrays, with the guard fed the same events (charged to the read
+    /// stage); then evaluate, bound the output, replay the output arena
+    /// into the sink. The whole document is read before any verdict, so a
+    /// parse error wins over the guard's violation.
     fn tree(
         &mut self,
         engine: &Engine,
@@ -1063,42 +1133,58 @@ impl Worker {
         sink: &mut FormatSink<'_>,
         req: &mut Request<'_>,
     ) -> Result<(EmitStats, u64), EngineError> {
-        let (input, read) = match req.format {
-            DocFormat::Term => (parse_tree(doc).map_err(parse_error)?, Stage::Tokenize),
+        let (violation, read) = match req.format {
+            DocFormat::Term => {
+                let mut source = Fallible::new(TermEvents::new(doc));
+                let (shape, violation) = self.load(req, &mut source);
+                if let Some(e) = source.error {
+                    return Err(parse_error(e));
+                }
+                shape.expect("the tokenizer reads one tree or fails");
+                (violation, Stage::Tokenize)
+            }
             DocFormat::Xml | DocFormat::XmlAttrs => {
-                let source = XmlRankedEvents::bounded(doc)
+                let mut source = XmlRankedEvents::bounded(doc)
                     .attributes(matches!(req.format, DocFormat::XmlAttrs));
-                (source.collect_tree().map_err(parse_error)?, Stage::Tokenize)
+                let (shape, violation) = self.load(req, &mut source);
+                if let Some(e) = source.take_error() {
+                    return Err(parse_error(e));
+                }
+                shape.map_err(|e| parse_error(source.structure_error(e)))?;
+                (violation, Stage::Tokenize)
             }
             DocFormat::Encoded(codec) => {
-                let input = codec.ranked_tree(doc).map_err(encoded_error)?;
-                (input, Stage::Encode)
+                let mut source = Fallible::new(codec.events(doc));
+                let (shape, violation) = self.load(req, &mut source);
+                if let Some(e) = source.error {
+                    return Err(encoded_error(e));
+                }
+                shape.map_err(|e| {
+                    encoded_error(UnrankedError::Encode(EncodeError::Malformed(e.to_string())))
+                })?;
+                (violation, Stage::Encode)
             }
         };
         stamp(&mut req.observer, read);
-        if let Some(g) = req.guard {
-            g.check_tree(&input).map_err(EngineError::Type)?;
-            stamp(&mut req.observer, Stage::Guard);
+        if let Some(v) = violation {
+            return Err(EngineError::Type(v));
         }
-        let output = req
-            .machine
-            .eval(&input, &mut self.scratch)
-            .ok_or(EngineError::Undefined)?;
-        // `eval` shares repeated output subtrees and `Tree::size` is cached
-        // and saturating, so even an exponential output is measured here
-        // without ever being unfolded.
+        let root = eval::run(req.machine, &mut self.scratch).ok_or(EngineError::Undefined)?;
+        // A memo hit shares an arena node and sizes saturate, so even an
+        // exponential output is measured here without being unfolded.
+        let size = self.scratch.size(root);
         if let Some(limit) = engine.opts.max_output_nodes {
-            if output.size() > limit {
-                return Err(EngineError::OutputTooLarge(output.size()));
+            if size > limit {
+                return Err(EngineError::OutputTooLarge(size));
             }
         }
         stamp(&mut req.observer, Stage::Evaluate);
         let stats = EmitStats {
-            events_total: output.size().saturating_mul(2),
+            events_total: size.saturating_mul(2),
             ..EmitStats::default()
         };
         let run = RunOutcome {
-            result: sink.tree(&output).map(|()| Some(stats)),
+            result: self.scratch.emit(root, sink).map(|()| Some(stats)),
             violation: None,
             nodes: 0,
             exceeded: false,
@@ -1108,6 +1194,28 @@ impl Worker {
         sink.finish()?;
         stamp(&mut req.observer, Stage::Emit);
         Ok((stats, 0))
+    }
+
+    /// Loads `source` into the scratch for the request's machine, with
+    /// the request's guard fed the same events: the event structure's
+    /// verdict and the guard's violation.
+    fn load(
+        &mut self,
+        req: &Request<'_>,
+        source: &mut impl TreeEventSource,
+    ) -> (Result<(), EventError>, Option<TypeError>) {
+        match req.guard {
+            None => (self.scratch.load(req.machine, source), None),
+            Some(guard) => {
+                let mut checked = Checked {
+                    inner: source,
+                    run: Some(guard.run()),
+                    violation: None,
+                };
+                let shape = self.scratch.load(req.machine, &mut checked);
+                (shape, checked.violation)
+            }
+        }
     }
 
     /// `stream` mode: one pass, source → lockstep guard → streaming
@@ -1136,10 +1244,7 @@ impl Worker {
                 (run, source.skipped_subtrees(), error)
             }
             DocFormat::Encoded(codec) => {
-                let mut source = EncodedSource {
-                    inner: codec.events(doc),
-                    error: None,
-                };
+                let mut source = Fallible::new(codec.events(doc));
                 let run = self.pump(req, &mut source, sink, limit);
                 let error = source.error.take().map(encoded_error);
                 (run, source.inner.skipped_subtrees(), error)
@@ -1314,11 +1419,8 @@ mod tests {
                 // the term sink has no tail to charge to emit.
                 assert_eq!(names, ["tokenize", "eval"], "mode {mode:?}");
             } else {
-                assert_eq!(
-                    names,
-                    ["tokenize", "guard", "eval", "emit"],
-                    "mode {mode:?}"
-                );
+                // The guard reads the same pass as the tokenizer.
+                assert_eq!(names, ["tokenize", "eval", "emit"], "mode {mode:?}");
             }
         }
     }
@@ -1955,7 +2057,11 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         // A failed build counts nothing and leaves no entry.
         let library = examples::library().dtop;
-        assert!(cached(&engine.cache, &library, || Err::<Arc<CompiledDtop>, _>(())).is_err());
+        assert!(cached(&engine.cache, &Key::of(&library), || Err::<
+            Arc<CompiledDtop>,
+            _,
+        >(()))
+        .is_err());
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
@@ -1998,7 +2104,7 @@ mod tests {
                 engine.compiled(&library).unwrap();
                 let _ = done.send(());
             });
-            cached(&engine.cache, &flip, || {
+            cached(&engine.cache, &Key::of(&flip), || {
                 other_returned
                     .recv_timeout(Duration::from_secs(5))
                     .map(|()| Arc::new(compile(&flip).unwrap()))
@@ -2027,7 +2133,7 @@ mod tests {
         let b_builds = &AtomicUsize::new(0);
         let (a, b) = std::thread::scope(|scope| {
             let a = scope.spawn(move || {
-                cached(&engine.cache, flip, || {
+                cached(&engine.cache, &Key::of(flip), || {
                     building.send(()).unwrap();
                     released
                         .recv_timeout(Duration::from_secs(5))
@@ -2036,7 +2142,7 @@ mod tests {
             });
             a_is_building.recv().unwrap();
             let b = scope.spawn(move || {
-                cached(&engine.cache, flip, || {
+                cached(&engine.cache, &Key::of(flip), || {
                     b_builds.fetch_add(1, Ordering::Relaxed);
                     Ok::<_, ()>(Arc::new(compile(flip).unwrap()))
                 })

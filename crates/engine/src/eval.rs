@@ -1,27 +1,36 @@
-//! The compiled evaluator: an iterative, allocation-free interpreter for
-//! [`CompiledDtop`] instruction sequences.
+//! The compiled evaluator: an iterative interpreter for [`CompiledDtop`]
+//! instruction sequences.
 //!
 //! Semantics are exactly Definition 1 (`⟦M⟧`, see `xtt_transducer::eval`),
 //! but the execution strategy is engineered for throughput:
 //!
-//! * the input tree is **flattened once** into dense arrays (symbol id,
-//!   child range) — no pointer chasing or `Rc` traffic afterwards;
+//! * the input is **loaded once** into dense arrays (symbol id, child
+//!   range) straight from its format's event source — no input tree, no
+//!   pointer chasing or `Rc` traffic;
 //! * memoization uses a **dense table** indexed by `q · n_nodes + node`
-//!   instead of a hash map, so copying transducers stay linear without
-//!   hashing on the hot path;
+//!   instead of a hash map, so each (state, node) pair is computed once
+//!   and copying transducers stay linear without hashing;
+//! * output nodes go into a **per-call arena** of `u32` ids: a memo hit
+//!   shares an id, so a copying transducer's exponential output is a
+//!   linear-size DAG that is never unfolded, and its saturating size is
+//!   known without a walk;
 //! * the interpreter runs on **explicit stacks** (activation records +
 //!   value/frame stacks), so arbitrarily deep inputs cannot overflow the
 //!   call stack;
 //! * all per-evaluation state lives in a reusable [`EvalScratch`]: after
-//!   warm-up, steady-state evaluation performs no allocations beyond the
-//!   output itself;
-//! * repeated output nodes are **hash-consed** across documents, so a
-//!   copying transducer's exponential output is built as a shared,
-//!   linear-size [`Tree`] and never unfolded.
+//!   warm-up, a document allocates nothing.
+//!
+//! [`CompiledDtop::eval`] is the tree-in, tree-out wrapper over the same
+//! core, and allocates the tree it returns; the engine's `tree` mode
+//! loads from the document's text and replays the arena into the
+//! format's sink.
 
-use xtt_trees::{Symbol, Tree};
+use std::io;
+
+use xtt_trees::{EventError, Symbol, Tree, TreeEvent};
 
 use crate::compile::{CompiledDtop, Instr};
+use crate::stream::{IterEvents, OutputSink, TreeEventSource};
 
 /// A node of the flattened input tree.
 #[derive(Clone, Copy, Debug)]
@@ -32,10 +41,23 @@ struct FlatNode {
     child_count: u32,
 }
 
+/// A node of the output arena; its children are
+/// `out_children[start..start + arity]`.
+#[derive(Clone, Copy, Debug)]
+struct OutNode {
+    sym: Symbol,
+    start: u32,
+    arity: u32,
+    /// Nodes of the unfolded subtree, saturating at `u64::MAX`.
+    size: u64,
+}
+
 /// Virtual axiom node id (its single "child" is the input root).
 const VIRT: u32 = u32::MAX;
 /// Activation-record state marker for the axiom (not memoized).
 const NO_Q: u16 = u16::MAX;
+/// An empty memo slot.
+const NO_VAL: u32 = u32::MAX;
 
 /// A suspended rule application: instructions `ip..end` of `rhs(q, node)`.
 #[derive(Clone, Copy, Debug)]
@@ -57,61 +79,28 @@ struct Frame {
     arity: u32,
 }
 
-/// One interned output node: the exact key (symbol + child `Rc`
-/// addresses) plus the shared tree. The table keeps its trees alive, so
-/// an address cannot be reused while it keys the table.
-struct InternEntry {
-    sym: u32,
-    children: Box<[u64]>,
-    val: Tree,
-}
-
-/// Trivial hasher for pre-mixed `u64` keys.
-#[derive(Default)]
-struct PremixedHasher(u64);
-
-impl std::hash::Hasher for PremixedHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("intern keys are written as u64");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type InternMap =
-    std::collections::HashMap<u64, Vec<InternEntry>, std::hash::BuildHasherDefault<PremixedHasher>>;
-
-/// Intern-table size bound; crossing it clears the table (bulk workloads
-/// re-warm it within a document or two).
-const INTERN_CAP: usize = 1 << 17;
-
-/// Reusable evaluation state. Create once per worker thread and pass to
-/// every [`CompiledDtop::eval`] call; buffers are retained across
-/// documents, so steady-state evaluation allocates nothing.
+/// Reusable evaluation state. Create once and pass to every
+/// [`CompiledDtop::eval`]; buffers are retained across documents.
 #[derive(Default)]
 pub struct EvalScratch {
     nodes: Vec<FlatNode>,
     children: Vec<u32>,
-    memo: Vec<Option<Tree>>,
+    /// Loading: the open input nodes, innermost last.
+    open: Vec<u32>,
+    /// Loading: child ids awaiting their parent's `Close`.
+    pending: Vec<u32>,
+    /// Output id per `(q, node)`, or [`NO_VAL`].
+    memo: Vec<u32>,
     /// Memo slots written during the current document; resetting clears
     /// exactly these instead of the whole table.
     dirty: Vec<usize>,
-    /// Per-instruction cache of leaf trees, valid for the compiled
-    /// transducer identified by `cached_fp`.
-    leaf_cache: Vec<Option<Tree>>,
-    cached_fp: Option<u64>,
-    /// Cross-document hash-consing of output nodes.
-    intern: InternMap,
-    interned: usize,
     acts: Vec<Activation>,
-    vals: Vec<Tree>,
+    vals: Vec<u32>,
     frames: Vec<Frame>,
+    out: Vec<OutNode>,
+    out_children: Vec<u32>,
+    /// Emitting: `(node, children emitted)` of the open output nodes.
+    walk: Vec<(u32, u32)>,
 }
 
 impl EvalScratch {
@@ -119,55 +108,131 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// Flattens `input` and resets the memo table for `c`.
-    fn prepare(&mut self, c: &CompiledDtop, input: &Tree) {
-        if self.cached_fp != Some(c.fingerprint()) {
-            self.cached_fp = Some(c.fingerprint());
-            self.leaf_cache.clear();
-            self.leaf_cache.resize(c.code_len(), None);
-        }
+    /// Loads one document's events into the flat input for `c`, draining
+    /// `source`. Children are assigned when their parent closes, so one
+    /// pass gives every node a contiguous child range. `Err` is the first
+    /// way the events fail to be exactly one tree; the source's own error,
+    /// if one ended it, is the caller's to take.
+    pub(crate) fn load(
+        &mut self,
+        c: &CompiledDtop,
+        source: &mut impl TreeEventSource,
+    ) -> Result<(), EventError> {
         self.nodes.clear();
         self.children.clear();
-        self.nodes.push(FlatNode {
-            sym: c.dense_sym(input.symbol()),
-            child_start: 0,
-            child_count: input.arity() as u32,
-        });
-        let mut stack: Vec<(&Tree, u32)> = vec![(input, 0)];
-        while let Some((t, id)) = stack.pop() {
-            let cs = self.children.len() as u32;
-            self.nodes[id as usize].child_start = cs;
-            for child in t.children() {
-                let cid = self.nodes.len() as u32;
-                self.nodes.push(FlatNode {
-                    sym: c.dense_sym(child.symbol()),
-                    child_start: 0,
-                    child_count: child.arity() as u32,
-                });
-                self.children.push(cid);
+        self.open.clear();
+        self.pending.clear();
+        let mut shape = Ok(());
+        let mut closed = false;
+        while let Some(event) = source.next_event() {
+            if shape.is_err() {
+                continue;
             }
-            for (i, child) in t.children().iter().enumerate() {
-                stack.push((child, self.children[cs as usize + i]));
+            if closed {
+                shape = Err(EventError::NotASingleTree);
+                continue;
+            }
+            match event {
+                TreeEvent::Open(sym) => {
+                    let id = u32::try_from(self.nodes.len())
+                        .ok()
+                        .filter(|&id| id != VIRT)
+                        .expect("input too large");
+                    if let Some(&parent) = self.open.last() {
+                        self.nodes[parent as usize].child_count += 1;
+                        self.pending.push(id);
+                    }
+                    self.nodes.push(FlatNode {
+                        sym: c.dense_sym(sym),
+                        child_start: 0,
+                        child_count: 0,
+                    });
+                    self.open.push(id);
+                }
+                TreeEvent::Close => {
+                    let Some(id) = self.open.pop() else {
+                        shape = Err(EventError::UnbalancedClose);
+                        continue;
+                    };
+                    let node = &mut self.nodes[id as usize];
+                    node.child_start = self.children.len() as u32;
+                    let first = self.pending.len() - node.child_count as usize;
+                    self.children.extend_from_slice(&self.pending[first..]);
+                    self.pending.truncate(first);
+                    closed = self.open.is_empty();
+                }
             }
         }
-        assert!(self.nodes.len() < VIRT as usize, "input too large");
+        if shape.is_ok() && !closed {
+            shape = Err(match self.open.is_empty() {
+                true => EventError::NotASingleTree,
+                false => EventError::UnexpectedEnd,
+            });
+        }
         for slot in self.dirty.drain(..) {
-            self.memo[slot] = None;
+            self.memo[slot] = NO_VAL;
         }
         let len = c.state_count() * self.nodes.len();
         if self.memo.len() < len {
-            self.memo.resize(len, None);
+            self.memo.resize(len, NO_VAL);
         }
+        shape
+    }
+
+    /// Nodes of the unfolded output below arena node `id`, saturating.
+    pub(crate) fn size(&self, id: u32) -> u64 {
+        self.out[id as usize].size
+    }
+
+    /// Replays the output below arena node `root` into `sink` as
+    /// pre-order events, iteratively in depth.
+    pub(crate) fn emit(&mut self, root: u32, sink: &mut dyn OutputSink) -> io::Result<()> {
+        let (out, out_children, walk) = (&self.out, &self.out_children, &mut self.walk);
+        walk.clear();
+        sink.event(TreeEvent::Open(out[root as usize].sym))?;
+        walk.push((root, 0));
+        while let Some((id, next)) = walk.last_mut() {
+            let node = out[*id as usize];
+            if *next == node.arity {
+                walk.pop();
+                sink.event(TreeEvent::Close)?;
+                continue;
+            }
+            let child = out_children[(node.start + *next) as usize];
+            *next += 1;
+            sink.event(TreeEvent::Open(out[child as usize].sym))?;
+            walk.push((child, 0));
+        }
+        Ok(())
+    }
+
+    /// The output below arena node `root` as a [`Tree`] that shares every
+    /// repeated arena node.
+    fn tree(&self, root: u32) -> Tree {
+        // Children precede their parents in the arena.
+        let mut trees: Vec<Tree> = Vec::with_capacity(root as usize + 1);
+        for node in &self.out[..=root as usize] {
+            let range = node.start as usize..(node.start + node.arity) as usize;
+            let children = self.out_children[range]
+                .iter()
+                .map(|&c| trees[c as usize].clone())
+                .collect();
+            trees.push(Tree::new(node.sym, children));
+        }
+        trees.swap_remove(root as usize)
     }
 }
 
 impl CompiledDtop {
     /// Evaluates `⟦M⟧(input)` with reusable scratch state. `None` iff
     /// `input ∉ dom(⟦M⟧)` — bit-for-bit the partiality of
-    /// `xtt_transducer::eval::eval`.
+    /// `xtt_transducer::eval::eval`. Repeated output subtrees are shared.
     pub fn eval(&self, input: &Tree, scratch: &mut EvalScratch) -> Option<Tree> {
-        scratch.prepare(self, input);
-        run(self, scratch)
+        scratch
+            .load(self, &mut IterEvents(input.events()))
+            .expect("a tree's events are one tree");
+        let root = run(self, scratch)?;
+        Some(scratch.tree(root))
     }
 
     /// One-shot convenience wrapper around [`CompiledDtop::eval`].
@@ -176,21 +241,22 @@ impl CompiledDtop {
     }
 }
 
-/// The interpreter loop. Executes the axiom's instruction sequence; every
-/// `Call` either hits the memo table or pushes an activation record for
-/// the callee's rule. Returns `None` on the first missing rule or
-/// out-of-range variable (partiality propagates to the top, so aborting
-/// early is exact).
+/// The interpreter loop over the loaded input. Executes the axiom's
+/// instruction sequence; every `Call` either hits the memo table or pushes
+/// an activation record for the callee's rule. Returns the output root's
+/// arena id, or `None` on the first missing rule or out-of-range variable
+/// (partiality propagates to the top, so aborting early is exact).
 ///
 /// The current activation is kept in locals (only suspended rules touch
-/// the activation stack), leaf instructions hit the per-instruction leaf
-/// cache, and memo writes are dirty-tracked so the next document resets
-/// only what this one touched.
-fn run(c: &CompiledDtop, sc: &mut EvalScratch) -> Option<Tree> {
+/// the activation stack), and memo writes are dirty-tracked so the next
+/// document resets only what this one touched.
+pub(crate) fn run(c: &CompiledDtop, sc: &mut EvalScratch) -> Option<u32> {
     let n_nodes = sc.nodes.len();
     sc.acts.clear();
     sc.vals.clear();
     sc.frames.clear();
+    sc.out.clear();
+    sc.out_children.clear();
     let code = c.code();
     let (ax_start, ax_end) = c.axiom_range();
     let mut act = Activation {
@@ -203,12 +269,11 @@ fn run(c: &CompiledDtop, sc: &mut EvalScratch) -> Option<Tree> {
     loop {
         while act.ip < act.end {
             let instr = code[act.ip as usize];
-            let at = act.ip as usize;
             act.ip += 1;
             match instr {
                 Instr::Out { sym, arity: 0 } => {
-                    let v = sc.leaf_cache[at].get_or_insert_with(|| Tree::leaf(sym));
-                    sc.vals.push(v.clone());
+                    let leaf = new_node(sc, sym, 0, 0, 1);
+                    sc.vals.push(leaf);
                     complete_frames(sc, act.fbase);
                 }
                 Instr::Out { sym, arity } => sc.frames.push(Frame {
@@ -227,8 +292,9 @@ fn run(c: &CompiledDtop, sc: &mut EvalScratch) -> Option<Tree> {
                         sc.children[(n.child_start + u32::from(child)) as usize]
                     };
                     let slot = q as usize * n_nodes + node as usize;
-                    if let Some(v) = sc.memo[slot].clone() {
-                        sc.vals.push(v);
+                    let hit = sc.memo[slot];
+                    if hit != NO_VAL {
+                        sc.vals.push(hit);
                         complete_frames(sc, act.fbase);
                     } else {
                         let sym = sc.nodes[node as usize].sym;
@@ -248,9 +314,9 @@ fn run(c: &CompiledDtop, sc: &mut EvalScratch) -> Option<Tree> {
         // Rule body finished: its single value is on top of `vals`.
         debug_assert_eq!(sc.frames.len() as u32, act.fbase);
         if act.q != NO_Q {
-            let v = sc.vals.last().expect("rule produced a value").clone();
+            let v = *sc.vals.last().expect("rule produced a value");
             let slot = act.q as usize * n_nodes + act.node as usize;
-            sc.memo[slot] = Some(v);
+            sc.memo[slot] = v;
             sc.dirty.push(slot);
         }
         match sc.acts.pop() {
@@ -266,6 +332,18 @@ fn run(c: &CompiledDtop, sc: &mut EvalScratch) -> Option<Tree> {
     }
 }
 
+/// Appends an output node to the arena and returns its id.
+fn new_node(sc: &mut EvalScratch, sym: Symbol, start: u32, arity: u32, size: u64) -> u32 {
+    let id = u32::try_from(sc.out.len()).expect("output arena overflow");
+    sc.out.push(OutNode {
+        sym,
+        start,
+        arity,
+        size,
+    });
+    id
+}
+
 /// Pops every frame (down to `floor`) whose children are all on the value
 /// stack, building the corresponding output nodes.
 fn complete_frames(sc: &mut EvalScratch, floor: u32) {
@@ -275,62 +353,16 @@ fn complete_frames(sc: &mut EvalScratch, floor: u32) {
             break;
         }
         sc.frames.pop();
-        let v = make_node(
-            &mut sc.vals,
-            &mut sc.intern,
-            &mut sc.interned,
-            f.sym,
-            f.base as usize,
-        );
-        sc.vals.push(v);
+        let kids = &sc.vals[f.base as usize..];
+        let size = kids.iter().fold(1u64, |size, &k| {
+            size.saturating_add(sc.out[k as usize].size)
+        });
+        let start = u32::try_from(sc.out_children.len()).expect("output arena overflow");
+        sc.out_children.extend_from_slice(kids);
+        sc.vals.truncate(f.base as usize);
+        let id = new_node(sc, f.sym, start, f.arity, size);
+        sc.vals.push(id);
     }
-}
-
-/// Builds `sym(vals[base..])`, hash-consing the node across documents:
-/// if an identical node (same symbol, same child `Rc` addresses) was
-/// built before, the shared tree is reused and no construction happens
-/// at all.
-fn make_node(
-    vals: &mut Vec<Tree>,
-    intern: &mut InternMap,
-    interned: &mut usize,
-    sym: Symbol,
-    base: usize,
-) -> Tree {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ u64::from(sym.id());
-    h = h.wrapping_mul(0x100_0000_01b3);
-    for v in &vals[base..] {
-        h ^= v.addr() as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    if let Some(bucket) = intern.get(&h) {
-        'entry: for entry in bucket {
-            if entry.sym != sym.id() || entry.children.len() != vals.len() - base {
-                continue;
-            }
-            for (&id, v) in entry.children.iter().zip(&vals[base..]) {
-                if id != v.addr() as u64 {
-                    continue 'entry;
-                }
-            }
-            let val = entry.val.clone();
-            vals.truncate(base);
-            return val;
-        }
-    }
-    let children: Box<[u64]> = vals[base..].iter().map(|v| v.addr() as u64).collect();
-    let val = Tree::new(sym, vals.split_off(base));
-    if *interned >= INTERN_CAP {
-        intern.clear();
-        *interned = 0;
-    }
-    intern.entry(h).or_default().push(InternEntry {
-        sym: sym.id(),
-        children,
-        val: val.clone(),
-    });
-    *interned += 1;
-    val
 }
 
 #[cfg(test)]

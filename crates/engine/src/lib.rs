@@ -16,9 +16,11 @@
 //!   instruction arena. No hashing, no `Rc`, no rule cloning on the hot
 //!   path.
 //! * [`eval`] / [`stream`] — two executions of the same instruction set:
-//!   the **compiled evaluator** (flatten the document once, dense memo
-//!   table, reusable [`EvalScratch`], repeated output subtrees shared so
-//!   exponentially large results stay linear in memory), and the
+//!   the **compiled evaluator** (the document loaded from its event
+//!   source straight into flat arrays, a dense memo table, output nodes
+//!   in a per-call arena where a memo hit shares its node so
+//!   exponentially large results stay linear in memory, all in a
+//!   reusable [`EvalScratch`]), and the
 //!   **streaming evaluator** ([`StreamEvaluator`]) which runs directly
 //!   over SAX-style events and keeps only the spine of the input —
 //!   deleted subtrees are skipped, not built.

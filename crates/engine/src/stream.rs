@@ -30,7 +30,7 @@
 use std::collections::VecDeque;
 use std::io;
 
-use xtt_trees::{tree_from_events, Symbol, Tree, TreeEvent};
+use xtt_trees::{tree_from_events, EventError, Symbol, Tree, TreeEvent};
 use xtt_typecheck::{CompiledDtta, DttaRun, TypeError};
 use xtt_xml::{xml_events, XmlError, XmlEvent, XmlEventReader};
 
@@ -167,11 +167,16 @@ impl<'a> XmlRankedEvents<'a> {
         if let Some(e) = self.take_error() {
             return Err(e);
         }
-        let at = self.reader.byte_pos();
-        tree_from_events(events).map_err(|e| XmlError {
-            offset: at,
+        tree_from_events(events).map_err(|e| self.structure_error(e))
+    }
+
+    /// An event stream that is not exactly one tree, as the tokenizer
+    /// error at the reader's position.
+    pub(crate) fn structure_error(&self, e: EventError) -> XmlError {
+        XmlError {
+            offset: self.reader.byte_pos(),
             message: e.to_string(),
-        })
+        }
     }
 }
 

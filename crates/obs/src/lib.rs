@@ -17,7 +17,7 @@
 //!   lock is touched only at registration and render time.
 //! - **Tracing** ([`Trace`], [`TraceSampler`], [`EvalObserver`]): a
 //!   sampled per-request pipeline trace stamping stage boundaries
-//!   (tokenize → encode → guard → evaluate → emit). The engine accepts
+//!   (tokenize → encode → evaluate → emit). The engine accepts
 //!   an `Option<&mut dyn EvalObserver>`; the unsampled path passes
 //!   `None` and costs nothing — not even an `Instant::now()`.
 

@@ -1,11 +1,12 @@
 //! Sampled per-request pipeline tracing.
 //!
 //! A [`Trace`] stamps stage boundaries as a request flows through the
-//! pipeline (tokenize → encode → guard → evaluate → emit). The engine
-//! sees it only through the [`EvalObserver`] trait, passed as
-//! `Option<&mut dyn EvalObserver>` — `None` on the unsampled path, so
-//! an untraced request never even reads the clock. [`TraceSampler`]
-//! picks 1-in-N requests with a single relaxed `fetch_add`.
+//! pipeline (tokenize → encode → evaluate → emit; a domain guard reads
+//! the same pass as the stage it runs beside and is charged to it). The
+//! engine sees it only through the [`EvalObserver`] trait, passed as
+//! `Option<&mut dyn EvalObserver>` — `None` on the unsampled path, so an
+//! untraced request never even reads the clock. [`TraceSampler`] picks
+//! 1-in-N requests with a single relaxed `fetch_add`.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant, SystemTime};
@@ -17,8 +18,6 @@ pub enum Stage {
     Tokenize,
     /// Unranked events → ranked encoding (fc/ns, DTD).
     Encode,
-    /// Domain-guard validation.
-    Guard,
     /// Transducer evaluation.
     Evaluate,
     /// Output serialization / decode back to XML.
@@ -30,7 +29,6 @@ impl Stage {
         match self {
             Stage::Tokenize => "tokenize",
             Stage::Encode => "encode",
-            Stage::Guard => "guard",
             Stage::Evaluate => "eval",
             Stage::Emit => "emit",
         }
@@ -51,13 +49,7 @@ impl EvalObserver for Trace {
 }
 
 /// Every stage, in pipeline order.
-const STAGES: [Stage; 5] = [
-    Stage::Tokenize,
-    Stage::Encode,
-    Stage::Guard,
-    Stage::Evaluate,
-    Stage::Emit,
-];
+const STAGES: [Stage; 4] = [Stage::Tokenize, Stage::Encode, Stage::Evaluate, Stage::Emit];
 
 /// The counter a stamp reads. A traced batch stamps about three stage
 /// boundaries per document, so this read is the cost of tracing: on
@@ -159,7 +151,7 @@ impl Trace {
     }
 
     /// `Server-Timing`-style header value:
-    /// `tokenize;dur=0.123, guard;dur=0.045, eval;dur=1.200` (ms).
+    /// `tokenize;dur=0.123, eval;dur=1.200, emit;dur=0.045` (ms).
     pub fn server_timing(&self) -> String {
         let mut out = String::with_capacity(24 * STAGES.len());
         for (name, dur) in self.stages() {

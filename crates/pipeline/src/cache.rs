@@ -39,7 +39,7 @@ impl PlanCache {
     ) -> Result<Arc<Plan>, PlanError> {
         let rendering = pipeline_rendering(stages, schema);
         let fp = pipeline_fingerprint(stages, schema);
-        self.inner.get_or_insert_with(fp, rendering, || {
+        self.inner.get_or_insert_with(fp, &rendering, || {
             plan(stages, schema, StrategyChoice::Auto).map(Arc::new)
         })
     }

@@ -53,12 +53,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The composed plan under its guard against the stages chained
-    /// through the reference evaluator, over XML on random partial
-    /// two-stage pipelines, in both the materialized (`tree`) and fused
-    /// streaming modes: the one-document byte call equals the batch text
-    /// (errors included), the two modes agree (a rejection names the same
-    /// position either way), and the output is τ₂(τ₁(t)) rendered as XML
-    /// exactly on the chain's domain. A pipeline runs like a validated
+    /// through the reference evaluator, over XML and term text on random
+    /// partial two-stage pipelines, in both the materialized (`tree`) and
+    /// fused streaming modes: the one-document byte call equals the batch
+    /// text (errors included), the two modes agree (a rejection names the
+    /// same position either way), and the output is τ₂(τ₁(t)) rendered in
+    /// the document's format exactly on the chain's domain. A pipeline runs like a validated
     /// transducer, so this pins the single-transducer path too.
     #[test]
     fn composed_and_chained_agree_byte_for_byte(seed in any::<u64>(), keep in 40u32..95) {
@@ -76,25 +76,30 @@ proptest! {
         };
         let engine = Engine::new(EngineOptions::default());
         for t in workload(&alpha_a, &mut rng) {
-            let doc = tree_to_xml(&t);
-            let want = walk_eval(&m1, &t)
-                .and_then(|u| walk_eval(&m2, &u))
-                .map(|out| tree_to_xml(&out));
-            let mut texts = Vec::new();
-            for mode in [EvalMode::Compiled, EvalMode::Streaming] {
-                let req = || Request::new(p.machine(), Some(p.guard()), &DocFormat::Xml, mode);
-                let text = engine.run_batch(&[&doc], req()).pop().unwrap();
-                let text = text.map_err(|e| e.to_string());
-                let mut out = Vec::new();
-                let bytes = engine
-                    .run_doc(&doc, &mut out, req())
-                    .map(|_| String::from_utf8(out).unwrap())
-                    .map_err(|e| e.to_string());
-                prop_assert_eq!(&text, &bytes, "{:?} on {}", mode, doc);
-                prop_assert_eq!(text.as_ref().ok(), want.as_ref(), "mode {:?} on {}", mode, doc);
-                texts.push(text);
+            let out = walk_eval(&m1, &t).and_then(|u| walk_eval(&m2, &u));
+            for format in [DocFormat::Xml, DocFormat::Term] {
+                let render = |t: &Tree| match format {
+                    DocFormat::Term => t.to_string(),
+                    _ => tree_to_xml(t),
+                };
+                let doc = render(&t);
+                let want = out.as_ref().map(render);
+                let mut texts = Vec::new();
+                for mode in [EvalMode::Compiled, EvalMode::Streaming] {
+                    let req = || Request::new(p.machine(), Some(p.guard()), &format, mode);
+                    let text = engine.run_batch(&[&doc], req()).pop().unwrap();
+                    let text = text.map_err(|e| e.to_string());
+                    let mut out = Vec::new();
+                    let bytes = engine
+                        .run_doc(&doc, &mut out, req())
+                        .map(|_| String::from_utf8(out).unwrap())
+                        .map_err(|e| e.to_string());
+                    prop_assert_eq!(&text, &bytes, "{:?} on {}", mode, doc);
+                    prop_assert_eq!(text.as_ref().ok(), want.as_ref(), "mode {:?} on {}", mode, doc);
+                    texts.push(text);
+                }
+                prop_assert_eq!(&texts[0], &texts[1], "modes disagree on {}", doc);
             }
-            prop_assert_eq!(&texts[0], &texts[1], "modes disagree on {}", doc);
         }
     }
 

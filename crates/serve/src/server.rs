@@ -83,6 +83,7 @@
 //! machine → sink in the engine; tracing and validation ride on the
 //! same request.
 
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -982,15 +983,26 @@ fn transform(
         headers.push(("X-Xtt-Trace-Id", t.id_hex()));
         headers.push(("Server-Timing", t.server_timing()));
     }
-    let mut writer = ChunkedWriter::start_conn(&mut *w, status, "text/plain", &headers, keep)?;
+    // The response is framed in memory and goes into the connection's
+    // buffer in one push: each push takes the buffer's lock, and the
+    // first wakes the event loop.
+    let mut response = Vec::new();
+    let mut writer =
+        ChunkedWriter::start_conn(&mut response, status, "text/plain", &headers, keep)?;
+    let mut line = String::new();
     for result in &results {
-        let line = match result {
-            Ok(text) => format!("{text}\n"),
-            Err(e) => format!("!error: {e}\n"),
-        };
+        line.clear();
+        match result {
+            Ok(text) => line.push_str(text),
+            Err(e) => {
+                let _ = write!(line, "!error: {e}");
+            }
+        }
+        line.push('\n');
         writer.chunk(line.as_bytes())?;
     }
-    let r = writer.finish();
+    writer.finish()?;
+    let r = w.write_all(&response);
     log_if_slow(
         shared,
         &target.name,

@@ -206,8 +206,8 @@ pub fn example6_m3() -> Fixture {
 /// The Section 10 library transformation over DTD-encoded trees: swap
 /// author/title, delete year, copy all titles into a summary.
 ///
-/// Two deliberate deviations from the paper's listing, both discussed in
-/// EXPERIMENTS.md (E2):
+/// Two deliberate deviations from the paper's listing, both measured by
+/// experiment E2 (`exp_e2_library`):
 ///
 /// * the paper's state `qT` is applied both to `B`-nodes (in the `qT*`
 ///   rules) and to `T`-nodes (in the `qB` rule), which is inconsistent for

@@ -19,7 +19,8 @@
 //!   exponentially large) output trees;
 //! * [`events::TreeEvent`] — pre-order `Open`/`Close` event streams, the
 //!   SAX-style interface consumed by the streaming engine;
-//! * [`parse`] — a term-syntax reader matching the `Display` writer;
+//! * [`parse`] — a term-syntax reader matching the `Display` writer, and
+//!   [`TermEvents`], the pull tokenizer it is built on;
 //! * [`gen`] — deterministic enumeration and random generation of trees.
 
 pub mod alphabet;
@@ -35,7 +36,7 @@ pub mod tree;
 pub use alphabet::RankedAlphabet;
 pub use dag::{DagId, DagStats, TreeDag};
 pub use events::{tree_from_events, EventError, TreeEvent};
-pub use parse::{parse_tree, parse_trees, ParseError};
+pub use parse::{parse_tree, parse_trees, ParseError, TermEvents};
 pub use path::{FPath, NPath, NodePath, PathOrder, Step};
 pub use prefix::{PLabel, PTree};
 pub use symbol::Symbol;

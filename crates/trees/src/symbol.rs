@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::RwLock;
+use std::sync::{OnceLock, RwLock};
 
 /// An interned string, used for tree node labels and alphabet letters.
 ///
@@ -26,42 +26,77 @@ use std::sync::RwLock;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
-struct Interner {
-    names: Vec<&'static str>,
-    ids: HashMap<&'static str, u32>,
+/// An interned name, with its term-syntax quoting decided once.
+struct Entry {
+    name: &'static str,
+    quoted: bool,
 }
 
-impl Interner {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        // Interned names live for the whole process; the set of distinct
-        // symbols in any workload is small and bounded, so leaking is the
-        // standard interner trade-off (O(1) `name()` without locks or clones).
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = u32::try_from(self.names.len()).expect("symbol interner overflow");
-        self.names.push(leaked);
-        self.ids.insert(leaked, id);
-        id
-    }
+/// The id → name table is append-only and read without a lock: chunk `k`
+/// holds the `BASE << k` ids from `BASE · (2^k − 1)` on, is allocated
+/// when its first id is interned, and never moves. A slot is written
+/// before its id is handed out. 27 chunks cover every `u32` id.
+const BASE: usize = 64;
+const CHUNKS: usize = 27;
+
+type Chunk = Box<[OnceLock<Entry>]>;
+
+#[allow(clippy::declare_interior_mutable_const)] // a repeat-expression initializer
+const NO_CHUNK: OnceLock<Chunk> = OnceLock::new();
+static NAMES: [OnceLock<Chunk>; CHUNKS] = [NO_CHUNK; CHUNKS];
+
+/// Name → id, for interning. Interned names live for the whole process;
+/// leaking them is the standard interner trade-off (`name()` hands out
+/// `&'static str` without clones).
+static IDS: RwLock<Option<HashMap<&'static str, u32>>> = RwLock::new(None);
+
+/// The chunk and offset of an id's slot.
+fn locate(id: u32) -> (usize, usize) {
+    let j = id as usize / BASE + 1;
+    let chunk = (usize::BITS - 1 - j.leading_zeros()) as usize;
+    (chunk, id as usize - BASE * ((1 << chunk) - 1))
 }
 
-static INTERNER: RwLock<Option<Interner>> = RwLock::new(None);
+fn entry(id: u32) -> &'static Entry {
+    let (chunk, offset) = locate(id);
+    NAMES[chunk]
+        .get()
+        .and_then(|slots| slots[offset].get())
+        .expect("symbol not interned")
+}
 
-fn with_interner<R>(f: impl FnOnce(&mut Interner) -> R) -> R {
-    let mut guard = INTERNER.write().unwrap_or_else(|e| e.into_inner());
-    let interner = guard.get_or_insert_with(|| Interner {
-        names: Vec::new(),
-        ids: HashMap::new(),
-    });
-    f(interner)
+fn needs_quoting(name: &str) -> bool {
+    name.is_empty()
+        || name
+            .chars()
+            .any(|c| c.is_whitespace() || matches!(c, '(' | ')' | ',' | '"' | '<' | '>'))
 }
 
 impl Symbol {
-    /// Interns `name` and returns its symbol.
+    /// Interns `name` and returns its symbol. A name interned before costs
+    /// a shared read of the name table; only a new name takes its write
+    /// lock.
     pub fn new(name: &str) -> Symbol {
-        Symbol(with_interner(|i| i.intern(name)))
+        if let Some(symbol) = Symbol::lookup(name) {
+            return symbol;
+        }
+        let mut ids = IDS.write().unwrap_or_else(|e| e.into_inner());
+        let ids = ids.get_or_insert_with(HashMap::new);
+        if let Some(&id) = ids.get(name) {
+            return Symbol(id);
+        }
+        let id = u32::try_from(ids.len()).expect("symbol interner overflow");
+        let name: &'static str = Box::leak(name.to_owned().into_boxed_str());
+        let (chunk, offset) = locate(id);
+        let slots =
+            NAMES[chunk].get_or_init(|| (0..BASE << chunk).map(|_| OnceLock::new()).collect());
+        let quoted = needs_quoting(name);
+        assert!(
+            slots[offset].set(Entry { name, quoted }).is_ok(),
+            "id reused"
+        );
+        ids.insert(name, id);
+        Symbol(id)
     }
 
     /// Returns the symbol for `name` only if it was interned before; never
@@ -70,18 +105,13 @@ impl Symbol {
     /// names can be mapped to a sentinel instead of leaking interner
     /// memory per distinct token.
     pub fn lookup(name: &str) -> Option<Symbol> {
-        let guard = INTERNER.read().unwrap_or_else(|e| e.into_inner());
-        guard
-            .as_ref()
-            .and_then(|i| i.ids.get(name).copied())
-            .map(Symbol)
+        let ids = IDS.read().unwrap_or_else(|e| e.into_inner());
+        ids.as_ref()?.get(name).copied().map(Symbol)
     }
 
-    /// The symbol's name. O(1), no allocation.
+    /// The symbol's name. O(1), no allocation, no lock.
     pub fn name(self) -> &'static str {
-        let guard = INTERNER.read().unwrap_or_else(|e| e.into_inner());
-        let interner = guard.as_ref().expect("symbol not interned");
-        interner.names[self.0 as usize]
+        entry(self.0).name
     }
 
     /// The raw interner id. Stable within a process; only useful as a compact
@@ -91,12 +121,10 @@ impl Symbol {
     }
 
     /// True if the name needs quoting in term syntax (contains characters
-    /// that the term grammar treats as structure).
+    /// that the term grammar treats as structure). O(1): decided once, at
+    /// interning.
     pub fn needs_quoting(self) -> bool {
-        let n = self.name();
-        n.is_empty()
-            || n.chars()
-                .any(|c| c.is_whitespace() || matches!(c, '(' | ')' | ',' | '"' | '<' | '>'))
+        entry(self.0).quoted
     }
 }
 
@@ -166,6 +194,42 @@ mod tests {
         let s = Symbol::new("BOOK");
         let t = Symbol::new("BOOK");
         assert_eq!(s.id(), t.id());
+    }
+
+    #[test]
+    fn locate_tiles_the_id_space() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(63), (0, 63));
+        assert_eq!(locate(64), (1, 0));
+        assert_eq!(locate(191), (1, 127));
+        assert_eq!(locate(192), (2, 0));
+        let (chunk, offset) = locate(u32::MAX);
+        assert!(chunk < CHUNKS && offset < BASE << chunk);
+    }
+
+    /// Names interned from several threads at once, across chunk
+    /// boundaries, read back from any thread.
+    #[test]
+    fn names_resolve_across_chunks_and_threads() {
+        let workers: Vec<_> = (0..4)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    (0..300)
+                        .map(|i| {
+                            let name = format!("chunked-{t}-{i}");
+                            (Symbol::new(&name), name)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (symbol, name) in worker.join().unwrap() {
+                assert_eq!(symbol.name(), name);
+                assert_eq!(Symbol::new(&name), symbol);
+                assert!(!symbol.needs_quoting());
+            }
+        }
     }
 
     #[test]

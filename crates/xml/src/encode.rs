@@ -9,7 +9,7 @@
 //! like `xmlflip` that are impossible for dtops over the classical
 //! first-child/next-sibling encoding.
 //!
-//! Two deliberate engineering choices, recorded in DESIGN.md:
+//! Two deliberate engineering choices:
 //!
 //! * **pcdata**: the paper maps every text node to one constant `pcdata`.
 //!   That abstraction makes every text-extraction state compute a constant

@@ -37,7 +37,7 @@ fn main() {
     // 2. learn
     let learned = rpni_dtop(&sample, &target.domain, target.dtop.output()).unwrap();
     println!(
-        "learned transducer: {} states, {} rules (paper reports 14 states; see EXPERIMENTS.md E2)\n",
+        "learned transducer: {} states, {} rules (paper reports 14 states; see experiment E2, exp_e2_library)\n",
         learned.dtop.state_count(),
         learned.dtop.rule_count()
     );

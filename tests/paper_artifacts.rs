@@ -163,9 +163,9 @@ fn example_6_compatibility() {
 }
 
 /// §10: the library transformation — swap, copy, delete — is learned from
-/// a generated characteristic sample; paper-vs-measured state counts are
-/// recorded in EXPERIMENTS.md (paper: 14; measured: 15 — the paper's rule
-/// table uses one state for two different node kinds).
+/// a generated characteristic sample; experiment E2 (`exp_e2_library`)
+/// prints the paper-vs-measured state counts (paper: 14; measured: 15 —
+/// the paper's rule table uses one state for two different node kinds).
 #[test]
 fn section10_library_learned() {
     let fix = fixtures::library();
