@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use xtt_trees::{FPath, RankedAlphabet, Symbol, Tree};
+use xtt_trees::{FPath, RankedAlphabet, Symbol, TermName, Tree};
 
 /// A state of a [`Dtta`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -229,9 +229,10 @@ impl Dtta {
 
 impl fmt::Display for Dtta {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "dtta (initial {})", self.state_name(self.initial))?;
+        let name = |q| TermName(self.state_name(q));
+        writeln!(f, "dtta (initial {})", name(self.initial))?;
         for (q, sym, children) in self.transitions() {
-            write!(f, "  {}({}(", self.state_name(q), sym)?;
+            write!(f, "  {}({}(", name(q), sym)?;
             for i in 0..children.len() {
                 if i > 0 {
                     write!(f, ",")?;
@@ -243,7 +244,7 @@ impl fmt::Display for Dtta {
                 if i > 0 {
                     write!(f, ",")?;
                 }
-                write!(f, "<{},x{}>", self.state_name(*c), i + 1)?;
+                write!(f, "<{},x{}>", name(*c), i + 1)?;
             }
             writeln!(f, ")")?;
         }

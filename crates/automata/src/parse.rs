@@ -18,13 +18,19 @@
 //! serving layer accepts output schemas for `POST /typecheck/{name}` in
 //! it.
 //!
+//! Every line is read through [`xtt_trees::TermReader`]: state names and
+//! symbols follow term syntax's quoting rule (see [`xtt_trees::parse`]),
+//! so the state sets a subset construction names, like `{q1,q2}`, read
+//! back; the head is the reader's [`rule_head`](TermReader::rule_head),
+//! which dtop rules share.
+//!
 //! [`Display`]: std::fmt::Display
 
 use std::collections::{HashMap, HashSet};
 
-use xtt_trees::{RankedAlphabet, Symbol};
+use xtt_trees::{RankedAlphabet, TermName, TermReader};
 
-use crate::dtta::{Dtta, DttaBuilder, DttaError, StateId};
+use crate::dtta::{Dtta, DttaBuilder, DttaError};
 
 /// A parse error, with the offending line when there is one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,100 +50,105 @@ impl From<DttaError> for DttaParseError {
     }
 }
 
-struct TransitionLine {
-    state: String,
-    symbol: String,
-    arity: usize,
-    children: Vec<String>,
-}
-
 /// Parses an automaton from its `Display` rendering (see the module
 /// docs). Lines that are empty or start with `//` are skipped.
 pub fn parse_dtta(text: &str) -> Result<Dtta, DttaParseError> {
-    let mut initial_name: Option<String> = None;
-    let mut lines: Vec<TransitionLine> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with("//") {
+    let mut initial: Option<String> = None;
+    let mut lines = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with("//") {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("dtta") {
-            let rest = rest.trim();
-            let name = rest
-                .strip_prefix("(initial")
-                .and_then(|r| r.trim_end().strip_suffix(')'))
-                .map(str::trim)
-                .ok_or_else(|| err(lineno, "expected `dtta (initial NAME)`"))?;
-            if initial_name.is_some() {
-                return Err(err(lineno, "duplicate header line"));
-            }
-            initial_name = Some(name.to_owned());
+        let mut r = TermReader::new(line);
+        if !(r.eat("dtta") && r.eat("(initial")) {
+            lines.push((lineno, line));
             continue;
         }
-        lines.push(parse_transition_line(line, lineno)?);
+        let name = r.name().map_err(|e| err(lineno, e))?.to_owned();
+        r.expect(")")
+            .and_then(|()| r.end("the header"))
+            .map_err(|e| err(lineno, e))?;
+        if initial.replace(name).is_some() {
+            return Err(err(lineno, "duplicate header line"));
+        }
     }
-    if lines.is_empty() && initial_name.is_none() {
+    if lines.is_empty() && initial.is_none() {
         return Err(DttaParseError("empty automaton text".into()));
     }
 
-    // States: the initial state first, then heads in line order, then call
-    // targets (states with no outgoing transitions have empty language but
-    // may still be referenced).
-    let mut order: Vec<String> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut add = |order: &mut Vec<String>, name: &str| {
-        if !name.is_empty() && seen.insert(name.to_owned()) {
-            order.push(name.to_owned());
+    // States are numbered as they are first named: the initial state, then
+    // each line's head and calls.
+    let mut names: Vec<String> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
+    let mut state = |name: &str| match index.get(name) {
+        Some(&q) => q,
+        None => {
+            index.insert(name.to_owned(), names.len());
+            names.push(name.to_owned());
+            names.len() - 1
         }
     };
-    if let Some(name) = &initial_name {
-        add(&mut order, name);
+    if let Some(name) = &initial {
+        state(name);
     }
-    for line in &lines {
-        add(&mut order, &line.state);
-        for child in &line.children {
-            add(&mut order, child);
+    let mut alphabet = RankedAlphabet::new();
+    let mut defined = HashSet::new();
+    let mut transitions = Vec::new();
+    for (lineno, line) in lines {
+        let mut r = TermReader::new(line);
+        let (name, f, rank) = r.rule_head().map_err(|e| err(lineno, e))?;
+        let q = state(&name);
+        // The right-hand side `f(<p1,x1>,…,<pk,xk>)` repeats the head's
+        // symbol (a DTTA realizes a partial identity); its calls name the
+        // successor states.
+        if r.name().map_err(|e| err(lineno, e))? != f.name() {
+            return Err(err(
+                lineno,
+                format!("the transition on {f} writes another symbol"),
+            ));
         }
-    }
-    if order.is_empty() {
-        return Err(DttaParseError("automaton has no states".into()));
-    }
-
-    let mut alpha_pairs: Vec<(String, usize)> = Vec::new();
-    for line in &lines {
-        match alpha_pairs.iter().find(|(n, _)| n == &line.symbol) {
-            Some((_, r)) if *r != line.arity => {
-                return Err(DttaParseError(format!(
-                    "symbol {} used with ranks {r} and {}",
-                    line.symbol,
-                    line.arity,
-                    r = r
-                )));
-            }
-            Some(_) => {}
-            None => alpha_pairs.push((line.symbol.clone(), line.arity)),
+        let children = r
+            .args(|r, i| {
+                r.expect("<")?;
+                let p = state(r.name()?);
+                r.expect(",")?;
+                match r.variable()? {
+                    n if n == i + 1 => {}
+                    n => return Err(r.error(format!("expected variable x{}, found x{n}", i + 1))),
+                }
+                r.expect(">")?;
+                Ok(p)
+            })
+            .and_then(|children| r.end("the transition").map(|()| children))
+            .map_err(|e| err(lineno, e))?;
+        if children.len() != rank {
+            return Err(err(
+                lineno,
+                format!(
+                    "transition on {f} has {} successor calls, head has rank {rank}",
+                    children.len()
+                ),
+            ));
         }
+        alphabet
+            .try_add(f, rank)
+            .map_err(|k| err(lineno, format!("symbol {f} used with ranks {k} and {rank}")))?;
+        if !defined.insert((q, f)) {
+            let duplicate = format!("duplicate transition for ({}, {f})", TermName(&name));
+            return Err(err(lineno, duplicate));
+        }
+        transitions.push((q, f, children));
     }
-    let alphabet = RankedAlphabet::from_pairs(alpha_pairs.iter().map(|(n, r)| (n.as_str(), *r)));
 
     let mut builder = DttaBuilder::new(alphabet);
-    let index: HashMap<&str, StateId> = order
-        .iter()
-        .map(|name| (name.as_str(), builder.add_state(name.clone())))
+    let ids: Vec<_> = names
+        .into_iter()
+        .map(|name| builder.add_state(name))
         .collect();
-    builder.set_initial(index[order[0].as_str()]);
-    let mut defined: HashSet<(StateId, Symbol)> = HashSet::new();
-    for line in &lines {
-        let q = index[line.state.as_str()];
-        let f = Symbol::new(&line.symbol);
-        if !defined.insert((q, f)) {
-            return Err(DttaParseError(format!(
-                "duplicate transition for ({}, {})",
-                line.state, line.symbol
-            )));
-        }
-        let children = line.children.iter().map(|c| index[c.as_str()]).collect();
-        builder.add_transition(q, f, children)?;
+    builder.set_initial(ids[0]);
+    for (q, f, children) in transitions {
+        builder.add_transition(ids[q], f, children.iter().map(|&c| ids[c]).collect())?;
     }
     Ok(builder.build()?)
 }
@@ -146,174 +157,11 @@ fn err(lineno: usize, message: impl std::fmt::Display) -> DttaParseError {
     DttaParseError(format!("line {}: {message}", lineno + 1))
 }
 
-/// Splits `state(symbol(x1,…,xk)) -> symbol(<p1,x1>,…,<pk,xk>)` into its
-/// parts; the right-hand side's symbol is redundant (a DTTA realizes a
-/// partial identity) and only its `<state,xi>` calls are read.
-fn parse_transition_line(line: &str, lineno: usize) -> Result<TransitionLine, DttaParseError> {
-    let arrow = find_arrow(line).ok_or_else(|| err(lineno, "expected `lhs -> rhs`"))?;
-    let lhs = line[..arrow].trim();
-    let rhs = line[arrow + 2..].trim();
-    // State names are never quoted, so the first `(` ends the state.
-    let open = lhs
-        .find('(')
-        .ok_or_else(|| err(lineno, "expected `state(symbol…)` on the left"))?;
-    let state = lhs[..open].trim();
-    if state.is_empty() {
-        return Err(err(lineno, "empty state name"));
-    }
-    let rest = lhs[open + 1..]
-        .strip_suffix(')')
-        .ok_or_else(|| err(lineno, "unbalanced `)` in the transition head"))?
-        .trim();
-    let (symbol, after) = read_symbol(rest).map_err(|m| err(lineno, m))?;
-    if symbol.is_empty() {
-        return Err(err(lineno, "empty symbol"));
-    }
-    let after = after.trim();
-    let arity = if after.is_empty() || after == "()" {
-        0
-    } else {
-        let vars = after
-            .strip_prefix('(')
-            .and_then(|v| v.strip_suffix(')'))
-            .ok_or_else(|| err(lineno, "expected `(x1,…,xk)` after the symbol"))?;
-        let mut arity = 0usize;
-        for (i, v) in vars.split(',').enumerate() {
-            if v.trim() != format!("x{}", i + 1) {
-                return Err(err(
-                    lineno,
-                    format!(
-                        "expected variable x{} in the head, got `{}`",
-                        i + 1,
-                        v.trim()
-                    ),
-                ));
-            }
-            arity += 1;
-        }
-        arity
-    };
-    let children = call_targets(rhs);
-    if children.len() != arity {
-        return Err(err(
-            lineno,
-            format!(
-                "transition on {symbol} has {} successor calls, head has rank {arity}",
-                children.len()
-            ),
-        ));
-    }
-    Ok(TransitionLine {
-        state: state.to_owned(),
-        symbol,
-        arity,
-        children,
-    })
-}
-
-/// Byte offset of the first `->` outside double quotes.
-fn find_arrow(line: &str) -> Option<usize> {
-    let bytes = line.as_bytes();
-    let mut in_quotes = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' if in_quotes => i += 1,
-            b'"' => in_quotes = !in_quotes,
-            b'-' if !in_quotes && bytes.get(i + 1) == Some(&b'>') => return Some(i),
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Reads one symbol (bare or quoted, reversing the `Display` escaping)
-/// from the start of `s`; returns the name and the remaining text.
-fn read_symbol(s: &str) -> Result<(String, &str), String> {
-    if let Some(rest) = s.strip_prefix('"') {
-        let bytes = rest.as_bytes();
-        let mut name = String::new();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'"' => return Ok((name, &rest[i + 1..])),
-                b'\\' => {
-                    let (c, used) = unescape_at(rest, i + 1)?;
-                    name.push(c);
-                    i += 1 + used;
-                }
-                _ => {
-                    let c = rest[i..].chars().next().expect("in-bounds char");
-                    name.push(c);
-                    i += c.len_utf8();
-                }
-            }
-        }
-        Err("unterminated quoted symbol".into())
-    } else {
-        let end = s.find('(').unwrap_or(s.len());
-        Ok((s[..end].trim().to_owned(), &s[end..]))
-    }
-}
-
-/// Decodes one `Debug`-style escape starting after the backslash at byte
-/// `at`; returns the character and how many bytes the escape body used.
-fn unescape_at(s: &str, at: usize) -> Result<(char, usize), String> {
-    match s.as_bytes().get(at) {
-        Some(b'"') => Ok(('"', 1)),
-        Some(b'\\') => Ok(('\\', 1)),
-        Some(b'n') => Ok(('\n', 1)),
-        Some(b'r') => Ok(('\r', 1)),
-        Some(b't') => Ok(('\t', 1)),
-        Some(b'0') => Ok(('\0', 1)),
-        Some(b'\'') => Ok(('\'', 1)),
-        Some(b'u') => {
-            let rest = &s[at + 1..];
-            let inner = rest
-                .strip_prefix('{')
-                .and_then(|r| r.split_once('}'))
-                .ok_or("malformed \\u escape")?
-                .0;
-            let code = u32::from_str_radix(inner, 16).map_err(|_| "bad \\u code".to_owned())?;
-            let c = char::from_u32(code).ok_or("invalid \\u code point")?;
-            Ok((c, 1 + inner.len() + 2))
-        }
-        _ => Err("unknown escape in quoted symbol".into()),
-    }
-}
-
-/// State names appearing as `<name,…>` calls, quote-aware, in order.
-fn call_targets(rhs: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let bytes = rhs.as_bytes();
-    let mut i = 0;
-    let mut in_quotes = false;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => in_quotes = !in_quotes,
-            b'\\' if in_quotes => i += 1,
-            b'<' if !in_quotes => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b',' && bytes[j] != b'>' {
-                    j += 1;
-                }
-                out.push(rhs[start..j].trim().to_owned());
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::language_equal;
-    use xtt_trees::parse_tree;
+    use xtt_trees::{parse_tree, Symbol};
 
     fn flip_domain_text() -> &'static str {
         "dtta (initial start)\n\
@@ -361,6 +209,26 @@ mod tests {
         assert!(language_equal(&a, &parsed));
     }
 
+    /// A subset construction's state sets, like `{a,b}`, are quoted, so a
+    /// call's first comma no longer ends its state.
+    #[test]
+    fn state_sets_read_back() {
+        let alpha = RankedAlphabet::from_pairs([("f", 2), ("e", 0)]);
+        let mut b = DttaBuilder::new(alpha);
+        let pair = b.add_state("{a,b}");
+        let leaf = b.add_state("{e}");
+        b.add_transition(pair, Symbol::new("f"), vec![leaf, pair])
+            .unwrap();
+        b.add_transition(pair, Symbol::new("e"), vec![]).unwrap();
+        b.add_transition(leaf, Symbol::new("e"), vec![]).unwrap();
+        let a = b.build().unwrap();
+        let text = a.to_string();
+        assert!(text.contains(r#"f(<{e},x1>,<"{a,b}",x2>)"#), "{text}");
+        let parsed = parse_dtta(&text).unwrap();
+        assert_eq!(parsed.state_count(), 2);
+        assert!(language_equal(&a, &parsed));
+    }
+
     #[test]
     fn rejects_malformed_text() {
         assert!(parse_dtta("").is_err());
@@ -373,5 +241,18 @@ mod tests {
             "rank conflict"
         );
         assert!(parse_dtta("dtta (initial q").is_err(), "bad header");
+        let err = |text: &str| parse_dtta(text).unwrap_err().0;
+        assert_eq!(
+            err("q(f(x1,x2)) -> f(<a,x2>,<b,x1>)"),
+            "line 1: parse error at byte 22: expected variable x1, found x2"
+        );
+        assert_eq!(
+            err("q(f(x1)) -> g(<q,x1>)"),
+            "line 1: the transition on f writes another symbol"
+        );
+        assert_eq!(
+            err("dtta (initial q)\nq(f(x1)) -> f(<q,x1>) x"),
+            "line 2: parse error at byte 22: trailing input after the transition"
+        );
     }
 }

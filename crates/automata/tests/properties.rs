@@ -2,30 +2,39 @@
 
 use proptest::prelude::*;
 use xtt_automata::{
-    enumerate_language, intersect, language_classes, minimal_witnesses, nonempty_states, trim,
-    Dtta, DttaBuilder, StateId,
+    enumerate_language, intersect, language_classes, language_equal, minimal_witnesses,
+    nonempty_states, parse_dtta, trim, Dtta, DttaBuilder, StateId,
 };
+use xtt_trees::gen::AWKWARD_NAMES;
 use xtt_trees::{FPath, RankedAlphabet, Symbol, Tree};
 
-fn alphabet() -> RankedAlphabet {
-    RankedAlphabet::from_pairs([("f", 2), ("g", 1), ("a", 0), ("b", 0)])
-}
+/// The table's letters and their ranks.
+const LETTERS: [(&str, usize); 4] = [("f", 2), ("g", 1), ("a", 0), ("b", 0)];
 
 /// Builds a random DTTA from a transition table description: for each
 /// (state, symbol), an optional list of child states.
-fn build(n_states: usize, table: &[(usize, &str, Vec<usize>)]) -> Dtta {
-    let alpha = alphabet();
+fn build(n_states: usize, table: &[TableRow]) -> Dtta {
+    let states: Vec<String> = (0..n_states).map(|i| format!("s{i}")).collect();
+    build_named(&states, LETTERS.map(|(letter, _)| letter), table)
+}
+
+/// [`build`] with its states and its letters `f`, `g`, `a`, `b` named as
+/// given.
+fn build_named(states: &[String], letters: [&str; 4], table: &[TableRow]) -> Dtta {
+    let alpha = RankedAlphabet::from_pairs(letters.into_iter().zip(LETTERS.map(|(_, r)| r)));
     let mut b = DttaBuilder::new(alpha.clone());
-    let states: Vec<StateId> = (0..n_states)
-        .map(|i| b.add_state(format!("s{i}")))
+    let ids: Vec<StateId> = states
+        .iter()
+        .map(|name| b.add_state(name.clone()))
         .collect();
+    let n_states = ids.len();
     for (q, sym, children) in table {
-        let kids: Vec<StateId> = children.iter().map(|&c| states[c % n_states]).collect();
-        let symbol = Symbol::new(sym);
+        let kids: Vec<StateId> = children.iter().map(|&c| ids[c % n_states]).collect();
+        let letter = LETTERS.iter().position(|&(l, _)| l == *sym).unwrap();
+        let symbol = Symbol::new(letters[letter]);
         let rank = alpha.rank(symbol).unwrap();
         if kids.len() == rank {
-            b.add_transition(states[*q % n_states], symbol, kids)
-                .unwrap();
+            b.add_transition(ids[*q % n_states], symbol, kids).unwrap();
         }
     }
     b.build().unwrap()
@@ -42,11 +51,7 @@ fn arb_table() -> impl Strategy<Value = (usize, Vec<TableRow>)> {
         proptest::collection::vec(0usize..4, 0..2),
     )
         .prop_map(|(q, s, mut kids)| {
-            let rank = match s {
-                "f" => 2,
-                "g" => 1,
-                _ => 0,
-            };
+            let rank = LETTERS.iter().find(|&&(l, _)| l == s).unwrap().1;
             kids.resize(rank, 0);
             (q, s, kids)
         });
@@ -121,6 +126,25 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// States and letters named from [`AWKWARD_NAMES`] read back from the
+    /// rendering as the same language.
+    #[test]
+    fn display_parse_roundtrip_with_awkward_names(
+        (n, table) in arb_table(),
+        state_at in 0usize..11,
+        letter_at in 0usize..11,
+    ) {
+        let name = |i: usize| AWKWARD_NAMES[i % AWKWARD_NAMES.len()];
+        let states: Vec<String> = (0..n).map(|i| name(state_at + i).to_owned()).collect();
+        let letters = [0, 1, 2, 3].map(|i| name(letter_at + i));
+        let a = build_named(&states, letters, &table);
+        let text = a.to_string();
+        match parse_dtta(&text) {
+            Ok(back) => prop_assert!(language_equal(&a, &back), "read back another language:\n{}", text),
+            Err(e) => prop_assert!(false, "{}:\n{}", e, text),
         }
     }
 

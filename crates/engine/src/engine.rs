@@ -1007,7 +1007,8 @@ struct RunOutcome {
 
 /// Maps a run onto the engine's error taxonomy: a guard violation wins
 /// (it cut the stream first), then the output-node cap, the sink's
-/// failure, a write error; a clean `None` is the source's error, if any.
+/// failure, a write error; a run that ended cleanly answers the source's
+/// error, if any — also one after a complete tree, like trailing content.
 fn verdict(
     run: RunOutcome,
     source_error: Option<EngineError>,
@@ -1016,11 +1017,12 @@ fn verdict(
     if let Some(v) = run.violation {
         return Err(EngineError::Type(v));
     }
-    match run.result {
-        Err(_) if run.exceeded => Err(EngineError::OutputTooLarge(run.nodes)),
-        Err(e) => Err(sink_failure.unwrap_or_else(|| write_error(e))),
-        Ok(None) => Err(source_error.unwrap_or(EngineError::Undefined)),
-        Ok(Some(stats)) => Ok(stats),
+    match (run.result, source_error) {
+        (Err(_), _) if run.exceeded => Err(EngineError::OutputTooLarge(run.nodes)),
+        (Err(e), _) => Err(sink_failure.unwrap_or_else(|| write_error(e))),
+        (Ok(_), Some(e)) => Err(e),
+        (Ok(None), None) => Err(EngineError::Undefined),
+        (Ok(Some(stats)), None) => Ok(stats),
     }
 }
 

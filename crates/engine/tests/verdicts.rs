@@ -118,3 +118,45 @@ fn fcns_damage_tree_mode_parse_error_stream_mode_first_failure() {
         "!error: type error at 1.2: symbol a not allowed in state {qb}"
     );
 }
+
+/// Trailing content after an fc/ns document's root fails it in both
+/// modes, with and without the guard: the source's error arrives after a
+/// complete tree, and `stream` mode no longer answers the output it
+/// already has.
+#[test]
+fn fcns_trailing_content_fails_in_both_modes() {
+    let m = fcns_ab();
+    let fcns = DocFormat::parse("fcns").unwrap();
+    for (doc, at) in [("<root/> #", 8), ("<root><a/></root> junk", 18)] {
+        let parse = format!(
+            "!error: parse error: XML error at byte {at}: trailing content after the root element"
+        );
+        for mode in MODES {
+            for validate in [false, true] {
+                assert_eq!(
+                    answer(&m, doc, &fcns, mode, validate),
+                    parse,
+                    "{doc:?} {mode:?} validate={validate}"
+                );
+            }
+        }
+    }
+}
+
+/// Plain XML: the trailing text reaches `stream` mode's evaluator as
+/// events before the tokenizer's error, so it answers the domain miss;
+/// `tree` mode reads the whole document first and answers the parse
+/// error.
+#[test]
+fn xml_trailing_content_stream_mode_domain_miss_tree_mode_parse_error() {
+    let flip = examples::flip().dtop;
+    let doc = "<root/> #";
+    assert_eq!(
+        answer(&flip, doc, &DocFormat::Xml, EvalMode::Streaming, false),
+        "!error: input outside the transduction domain"
+    );
+    assert_eq!(
+        answer(&flip, doc, &DocFormat::Xml, EvalMode::Compiled, false),
+        "!error: parse error: XML error at byte 8: trailing content after the root element"
+    );
+}

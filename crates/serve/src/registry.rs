@@ -22,7 +22,7 @@ use xtt_automata::Dtta;
 use xtt_core::{rpni_dtop, Sample};
 use xtt_engine::fingerprint;
 use xtt_transducer::{parse_dtop, Dtop};
-use xtt_trees::{parse_tree, RankedAlphabet, Tree};
+use xtt_trees::{parse_tree, split_unquoted, RankedAlphabet, Tree};
 
 /// How a registered transducer was created.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,12 +168,14 @@ pub fn learn_dtop(body: &str) -> Result<Dtop, RegistryError> {
         if line.is_empty() || line.starts_with("//") {
             continue;
         }
-        let (lhs, rhs) = line.split_once("=>").ok_or_else(|| {
-            RegistryError(format!("line {}: expected `input => output`", lineno + 1))
-        })?;
-        let input = parse_tree(lhs.trim())
-            .map_err(|e| RegistryError(format!("line {}: bad input: {e}", lineno + 1)))?;
-        let output = parse_tree(rhs.trim())
+        let bad_input = |e| RegistryError(format!("line {}: bad input: {e}", lineno + 1));
+        let (lhs, rhs) = split_unquoted(line, "=>")
+            .map_err(bad_input)?
+            .ok_or_else(|| {
+                RegistryError(format!("line {}: expected `input => output`", lineno + 1))
+            })?;
+        let input = parse_tree(lhs).map_err(bad_input)?;
+        let output = parse_tree(rhs)
             .map_err(|e| RegistryError(format!("line {}: bad output: {e}", lineno + 1)))?;
         pairs.push((input, output));
     }
@@ -200,19 +202,13 @@ fn infer_alphabet<'a, I: Iterator<Item = &'a Tree>>(
     for tree in trees {
         let mut stack = vec![tree];
         while let Some(t) = stack.pop() {
-            match alpha.rank(t.symbol()) {
-                None => {
-                    alpha.add(t.symbol(), t.arity());
-                }
-                Some(r) if r == t.arity() => {}
-                Some(r) => {
-                    return Err(RegistryError(format!(
-                        "{side} symbol {} used with ranks {r} and {}",
-                        t.symbol(),
-                        t.arity()
-                    )));
-                }
-            }
+            alpha.try_add(t.symbol(), t.arity()).map_err(|r| {
+                RegistryError(format!(
+                    "{side} symbol {} used with ranks {r} and {}",
+                    t.symbol(),
+                    t.arity()
+                ))
+            })?;
             stack.extend(t.children());
         }
     }
@@ -288,6 +284,16 @@ mod tests {
             xtt_transducer::eval(&entry.dtop, &input),
             xtt_transducer::eval(&fix.dtop, &input)
         );
+    }
+
+    /// A sample line splits at the first `=>` outside quoted names; an
+    /// unspaced `=>` still splits.
+    #[test]
+    fn sample_lines_split_outside_quotes() {
+        let dtop = learn_dtop("\"a=>b\"(e) => g(e)\ne=>e\n").unwrap();
+        let input = parse_tree(r#""a=>b"(e)"#).unwrap();
+        let output = xtt_transducer::eval(&dtop, &input).unwrap();
+        assert_eq!(output.to_string(), "g(e)");
     }
 
     #[test]

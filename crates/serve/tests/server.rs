@@ -278,6 +278,34 @@ fn xml_format_and_learning_over_the_wire() {
     runner.join().unwrap().unwrap();
 }
 
+/// An uploaded rule's quoted non-ASCII output symbol is emitted as
+/// itself.
+#[test]
+fn quoted_output_symbol_over_the_wire() {
+    let (client, runner, _handle) = boot(small_opts());
+    let rules = "ax = <q,x0>\nq(f(x1)) -> \"é ü\"(<q,x1>)\nq(e) -> e\n";
+    let resp = client.put_transducer("accents", rules).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.body_str());
+    let (resp, lines) = client.transform("accents", "", &["f(e)"]).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(lines, vec!["\"é ü\"(e)"]);
+    client.shutdown().unwrap();
+    runner.join().unwrap().unwrap();
+}
+
+/// A quoted `=>` inside a sample's input name does not split the line.
+#[test]
+fn quoted_arrow_in_a_sample_over_the_wire() {
+    let (client, runner, _handle) = boot(small_opts());
+    let sample = "\"a=>b\"(e) => g(e)\ne => e\n";
+    let resp = client.learn_transducer("arrows", sample).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.body_str());
+    let (_, lines) = client.transform("arrows", "", &["\"a=>b\"(e)"]).unwrap();
+    assert_eq!(lines, vec!["g(e)"]);
+    client.shutdown().unwrap();
+    runner.join().unwrap().unwrap();
+}
+
 #[test]
 fn registry_endpoints_and_errors() {
     let (client, runner, _handle) = boot(small_opts());

@@ -185,6 +185,19 @@ mod tests {
     use xtt_automata::enumerate_language;
     use xtt_trees::parse_tree;
 
+    /// A domain's states are subsets, named like `{qT1s,qT2s,qB1s,qB2s}`:
+    /// the rendering quotes them, so the domain reads back as itself.
+    #[test]
+    fn domains_read_back_language_equal() {
+        for fix in [examples::library(), examples::flip(), examples::flip_k(2)] {
+            let d = domain_dtta(&fix.dtop, None);
+            let text = d.to_string();
+            let back = xtt_automata::parse_dtta(&text).unwrap();
+            assert_eq!(back.state_count(), d.state_count(), "{text}");
+            assert!(xtt_automata::language_equal(&d, &back), "{text}");
+        }
+    }
+
     #[test]
     fn flip_domain_without_inspection_is_larger() {
         // (q4, a) deletes its first subtree, so without inspection the

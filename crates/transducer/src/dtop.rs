@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use xtt_trees::{RankedAlphabet, Symbol};
+use xtt_trees::{RankedAlphabet, Symbol, TermName};
 
 use crate::rhs::{display_rhs, parse_rhs, QId, Rhs, RhsError};
 
@@ -50,7 +50,7 @@ impl fmt::Display for DtopError {
             DtopError::UnknownInputSymbol(s) => write!(f, "input symbol {s} not in alphabet"),
             DtopError::UnknownState(q) => write!(f, "unknown state {q}"),
             DtopError::BadStateName(n) => write!(f, "unknown state name '{n}'"),
-            DtopError::Parse(e) => write!(f, "rhs parse error: {e}"),
+            DtopError::Parse(e) => write!(f, "{e}"),
             DtopError::Compose { q2, q1, symbol } => write!(
                 f,
                 "composition pair {q2}\u{2218}{q1}: m1 emits '{symbol}', \
@@ -257,7 +257,7 @@ impl Dtop {
 
     /// Renders a rhs with this transducer's state names.
     pub fn show_rhs(&self, rhs: &Rhs, axiom: bool) -> String {
-        display_rhs(rhs, &|q| self.state_names[q.index()].clone(), axiom)
+        display_rhs(rhs, &|q| TermName(self.state_name(q)).to_string(), axiom)
     }
 }
 
@@ -266,7 +266,7 @@ impl fmt::Display for Dtop {
         writeln!(f, "ax = {}", self.show_rhs(&self.axiom, true))?;
         for (q, sym, rhs) in self.rules() {
             let arity = self.input.rank(sym).unwrap_or(0);
-            write!(f, "{}({}", self.state_name(q), sym)?;
+            write!(f, "{}({}", TermName(self.state_name(q)), sym)?;
             if arity > 0 {
                 write!(f, "(")?;
                 for i in 0..arity {

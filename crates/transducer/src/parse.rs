@@ -17,22 +17,20 @@
 //! transducers — the serving layer (`xtt-serve`) accepts uploads in it and
 //! the golden-corpus tests store transducers in it.
 //!
+//! Every line is read through [`xtt_trees::TermReader`]: state names and
+//! symbols follow term syntax's quoting rule (see [`xtt_trees::parse`]),
+//! the rule head is the reader's [`rule_head`](TermReader::rule_head),
+//! which DTTA schemas share, and the right-hand side is read by
+//! [`crate::rhs`]'s iterative reader.
+//!
 //! [`Display`]: std::fmt::Display
 
 use std::collections::{HashMap, HashSet};
 
-use xtt_trees::{RankedAlphabet, Symbol};
+use xtt_trees::{RankedAlphabet, TermName, TermReader};
 
 use crate::dtop::{Dtop, DtopBuilder, DtopError};
-use crate::rhs::{parse_rhs, QId, Rhs};
-
-/// One parsed rule line, before states and alphabets are assembled.
-struct RuleLine {
-    state: String,
-    symbol: String,
-    arity: usize,
-    rhs_text: String,
-}
+use crate::rhs::{read_rhs, OutputRanks, QId};
 
 /// Parses a transducer from its `Display` rendering (see the module docs).
 ///
@@ -40,88 +38,72 @@ struct RuleLine {
 /// (`ax = …`) is mandatory; rule lines may come in any order. Duplicate
 /// `(state, symbol)` rules are rejected rather than silently overwritten.
 pub fn parse_dtop(text: &str) -> Result<Dtop, DtopError> {
-    let mut axiom_text: Option<String> = None;
-    let mut rules: Vec<RuleLine> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with("//") {
+    let mut axiom = None;
+    let mut rules = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with("//") {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("ax") {
-            let rest = rest.trim_start();
-            if let Some(body) = rest.strip_prefix('=') {
-                if axiom_text.is_some() {
-                    return Err(err(lineno, "duplicate axiom line"));
-                }
-                axiom_text = Some(body.trim().to_owned());
-                continue;
-            }
+        let mut r = TermReader::new(line);
+        if !(r.eat("ax") && r.eat("=")) {
+            rules.push((lineno, line));
+        } else if axiom.replace((lineno, r)).is_some() {
+            return Err(err(lineno, "duplicate axiom line"));
         }
-        rules.push(parse_rule_line(line, lineno)?);
     }
-    let Some(axiom_text) = axiom_text else {
+    let Some((ax_line, mut ax)) = axiom else {
         return Err(DtopError::Parse("missing axiom line `ax = …`".into()));
     };
 
-    // States: rule heads first (in line order), then call targets found in
-    // the axiom and the rule bodies.
-    let mut state_order: Vec<String> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut add_state = |order: &mut Vec<String>, name: &str| {
-        if !name.is_empty() && seen.insert(name.to_owned()) {
-            order.push(name.to_owned());
+    // States are numbered as they are first named: the axiom's calls, then
+    // each rule line's head and calls.
+    let mut names: Vec<String> = Vec::new();
+    let mut index: HashMap<String, QId> = HashMap::new();
+    let mut state = |name: &str| match index.get(name) {
+        Some(&q) => q,
+        None => {
+            let q = QId(names.len() as u32);
+            index.insert(name.to_owned(), q);
+            names.push(name.to_owned());
+            q
         }
     };
-    for name in call_targets(&axiom_text) {
-        add_state(&mut state_order, &name);
-    }
-    for rule in &rules {
-        add_state(&mut state_order, &rule.state);
-        for name in call_targets(&rule.rhs_text) {
-            add_state(&mut state_order, &name);
+    let mut output = OutputRanks::default();
+    let axiom = read_rhs(&mut ax, &mut |n| Some(state(n)), true, &mut output)
+        .and_then(|rhs| ax.end("the axiom").map(|()| rhs))
+        .map_err(|e| err(ax_line, e))?;
+    let mut input = RankedAlphabet::new();
+    let mut defined = HashSet::new();
+    let mut parsed = Vec::new();
+    for (lineno, line) in rules {
+        let mut r = TermReader::new(line);
+        let (name, f, rank) = r.rule_head().map_err(|e| err(lineno, e))?;
+        let q = state(&name);
+        input.try_add(f, rank).map_err(|k| {
+            err(
+                lineno,
+                format!("input symbol {f} used with ranks {k} and {rank}"),
+            )
+        })?;
+        if !defined.insert((q, f)) {
+            return Err(err(
+                lineno,
+                format!("duplicate rule for ({}, {f})", TermName(&name)),
+            ));
         }
-    }
-    let index: HashMap<String, QId> = state_order
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), QId(i as u32)))
-        .collect();
-    let resolve = |n: &str| index.get(n).copied();
-
-    // Parse every rhs; infer the output alphabet from the parsed trees.
-    let axiom = parse_rhs(&axiom_text, &resolve, true).map_err(DtopError::Parse)?;
-    let mut parsed_rules: Vec<(QId, Symbol, Rhs)> = Vec::new();
-    let mut input_pairs: Vec<(String, usize)> = Vec::new();
-    for rule in &rules {
-        record_rank(&mut input_pairs, &rule.symbol, rule.arity)
-            .map_err(|e| DtopError::Parse(format!("input symbol {e}")))?;
-        let rhs = parse_rhs(&rule.rhs_text, &resolve, false).map_err(DtopError::Parse)?;
-        let q = index[&rule.state];
-        let f = Symbol::new(&rule.symbol);
-        if parsed_rules.iter().any(|&(q2, f2, _)| q2 == q && f2 == f) {
-            return Err(DtopError::Parse(format!(
-                "duplicate rule for ({}, {})",
-                rule.state, rule.symbol
-            )));
-        }
-        parsed_rules.push((q, f, rhs));
-    }
-    let mut output_pairs: Vec<(String, usize)> = Vec::new();
-    collect_output_ranks(&axiom, &mut output_pairs)
-        .map_err(|e| DtopError::Parse(format!("output symbol {e}")))?;
-    for (_, _, rhs) in &parsed_rules {
-        collect_output_ranks(rhs, &mut output_pairs)
-            .map_err(|e| DtopError::Parse(format!("output symbol {e}")))?;
+        let rhs = read_rhs(&mut r, &mut |n| Some(state(n)), false, &mut output)
+            .and_then(|rhs| r.end("the rule").map(|()| rhs))
+            .map_err(|e| err(lineno, e))?;
+        parsed.push((q, f, rhs));
     }
 
-    let input: RankedAlphabet = input_pairs.iter().map(|(n, r)| (n.as_str(), *r)).collect();
-    let output: RankedAlphabet = output_pairs.iter().map(|(n, r)| (n.as_str(), *r)).collect();
-    let mut builder = DtopBuilder::new(input, output);
-    for name in &state_order {
-        builder.add_state(name.clone());
+    let mut builder = DtopBuilder::new(input, output.alphabet());
+    for name in names {
+        builder.add_state(name);
     }
     builder.set_axiom(axiom);
-    for (q, f, rhs) in parsed_rules {
+    for (q, f, rhs) in parsed {
         builder.add_rule(q, f, rhs)?;
     }
     builder.build()
@@ -131,186 +113,16 @@ fn err(lineno: usize, message: impl std::fmt::Display) -> DtopError {
     DtopError::Parse(format!("line {}: {message}", lineno + 1))
 }
 
-/// Splits `state(symbol(x1,…,xk)) -> rhs` (or `state(symbol) -> rhs` for
-/// constants) into its parts. Quote-aware throughout: the input symbol
-/// may be a quoted name containing `->`, parentheses, or commas.
-fn parse_rule_line(line: &str, lineno: usize) -> Result<RuleLine, DtopError> {
-    let arrow = find_arrow(line).ok_or_else(|| err(lineno, "expected `lhs -> rhs`"))?;
-    let lhs = line[..arrow].trim();
-    let rhs_text = line[arrow + 2..].trim();
-    // State names are never quoted, so the first `(` ends the state.
-    let open = lhs
-        .find('(')
-        .ok_or_else(|| err(lineno, "expected `state(symbol…)` on the left"))?;
-    let state = lhs[..open].trim();
-    if state.is_empty() {
-        return Err(err(lineno, "empty state name"));
-    }
-    let rest = lhs[open + 1..]
-        .strip_suffix(')')
-        .ok_or_else(|| err(lineno, "unbalanced `)` in the rule head"))?
-        .trim();
-    // `rest` is now `symbol` or `symbol(x1,…,xk)`, symbol possibly quoted.
-    let (symbol, after) = read_symbol(rest).map_err(|m| err(lineno, m))?;
-    let after = after.trim();
-    let arity = if after.is_empty() {
-        0
-    } else {
-        let vars = after
-            .strip_prefix('(')
-            .and_then(|v| v.strip_suffix(')'))
-            .ok_or_else(|| err(lineno, "expected `(x1,…,xk)` after the input symbol"))?;
-        let mut arity = 0usize;
-        for (i, v) in vars.split(',').enumerate() {
-            let v = v.trim();
-            if v != format!("x{}", i + 1) {
-                return Err(err(
-                    lineno,
-                    format!("expected variable x{} in the rule head, got `{v}`", i + 1),
-                ));
-            }
-            arity += 1;
-        }
-        arity
-    };
-    if symbol.is_empty() {
-        return Err(err(lineno, "empty input symbol"));
-    }
-    Ok(RuleLine {
-        state: state.to_owned(),
-        symbol,
-        arity,
-        rhs_text: rhs_text.to_owned(),
-    })
-}
-
-/// Byte offset of the first `->` outside double quotes.
-fn find_arrow(line: &str) -> Option<usize> {
-    let bytes = line.as_bytes();
-    let mut in_quotes = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' if in_quotes => i += 1, // skip the escaped byte
-            b'"' => in_quotes = !in_quotes,
-            b'-' if !in_quotes && bytes.get(i + 1) == Some(&b'>') => return Some(i),
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Reads one symbol (bare or quoted, reversing the `Display` escaping)
-/// from the start of `s`; returns the name and the remaining text.
-fn read_symbol(s: &str) -> Result<(String, &str), String> {
-    if let Some(rest) = s.strip_prefix('"') {
-        let bytes = rest.as_bytes();
-        let mut name = String::new();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'"' => return Ok((name, &rest[i + 1..])),
-                b'\\' => {
-                    let (c, used) = unescape_at(rest, i + 1)?;
-                    name.push(c);
-                    i += 1 + used;
-                }
-                _ => {
-                    let c = rest[i..].chars().next().expect("in-bounds char");
-                    name.push(c);
-                    i += c.len_utf8();
-                }
-            }
-        }
-        Err("unterminated quoted symbol".into())
-    } else {
-        let end = s.find('(').unwrap_or(s.len());
-        Ok((s[..end].trim().to_owned(), &s[end..]))
-    }
-}
-
-/// Decodes one `Debug`-style escape starting after the backslash at byte
-/// `at`; returns the character and how many bytes the escape body used.
-fn unescape_at(s: &str, at: usize) -> Result<(char, usize), String> {
-    match s.as_bytes().get(at) {
-        Some(b'"') => Ok(('"', 1)),
-        Some(b'\\') => Ok(('\\', 1)),
-        Some(b'n') => Ok(('\n', 1)),
-        Some(b'r') => Ok(('\r', 1)),
-        Some(b't') => Ok(('\t', 1)),
-        Some(b'0') => Ok(('\0', 1)),
-        Some(b'\'') => Ok(('\'', 1)),
-        Some(b'u') => {
-            let rest = &s[at + 1..];
-            let inner = rest
-                .strip_prefix('{')
-                .and_then(|r| r.split_once('}'))
-                .ok_or("malformed \\u escape")?
-                .0;
-            let code = u32::from_str_radix(inner, 16).map_err(|_| "bad \\u code".to_owned())?;
-            let c = char::from_u32(code).ok_or("invalid \\u code point")?;
-            Ok((c, 1 + inner.len() + 2))
-        }
-        _ => Err("unknown escape in quoted symbol".into()),
-    }
-}
-
-/// State names appearing as `<name,…>` calls, quote-aware, in order.
-fn call_targets(rhs_text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let bytes = rhs_text.as_bytes();
-    let mut i = 0;
-    let mut in_quotes = false;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => in_quotes = !in_quotes,
-            b'\\' if in_quotes => i += 1, // skip the escaped byte
-            b'<' if !in_quotes => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b',' && bytes[j] != b'>' {
-                    j += 1;
-                }
-                out.push(rhs_text[start..j].trim().to_owned());
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Records `symbol ↦ rank`, rejecting conflicting ranks.
-fn record_rank(pairs: &mut Vec<(String, usize)>, name: &str, rank: usize) -> Result<(), String> {
-    match pairs.iter().find(|(n, _)| n == name) {
-        Some((_, r)) if *r == rank => Ok(()),
-        Some((_, r)) => Err(format!("{name} used with ranks {r} and {rank}")),
-        None => {
-            pairs.push((name.to_owned(), rank));
-            Ok(())
-        }
-    }
-}
-
-fn collect_output_ranks(rhs: &Rhs, pairs: &mut Vec<(String, usize)>) -> Result<(), String> {
-    if let Rhs::Out(sym, children) = rhs {
-        record_rank(pairs, sym.name(), children.len())?;
-        for c in children {
-            collect_output_ranks(c, pairs)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::eval;
     use crate::examples;
+    use crate::rhs::Rhs;
     use xtt_automata::enumerate_language;
+    use xtt_trees::gen::AWKWARD_NAMES;
     use xtt_trees::parse_tree;
+    use xtt_trees::Symbol;
 
     /// Every fixture round-trips through its own rendering: the parsed
     /// transducer is equivalent, and its own rendering is a fixed point
@@ -400,8 +212,6 @@ mod tests {
     /// the characters the line splitter must not trip over.
     #[test]
     fn quoted_symbol_with_arrow_and_parens_roundtrips() {
-        use crate::rhs::Rhs;
-        use xtt_trees::RankedAlphabet;
         let nasty = "a->b(x,1)";
         let input = RankedAlphabet::from_pairs([(nasty, 1), ("e", 0)]);
         let output = RankedAlphabet::from_pairs([("g", 1), ("e", 0)]);
@@ -418,21 +228,67 @@ mod tests {
         assert_eq!(parsed.input().rank(Symbol::new(nasty)), Some(1));
     }
 
-    /// Quoted symbols (names with special characters) survive the trip.
+    /// Names that need quoting, as input symbols, output symbols and state
+    /// names, survive the trip: the parsed transducer renders as the
+    /// original.
     #[test]
     fn quoted_symbols_roundtrip() {
-        use crate::rhs::Rhs;
-        use xtt_trees::RankedAlphabet;
-        let input = RankedAlphabet::from_pairs([("weird name", 0)]);
-        let output = RankedAlphabet::from_pairs([("odd,sym", 0)]);
-        let mut b = DtopBuilder::new(input, output);
-        let q = b.add_state("q");
-        b.set_axiom(Rhs::call(q, 0));
-        b.add_rule(q, Symbol::new("weird name"), Rhs::leaf("odd,sym"))
-            .unwrap();
+        let n = AWKWARD_NAMES.len();
+        let ranked = |i: usize| (AWKWARD_NAMES[i], i % 3);
+        let alphabet = RankedAlphabet::from_pairs((0..n).map(ranked));
+        let mut b = DtopBuilder::new(alphabet.clone(), alphabet);
+        let states: Vec<QId> = AWKWARD_NAMES
+            .iter()
+            .map(|&name| b.add_state(name))
+            .collect();
+        b.set_axiom(Rhs::call(states[0], 0));
+        // State i reads symbol i and writes symbol i + 5, calling state
+        // i + 1 on its children (or writing the constant `a b`).
+        for i in 0..n {
+            let (out, out_rank) = ranked((i + 5) % n);
+            let children = (0..out_rank)
+                .map(|k| match i % 3 {
+                    0 => Rhs::leaf(AWKWARD_NAMES[0]),
+                    rank => Rhs::call(states[(i + 1) % n], k % rank),
+                })
+                .collect();
+            let f = Symbol::new(AWKWARD_NAMES[i]);
+            b.add_rule(states[i], f, Rhs::out(out, children)).unwrap();
+        }
         let m = b.build().unwrap();
         let text = m.to_string();
         let parsed = parse_dtop(&text).unwrap_or_else(|e| panic!("parse failed: {e}\n{text}"));
         assert_eq!(parsed.to_string(), text);
+    }
+
+    /// A quoted non-ASCII output name reads as itself, not byte by byte.
+    #[test]
+    fn non_ascii_output_names_read_back() {
+        let m = parse_dtop("ax = <q,x0>\nq(f(x1)) -> \"é ü\"(<q,x1>)\nq(e) -> e\n").unwrap();
+        let out = eval(&m, &parse_tree("f(e)").unwrap()).unwrap();
+        assert_eq!(out.symbol().name(), "é ü");
+        assert_eq!(out.to_string(), "\"é ü\"(e)");
+    }
+
+    /// Errors name their line and the byte where reading stopped.
+    #[test]
+    fn errors_name_line_and_byte() {
+        let err = |text: &str| parse_dtop(text).unwrap_err().to_string();
+        assert_eq!(
+            err("ax = <q,x0>\nq(f(x1)) -> g(<q,x1> <q,x1>)"),
+            "line 2: parse error at byte 21: expected ',' or ')', found '<'"
+        );
+        assert_eq!(
+            err("ax = <p,x0>\nq(f(x1)) => g"),
+            "line 2: parse error at byte 9: expected `->`, found '='"
+        );
+        assert_eq!(
+            err("ax = <q,x1>"),
+            "line 1: parse error at byte 11: axiom variables must be x0"
+        );
+        assert_eq!(
+            err("ax = g\nq(f) -> h(a)\nq(e) -> h"),
+            "line 3: parse error at byte 9: output symbol h used with ranks 1 and 0"
+        );
     }
 }

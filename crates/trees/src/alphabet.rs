@@ -39,21 +39,24 @@ impl RankedAlphabet {
     /// Adds `symbol` with the given `rank`. Re-adding with the same rank is a
     /// no-op; re-adding with a different rank panics (ranks are fixed).
     pub fn add(&mut self, symbol: Symbol, rank: usize) -> Symbol {
+        self.try_add(symbol, rank).unwrap_or_else(|declared| {
+            panic!("symbol {symbol} re-declared with different rank ({declared} vs {rank})")
+        })
+    }
+
+    /// [`add`](Self::add), or the rank `symbol` was declared with if it
+    /// differs from `rank`.
+    pub fn try_add(&mut self, symbol: Symbol, rank: usize) -> Result<Symbol, usize> {
         match self.index.get(&symbol) {
-            Some(&i) => {
-                assert_eq!(
-                    self.ranks[i], rank,
-                    "symbol {symbol} re-declared with different rank ({} vs {rank})",
-                    self.ranks[i]
-                );
-            }
+            Some(&i) if self.ranks[i] != rank => return Err(self.ranks[i]),
+            Some(_) => {}
             None => {
                 self.index.insert(symbol, self.symbols.len());
                 self.symbols.push(symbol);
                 self.ranks.push(rank);
             }
         }
-        symbol
+        Ok(symbol)
     }
 
     /// Interns `name` and adds it with `rank`.

@@ -10,6 +10,24 @@ use rand::Rng;
 use crate::alphabet::RankedAlphabet;
 use crate::tree::Tree;
 
+/// Names that try term syntax's quoting rule: structural characters,
+/// quotes and backslashes, the `\t` and `\n` escapes, non-ASCII text, a
+/// subset construction's state set, and the empty name. Round-trip tests
+/// draw symbols and state names from these.
+pub const AWKWARD_NAMES: [&str; 11] = [
+    "a b",
+    "x,y",
+    "p(q)",
+    "say \"hi\"",
+    "back\\slash",
+    "a\tb",
+    "line\nbreak",
+    "<x>",
+    "é ü",
+    "{q1,q2}",
+    "",
+];
+
 /// Enumerates all trees over `alphabet` in order of increasing size, up to
 /// `max_count` trees and `max_size` nodes. Deterministic.
 pub fn enumerate_trees(alphabet: &RankedAlphabet, max_count: usize, max_size: usize) -> Vec<Tree> {

@@ -19,8 +19,9 @@
 //!   exponentially large) output trees;
 //! * [`events::TreeEvent`] — pre-order `Open`/`Close` event streams, the
 //!   SAX-style interface consumed by the streaming engine;
-//! * [`parse`] — a term-syntax reader matching the `Display` writer, and
-//!   [`TermEvents`], the pull tokenizer it is built on;
+//! * [`parse`] — term syntax: [`TermReader`], the reader of names and
+//!   punctuation that every text format reads through, [`TermEvents`], the
+//!   pull tokenizer of trees built on it, and [`parse_tree`];
 //! * [`gen`] — deterministic enumeration and random generation of trees.
 
 pub mod alphabet;
@@ -36,8 +37,8 @@ pub mod tree;
 pub use alphabet::RankedAlphabet;
 pub use dag::{DagId, DagStats, TreeDag};
 pub use events::{tree_from_events, EventError, TreeEvent};
-pub use parse::{parse_tree, parse_trees, ParseError, TermEvents};
+pub use parse::{parse_tree, parse_trees, split_unquoted, ParseError, TermEvents, TermReader};
 pub use path::{FPath, NPath, NodePath, PathOrder, Step};
 pub use prefix::{PLabel, PTree};
-pub use symbol::Symbol;
+pub use symbol::{Symbol, TermName};
 pub use tree::Tree;

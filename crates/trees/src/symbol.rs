@@ -128,6 +128,22 @@ impl Symbol {
     }
 }
 
+/// A name as term syntax writes it: bare, or, when it needs quoting (see
+/// [`Symbol::needs_quoting`]), quoted as Rust's `{:?}` writes a string.
+/// Symbols are written this way; state names, which are not symbols, are
+/// written through this.
+pub struct TermName<'a>(pub &'a str);
+
+impl fmt::Display for TermName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if needs_quoting(self.0) {
+            write!(f, "{:?}", self.0)
+        } else {
+            f.write_str(self.0)
+        }
+    }
+}
+
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Symbol({:?})", self.name())

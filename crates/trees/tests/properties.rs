@@ -1,6 +1,7 @@
 //! Property-based tests for the tree substrate.
 
 use proptest::prelude::*;
+use xtt_trees::gen::AWKWARD_NAMES;
 use xtt_trees::{parse_tree, FPath, NodePath, PTree, RankedAlphabet, Symbol, Tree, TreeDag};
 
 fn alpha() -> RankedAlphabet {
@@ -24,9 +25,20 @@ fn arb_tree() -> impl Strategy<Value = Tree> {
     })
 }
 
+/// Trees whose names are drawn from [`AWKWARD_NAMES`], the ranks free.
+fn arb_awkward_tree() -> impl Strategy<Value = Tree> {
+    let name = || (0..AWKWARD_NAMES.len()).prop_map(|i| AWKWARD_NAMES[i]);
+    name()
+        .prop_map(Tree::leaf_named)
+        .prop_recursive(4, 32, 3, move |inner| {
+            (name(), proptest::collection::vec(inner, 1..4))
+                .prop_map(|(name, children)| Tree::node(name, children))
+        })
+}
+
 proptest! {
     #[test]
-    fn display_parse_roundtrip(t in arb_tree()) {
+    fn display_parse_roundtrip(t in arb_awkward_tree()) {
         let printed = t.to_string();
         let reparsed = parse_tree(&printed).unwrap();
         prop_assert_eq!(reparsed, t);

@@ -301,7 +301,7 @@ impl<'a> XmlEventReader<'a> {
     }
 
     /// Unescapes a raw slice, fusing the reader on a malformed reference.
-    fn unescape_at(&mut self, raw: &'a str, base: usize) -> Result<Cow<'a, str>, XmlError> {
+    fn unescape_or_fuse(&mut self, raw: &'a str, base: usize) -> Result<Cow<'a, str>, XmlError> {
         match unescape(raw, base, self.opts) {
             Ok(text) => Ok(text),
             Err(e) => {
@@ -357,7 +357,7 @@ impl<'a> XmlEventReader<'a> {
                     }
                     self.pos = vend + 1;
                     if collect {
-                        let value = self.unescape_at(&self.src[vstart..vend], vstart)?;
+                        let value = self.unescape_or_fuse(&self.src[vstart..vend], vstart)?;
                         if name == "xmlns" {
                             self.ns.push(NsBinding {
                                 depth,
@@ -492,7 +492,7 @@ impl<'a> XmlEventReader<'a> {
             if probe > seg_start {
                 let raw = &self.src[seg_start..probe];
                 let decoded = if has_ref {
-                    self.unescape_at(raw, seg_start)?
+                    self.unescape_or_fuse(raw, seg_start)?
                 } else {
                     Cow::Borrowed(raw)
                 };
