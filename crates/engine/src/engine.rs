@@ -29,7 +29,7 @@ use xtt_transducer::Dtop;
 use xtt_trees::{parse_tree, EventError, ParseError, Symbol, TermEvents, Tree, TreeEvent};
 use xtt_typecheck::{domain_guard, CompiledDtta, DttaRun, TypeError};
 use xtt_unranked::{UnrankedError, UnrankedEvents, XmlCodec, XmlWriter};
-use xtt_xml::EncodeError;
+use xtt_xml::{escape_attr, escape_text, is_xml_name, EncodeError};
 
 use crate::compile::{compile, fingerprint_of, CompileError, CompiledDtop};
 use crate::eval::{self, EvalScratch};
@@ -691,6 +691,8 @@ pub(crate) struct FormatSink<'w> {
     bytes: u64,
     failure: Option<EngineError>,
     kind: SinkKind,
+    /// Scratch for escaped text.
+    text: String,
 }
 
 enum SinkKind {
@@ -716,6 +718,7 @@ impl<'w> FormatSink<'w> {
             bytes: 0,
             failure: None,
             kind,
+            text: String::new(),
         }
     }
 
@@ -727,6 +730,16 @@ impl<'w> FormatSink<'w> {
 
     fn puts(&mut self, parts: &[&str]) -> io::Result<()> {
         parts.iter().try_for_each(|s| self.put(s))
+    }
+
+    /// Writes `sep`, then `s` as `escape` escapes it.
+    fn put_escaped(&mut self, sep: &str, s: &str, escape: fn(&str, &mut String)) -> io::Result<()> {
+        self.text.clear();
+        self.text.push_str(sep);
+        escape(s, &mut self.text);
+        self.out.write_all(self.text.as_bytes())?;
+        self.bytes += self.text.len() as u64;
+        Ok(())
     }
 
     fn fail(&mut self, e: EngineError, why: &str) -> io::Result<()> {
@@ -784,18 +797,27 @@ impl OutputSink for FormatSink<'_> {
         match &mut self.kind {
             SinkKind::Term(..) => self.term(ev),
             SinkKind::Xml(_) => self.xml(ev),
-            SinkKind::Encoded(writer) => {
-                let writer = writer.as_mut().expect("sink not finished");
-                if let Err(e) = writer.feed(ev) {
-                    let e = EngineError::Encoding(e.to_string());
-                    return self.fail(e, "output not decodable");
-                }
-                let chunk = writer.pending();
-                self.out.write_all(chunk.as_bytes())?;
-                self.bytes += chunk.len() as u64;
-                Ok(())
-            }
+            SinkKind::Encoded(_) => self.decode(ev),
         }
+    }
+}
+
+impl FormatSink<'_> {
+    /// Feeds the codec's decoder and writes the text it commits, drained
+    /// from the decoder's buffer. Out of line, so that the term arm's
+    /// per-event path compiles as it would without it.
+    #[inline(never)]
+    fn decode(&mut self, ev: TreeEvent) -> io::Result<()> {
+        let SinkKind::Encoded(writer) = &mut self.kind else {
+            unreachable!("dispatched on the kind")
+        };
+        let writer = writer.as_mut().expect("sink not finished");
+        if let Err(e) = writer.feed(ev) {
+            let e = EngineError::Encoding(e.to_string());
+            return self.fail(e, "output not decodable");
+        }
+        self.bytes += writer.drain_to(&mut *self.out)? as u64;
+        Ok(())
     }
 }
 
@@ -864,7 +886,7 @@ impl FormatSink<'_> {
             (Attr::Slot(first), TreeEvent::Open(token)) => {
                 st.attr = Attr::Token;
                 let sep = if first { "" } else { " " };
-                self.puts(&[sep, &escape_attr(token.name())])
+                self.put_escaped(sep, token.name(), escape_attr)
             }
             (Attr::Slot(_), TreeEvent::Close) => {
                 st.attr = Attr::Block;
@@ -912,7 +934,7 @@ impl FormatSink<'_> {
                     }
                     let sep = if space { " " } else { "" };
                     match text {
-                        true => self.puts(&[sep, &escape_text(name)]),
+                        true => self.put_escaped(sep, name, escape_text),
                         false => self.puts(&["<", name, "/>"]),
                     }
                 }
@@ -939,27 +961,6 @@ pub fn tree_to_xml(t: &Tree) -> String {
     sink.tree(t)
         .expect("a lenient sink over a buffer cannot fail");
     String::from_utf8(out).expect("symbol names are UTF-8")
-}
-
-fn is_xml_name(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':'))
-}
-
-fn escape_text(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-}
-
-fn escape_attr(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('"', "&quot;")
 }
 
 /// Enforces [`EngineOptions::max_output_nodes`] on a streamed run by

@@ -17,6 +17,18 @@
 //! Combined with [`XmlRankedEvents`], an XML document is transformed
 //! while it is being tokenized, without ever building the input tree.
 //!
+//! **Nothing is allocated per node.** Everything that grows with the
+//! spine lives on run-wide stacks — the state sets of buffered frames,
+//! the open output slots of live frames, the results of closed children
+//! — and a frame holds only its offsets into them, as
+//! [`crate::EvalScratch`] keeps `tree` mode's flat arrays. The stacks
+//! keep their capacity from one document to the next, so a document
+//! allocates only when its spine outgrows every earlier one, and then a
+//! logarithmic number of times. Only buffered (permuting or copying)
+//! regions build [`Tree`]s. The spine is the *ranked* tree's: under
+//! fc/ns a node's next sibling is its second child, so the spine grows
+//! with a document's width as well as its depth.
+//!
 //! Partiality is exact: a live state without a rule for the node's symbol,
 //! or a call to a child the node does not have, aborts with `None` — the
 //! same inputs are undefined as for `xtt_transducer::eval::eval`.
@@ -105,6 +117,8 @@ pub struct XmlRankedEvents<'a> {
     error: Option<XmlError>,
     last: LastOpen,
     skipped_subtrees: u64,
+    /// Scratch for an attribute slot's `@name`.
+    slot: String,
 }
 
 impl<'a> XmlRankedEvents<'a> {
@@ -119,6 +133,7 @@ impl<'a> XmlRankedEvents<'a> {
             error: None,
             last: LastOpen::Other,
             skipped_subtrees: 0,
+            slot: String::new(),
         }
     }
 
@@ -205,7 +220,10 @@ impl TreeEventSource for XmlRankedEvents<'_> {
                         self.queue
                             .push_back(TreeEvent::Open(self.resolve("@attrs")));
                         for a in &attrs {
-                            let slot = self.resolve(&format!("@{}", a.name));
+                            self.slot.clear();
+                            self.slot.push('@');
+                            self.slot.push_str(a.name);
+                            let slot = self.resolve(&self.slot);
                             self.queue.push_back(TreeEvent::Open(slot));
                             for token in a.value.split_whitespace() {
                                 let sym = self.resolve(token);
@@ -216,6 +234,7 @@ impl TreeEventSource for XmlRankedEvents<'_> {
                         }
                         self.queue.push_back(TreeEvent::Close);
                     }
+                    self.reader.recycle_attrs(attrs);
                     self.last = LastOpen::Element;
                     return Some(TreeEvent::Open(self.resolve(name)));
                 }
@@ -439,12 +458,14 @@ pub struct EmitStats {
 /// parks at each `⟨q, x_i⟩` call until input child `i`'s own output has
 /// streamed, then resumes. Only rules whose calls visit strictly
 /// increasing children run live — see [`live_shape`].
+#[derive(Clone, Copy)]
 struct LiveFrame {
     /// Resume point in the instruction arena.
     pos: u32,
     end: u32,
-    /// Remaining child slots of output nodes opened but not yet closed.
-    opens: Vec<u32>,
+    /// Where this frame's open output nodes start on the run's `opens`
+    /// stack (see [`StreamRun`]).
+    opens: usize,
     /// The call whose subtree is being awaited: `(state, input child)`.
     pending: Option<(u16, u16)>,
     /// Index of the next input child to arrive.
@@ -452,44 +473,46 @@ struct LiveFrame {
 }
 
 impl LiveFrame {
-    fn new(start: u32, end: u32) -> LiveFrame {
+    fn new(start: u32, end: u32, opens: usize) -> LiveFrame {
         LiveFrame {
             pos: start,
             end,
-            opens: Vec::new(),
+            opens,
             pending: None,
             next_child: 0,
         }
     }
 }
 
+#[derive(Clone, Copy)]
 enum FKind {
     /// Order-preserving region: output streams through the sink.
     Live(LiveFrame),
     /// Permuting/copying region (or multiple live states): per-child
     /// results are materialized and the rule executes at `Close`, as the
-    /// pre-refactor evaluator always did.
-    Buffered {
-        /// For each already-closed child, its `(state, result)` pairs
-        /// sorted by state.
-        child_results: Vec<Vec<(u16, Tree)>>,
-    },
+    /// pre-refactor evaluator always did. The closed children's results
+    /// start at these offsets of the run's `child_ends` and `results`
+    /// stacks.
+    Buffered { children: usize, results: usize },
 }
 
-/// One open input node on the spine.
+/// One open input node on the spine. It owns nothing: its state set and
+/// its children's results are ranges of the run's stacks.
+#[derive(Clone, Copy)]
 struct SFrame {
     /// Dense input symbol of the node.
     sym: u32,
-    /// Sorted live states processing this node (always a singleton for
-    /// [`FKind::Live`]).
-    states: Vec<u16>,
+    /// Where the node's sorted live states start on the run's `states`
+    /// stack (a [`FKind::Live`] frame's single state is its caller's
+    /// pending call, and is not stored).
+    states: usize,
     kind: FKind,
 }
 
 /// The context above the root frame: the axiom, run live when it has
 /// exactly one call (its prefix is then emitted before the first input
 /// event), buffered otherwise.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 enum Top {
     Live(LiveFrame),
     #[default]
@@ -548,20 +571,21 @@ fn flush_tree<S: OutputSink + ?Sized>(
 }
 
 /// A completed subtree at the live frame's position: close every output
-/// node this finishes.
+/// node of the frame's that this finishes.
 fn close_completed<S: OutputSink + ?Sized>(
-    lf: &mut LiveFrame,
+    lf: &LiveFrame,
+    opens: &mut Vec<u32>,
     sink: &mut S,
     stats: &mut EmitStats,
 ) -> io::Result<()> {
-    while let Some(last) = lf.opens.last_mut() {
+    while opens.len() > lf.opens {
+        let last = opens.last_mut().expect("checked non-empty");
         *last -= 1;
-        if *last == 0 {
-            lf.opens.pop();
-            emit(sink, stats, TreeEvent::Close)?;
-        } else {
+        if *last > 0 {
             break;
         }
+        opens.pop();
+        emit(sink, stats, TreeEvent::Close)?;
     }
     Ok(())
 }
@@ -571,6 +595,7 @@ fn close_completed<S: OutputSink + ?Sized>(
 fn live_step<S: OutputSink + ?Sized>(
     c: &CompiledDtop,
     lf: &mut LiveFrame,
+    opens: &mut Vec<u32>,
     sink: &mut S,
     stats: &mut EmitStats,
 ) -> io::Result<()> {
@@ -582,11 +607,11 @@ fn live_step<S: OutputSink + ?Sized>(
             Instr::Out { sym, arity: 0 } => {
                 emit(sink, stats, TreeEvent::Open(sym))?;
                 emit(sink, stats, TreeEvent::Close)?;
-                close_completed(lf, sink, stats)?;
+                close_completed(lf, opens, sink, stats)?;
             }
             Instr::Out { sym, arity } => {
                 emit(sink, stats, TreeEvent::Open(sym))?;
-                lf.opens.push(arity);
+                opens.push(arity);
             }
             Instr::Call { q, child } => {
                 lf.pending = Some((q, child));
@@ -597,49 +622,15 @@ fn live_step<S: OutputSink + ?Sized>(
     Ok(())
 }
 
-/// A live-context child's output just completed: resume the enclosing
-/// live frame (the parent on the spine, or the live axiom when the root
-/// itself closed — in which case the run is done).
-fn resume_after_child<S: OutputSink + ?Sized>(
-    c: &CompiledDtop,
-    frames: &mut [SFrame],
-    top: &mut Top,
-    sink: &mut S,
-    stats: &mut EmitStats,
-    done: &mut bool,
-) -> io::Result<()> {
-    let at_top = frames.is_empty();
-    let lf = match frames.last_mut() {
-        Some(SFrame {
-            kind: FKind::Live(lf),
-            ..
-        }) => lf,
-        Some(_) => unreachable!("buffered parents collect results, they are not resumed"),
-        None => match top {
-            Top::Live(lf) => lf,
-            Top::Buffered => unreachable!("buffered top collects the root result"),
-        },
-    };
-    debug_assert!(lf.pending.is_some());
-    lf.pending = None;
-    close_completed(lf, sink, stats)?;
-    live_step(c, lf, sink, stats)?;
-    if at_top {
-        // The axiom has exactly one call, so it now ran to completion.
-        debug_assert!(lf.pending.is_none());
-        *done = true;
-    }
-    Ok(())
-}
-
 /// What a newly opened input node is to its enclosing context.
 enum Ctx {
     /// The pending call child of a live context: evaluate in this state.
     Call(u16),
     /// A live context's uncalled child: its subtree is deleted.
     Skip,
-    /// A buffered context: the derived live state set.
-    States(Vec<u16>),
+    /// A buffered context: the derived live state set is in the run's
+    /// `states_scratch`.
+    States,
 }
 
 /// What a [`StreamRun`] asks of its driver after one input event.
@@ -665,13 +656,29 @@ enum Feed {
 /// [`StreamEvaluator::eval_streaming`]: feed pre-order input events one
 /// at a time; committed output prefixes flow to the sink the moment they
 /// commit.
+///
+/// Every growing piece of state lives on a run-wide stack, and a frame
+/// holds only its offsets into them. A node's children open and close
+/// while it is open, so each frame's share of a stack sits above its
+/// parent's and is popped before its parent continues.
 #[derive(Default)]
 struct StreamRun {
     frames: Vec<SFrame>,
-    /// Scratch for rule execution (see [`StreamRun::exec_range`]).
-    exec_vals: Vec<Tree>,
-    exec_frames: Vec<(Symbol, u32, u32)>,
+    /// The live state sets of the open buffered frames.
+    states: Vec<u16>,
+    /// Remaining child slots of the output nodes that live frames opened
+    /// and have not yet closed.
+    opens: Vec<u32>,
+    /// Results of the closed children of the open buffered frames: per
+    /// child, its `(state, result)` pairs sorted by state.
+    results: Vec<(u16, Tree)>,
+    /// Where each of those children's results end in `results`.
+    child_ends: Vec<usize>,
+    /// Scratch: the state set of the node being opened, and the results
+    /// of the buffered frame being closed.
     states_scratch: Vec<u16>,
+    closing: Vec<(u16, Tree)>,
+    exec: Exec,
     stats: EmitStats,
     buffered: usize,
     skip_depth: usize,
@@ -687,7 +694,13 @@ impl StreamRun {
     /// committed prefix (emitted before the first input event when the
     /// axiom is live).
     fn start<S: OutputSink + ?Sized>(&mut self, c: &CompiledDtop, sink: &mut S) -> io::Result<()> {
+        // A rejected or abandoned run leaves its stacks as they were.
         self.frames.clear();
+        self.states.clear();
+        self.opens.clear();
+        self.results.clear();
+        self.child_ends.clear();
+        self.closing.clear();
         self.stats = EmitStats::default();
         self.buffered = 0;
         self.skip_depth = 0;
@@ -699,8 +712,8 @@ impl StreamRun {
         self.top = if call_count(c, ax_start, ax_end) == 1 {
             // Exactly one call (necessarily on the root): the axiom's
             // prefix is committed before the first input event arrives.
-            let mut lf = LiveFrame::new(ax_start, ax_end);
-            live_step(c, &mut lf, sink, &mut self.stats)?;
+            let mut lf = LiveFrame::new(ax_start, ax_end, self.opens.len());
+            live_step(c, &mut lf, &mut self.opens, sink, &mut self.stats)?;
             Top::Live(lf)
         } else {
             // A constant axiom (emitted at the end, preserving the
@@ -714,6 +727,48 @@ impl StreamRun {
     fn reject(&mut self) -> io::Result<Feed> {
         self.rejected = true;
         Ok(Feed::Rejected)
+    }
+
+    /// Counts a newly opened buffered frame.
+    fn open_buffered(&mut self) -> FKind {
+        self.buffered += 1;
+        self.stats.peak_buffered_frames = self.stats.peak_buffered_frames.max(self.buffered);
+        FKind::Buffered {
+            children: self.child_ends.len(),
+            results: self.results.len(),
+        }
+    }
+
+    /// A live-context child's output just completed: resume the enclosing
+    /// live frame (the parent on the spine, or the live axiom when the
+    /// root itself closed — in which case the run is done).
+    fn resume_after_child<S: OutputSink + ?Sized>(
+        &mut self,
+        c: &CompiledDtop,
+        sink: &mut S,
+    ) -> io::Result<()> {
+        let lf = match self.frames.last_mut() {
+            Some(SFrame {
+                kind: FKind::Live(lf),
+                ..
+            }) => lf,
+            Some(_) => unreachable!("buffered parents collect results, they are not resumed"),
+            None => match &mut self.top {
+                Top::Live(lf) => {
+                    // The axiom has exactly one call, so it now runs to
+                    // completion.
+                    self.done = true;
+                    lf
+                }
+                Top::Buffered => unreachable!("buffered top collects the root result"),
+            },
+        };
+        debug_assert!(lf.pending.is_some());
+        lf.pending = None;
+        close_completed(lf, &mut self.opens, sink, &mut self.stats)?;
+        live_step(c, lf, &mut self.opens, sink, &mut self.stats)?;
+        debug_assert!(!self.done || lf.pending.is_none());
+        Ok(())
     }
 
     /// Feeds one pre-order input event. Must be called between
@@ -739,189 +794,160 @@ impl StreamRun {
             return Ok(Feed::More);
         }
         match event {
-            TreeEvent::Open(sym) => {
-                let ctx = match self.frames.last_mut() {
-                    Some(parent) => match &mut parent.kind {
-                        FKind::Live(lf) => {
-                            let i = lf.next_child;
-                            lf.next_child += 1;
-                            match lf.pending {
-                                Some((q, child)) if u32::from(child) == i => Ctx::Call(q),
-                                _ => Ctx::Skip,
-                            }
-                        }
-                        FKind::Buffered { child_results } => {
-                            let child = child_results.len();
-                            c.states_for_child(
-                                &parent.states,
-                                parent.sym,
-                                child,
-                                &mut self.states_scratch,
-                            );
-                            Ctx::States(std::mem::take(&mut self.states_scratch))
-                        }
+            TreeEvent::Open(sym) => self.open(c, sym, sink),
+            TreeEvent::Close => self.close(c, sink),
+        }
+    }
+
+    fn open<S: OutputSink + ?Sized>(
+        &mut self,
+        c: &CompiledDtop,
+        sym: Symbol,
+        sink: &mut S,
+    ) -> io::Result<Feed> {
+        let ctx = match self.frames.last_mut() {
+            Some(parent) => match &mut parent.kind {
+                FKind::Live(lf) => {
+                    let i = lf.next_child;
+                    lf.next_child += 1;
+                    match lf.pending {
+                        Some((q, child)) if u32::from(child) == i => Ctx::Call(q),
+                        _ => Ctx::Skip,
+                    }
+                }
+                FKind::Buffered { children, .. } => {
+                    let child = self.child_ends.len() - *children;
+                    let states = &self.states[parent.states..];
+                    c.states_for_child(states, parent.sym, child, &mut self.states_scratch);
+                    Ctx::States
+                }
+            },
+            None => {
+                if self.root_seen || self.root_skipped {
+                    return self.reject(); // more than one root
+                }
+                self.root_seen = true;
+                match &self.top {
+                    Top::Live(lf) => match lf.pending {
+                        Some((q, 0)) => Ctx::Call(q),
+                        _ => Ctx::Skip,
                     },
-                    None => {
-                        if self.root_seen || self.root_skipped {
-                            return self.reject(); // more than one root
-                        }
-                        self.root_seen = true;
-                        match &self.top {
-                            Top::Live(lf) => match lf.pending {
-                                Some((q, 0)) => Ctx::Call(q),
-                                _ => Ctx::Skip,
-                            },
-                            Top::Buffered => Ctx::States(c.axiom_states().to_vec()),
-                        }
-                    }
-                };
-                match ctx {
-                    Ctx::Skip => {
-                        // A live context calls nothing on this child:
-                        // deleted subtree.
-                        self.skip_depth = 1;
-                        return Ok(Feed::SkipOpen);
-                    }
-                    Ctx::States(states) if states.is_empty() => {
-                        // Deleted subtree (or a constant axiom): no
-                        // state ever inspects it — skip without
-                        // building it, and without tokenizing it when
-                        // the source can fast-forward.
-                        match self.frames.last_mut() {
-                            Some(parent) => match &mut parent.kind {
-                                FKind::Buffered { child_results } => child_results.push(Vec::new()),
-                                FKind::Live(_) => {
-                                    unreachable!("live parents skip without deriving states")
-                                }
-                            },
-                            None => self.root_skipped = true,
-                        }
-                        self.skip_depth = 1;
-                        return Ok(Feed::SkipOpen);
-                    }
-                    Ctx::Call(q) => {
-                        let dense = c.dense_sym(sym);
-                        // Undefined as soon as the live state lacks a rule.
-                        let Some((start, end)) = c.rule_range(q, dense) else {
-                            return self.reject();
-                        };
-                        let kind = if live_shape(c, start, end) {
-                            let mut lf = LiveFrame::new(start, end);
-                            live_step(c, &mut lf, sink, &mut self.stats)?;
-                            FKind::Live(lf)
-                        } else {
-                            self.buffered += 1;
-                            self.stats.peak_buffered_frames =
-                                self.stats.peak_buffered_frames.max(self.buffered);
-                            FKind::Buffered {
-                                child_results: Vec::new(),
-                            }
-                        };
-                        self.frames.push(SFrame {
-                            sym: dense,
-                            states: vec![q],
-                            kind,
-                        });
-                    }
-                    Ctx::States(states) => {
-                        let dense = c.dense_sym(sym);
-                        // Undefined as soon as any live state lacks a rule.
-                        if states.iter().any(|&q| c.rule_range(q, dense).is_none()) {
-                            return self.reject();
-                        }
-                        self.buffered += 1;
-                        self.stats.peak_buffered_frames =
-                            self.stats.peak_buffered_frames.max(self.buffered);
-                        self.frames.push(SFrame {
-                            sym: dense,
-                            states,
-                            kind: FKind::Buffered {
-                                child_results: Vec::new(),
-                            },
-                        });
+                    Top::Buffered => {
+                        self.states_scratch.clear();
+                        self.states_scratch.extend_from_slice(c.axiom_states());
+                        Ctx::States
                     }
                 }
             }
-            TreeEvent::Close => {
-                let Some(frame) = self.frames.pop() else {
-                    return self.reject(); // unbalanced close
+        };
+        let (dense, states) = (c.dense_sym(sym), self.states.len());
+        let kind = match ctx {
+            Ctx::Skip => {
+                // A live context calls nothing on this child: deleted
+                // subtree.
+                self.skip_depth = 1;
+                return Ok(Feed::SkipOpen);
+            }
+            Ctx::States if self.states_scratch.is_empty() => {
+                // Deleted subtree (or a constant axiom): no state ever
+                // inspects it — skip without building it, and without
+                // tokenizing it when the source can fast-forward.
+                match self.frames.last() {
+                    Some(_) => self.child_ends.push(self.results.len()),
+                    None => self.root_skipped = true,
+                }
+                self.skip_depth = 1;
+                return Ok(Feed::SkipOpen);
+            }
+            Ctx::Call(q) => {
+                // Undefined as soon as the live state lacks a rule.
+                let Some((start, end)) = c.rule_range(q, dense) else {
+                    return self.reject();
                 };
-                match frame.kind {
-                    FKind::Live(lf) => {
-                        if lf.pending.is_some() || lf.pos != lf.end {
-                            return self.reject(); // call to a child the node does not have
-                        }
-                        debug_assert!(lf.opens.is_empty());
-                        resume_after_child(
-                            c,
-                            &mut self.frames,
-                            &mut self.top,
-                            sink,
-                            &mut self.stats,
-                            &mut self.done,
-                        )?;
+                if live_shape(c, start, end) {
+                    let mut lf = LiveFrame::new(start, end, self.opens.len());
+                    live_step(c, &mut lf, &mut self.opens, sink, &mut self.stats)?;
+                    FKind::Live(lf)
+                } else {
+                    self.states.push(q);
+                    self.open_buffered()
+                }
+            }
+            Ctx::States => {
+                // Undefined as soon as any live state lacks a rule.
+                if (self.states_scratch.iter()).any(|&q| c.rule_range(q, dense).is_none()) {
+                    return self.reject();
+                }
+                self.states.extend_from_slice(&self.states_scratch);
+                self.open_buffered()
+            }
+        };
+        self.frames.push(SFrame {
+            sym: dense,
+            states,
+            kind,
+        });
+        Ok(Feed::More)
+    }
+
+    fn close<S: OutputSink + ?Sized>(
+        &mut self,
+        c: &CompiledDtop,
+        sink: &mut S,
+    ) -> io::Result<Feed> {
+        let Some(frame) = self.frames.pop() else {
+            return self.reject(); // unbalanced close
+        };
+        match frame.kind {
+            FKind::Live(lf) => {
+                if lf.pending.is_some() || lf.pos != lf.end {
+                    return self.reject(); // call to a child the node does not have
+                }
+                debug_assert_eq!(self.opens.len(), lf.opens);
+                self.resume_after_child(c, sink)?;
+            }
+            FKind::Buffered { children, results } => {
+                self.buffered -= 1;
+                self.closing.clear();
+                for &q in &self.states[frame.states..] {
+                    let (start, end) = c
+                        .rule_range(q, frame.sym)
+                        .expect("checked when the node opened");
+                    let own = (&self.results[..], &self.child_ends[children..]);
+                    let resolve = |q2, child| lookup(child_results(own, results, child)?, q2);
+                    let Some(v) = self.exec.run(c, start, end, &resolve) else {
+                        return self.reject();
+                    };
+                    self.closing.push((q, v));
+                }
+                self.states.truncate(frame.states);
+                self.child_ends.truncate(children);
+                self.results.truncate(results);
+                // Where does the materialized result go?
+                match (self.frames.last().map(|parent| parent.kind), self.top) {
+                    (Some(FKind::Buffered { .. }), _) => {
+                        self.results.append(&mut self.closing);
+                        self.child_ends.push(self.results.len());
                     }
-                    FKind::Buffered { child_results } => {
-                        self.buffered -= 1;
-                        let mut results: Vec<(u16, Tree)> = Vec::with_capacity(frame.states.len());
-                        for &q in &frame.states {
-                            let (start, end) = c
-                                .rule_range(q, frame.sym)
-                                .expect("checked when the node opened");
-                            let Some(v) = self.exec_range(c, start, end, &|q2, child| {
-                                lookup(child_results.get(child)?, q2)
-                            }) else {
-                                return self.reject();
-                            };
-                            results.push((q, v));
-                        }
-                        // Where does the materialized result go?
-                        let to_live_parent = match self.frames.last_mut() {
-                            Some(parent) => match &mut parent.kind {
-                                FKind::Buffered { child_results } => {
-                                    child_results.push(std::mem::take(&mut results));
-                                    false
-                                }
-                                FKind::Live(_) => true,
-                            },
-                            None => match &self.top {
-                                Top::Live(_) => true,
-                                Top::Buffered => {
-                                    // Root closed: splice the per-state
-                                    // results into the axiom.
-                                    let (ax_start, ax_end) = c.axiom_range();
-                                    let Some(out) =
-                                        self.exec_range(c, ax_start, ax_end, &|q, child| {
-                                            if child == 0 {
-                                                lookup(&results, q)
-                                            } else {
-                                                None
-                                            }
-                                        })
-                                    else {
-                                        return self.reject();
-                                    };
-                                    flush_tree(sink, &mut self.stats, &out, false)?;
-                                    self.done = true;
-                                    false
-                                }
-                            },
+                    (Some(FKind::Live(_)), _) | (None, Top::Live(_)) => {
+                        // This frame was the pending call child of a
+                        // live context: flush its single result and
+                        // resume the coroutine.
+                        let (_, t) = &self.closing[0];
+                        flush_tree(sink, &mut self.stats, t, true)?;
+                        self.resume_after_child(c, sink)?;
+                    }
+                    (None, Top::Buffered) => {
+                        // Root closed: splice the per-state results into
+                        // the axiom.
+                        let (ax_start, ax_end) = c.axiom_range();
+                        let root = &self.closing[..];
+                        let resolve = |q, child| if child == 0 { lookup(root, q) } else { None };
+                        let Some(out) = self.exec.run(c, ax_start, ax_end, &resolve) else {
+                            return self.reject();
                         };
-                        if to_live_parent {
-                            // This frame was the pending call child of
-                            // a live context: flush its single result
-                            // and resume the coroutine.
-                            let (_, t) = &results[0];
-                            flush_tree(sink, &mut self.stats, t, true)?;
-                            resume_after_child(
-                                c,
-                                &mut self.frames,
-                                &mut self.top,
-                                sink,
-                                &mut self.stats,
-                                &mut self.done,
-                            )?;
-                        }
+                        flush_tree(sink, &mut self.stats, &out, false)?;
+                        self.done = true;
                     }
                 }
             }
@@ -954,7 +980,7 @@ impl StreamRun {
         if self.root_skipped && self.skip_depth == 0 {
             // The whole input was deleted: the axiom calls no state.
             let (ax_start, ax_end) = c.axiom_range();
-            if let Some(t) = self.exec_range(c, ax_start, ax_end, &|_, _| None) {
+            if let Some(t) = self.exec.run(c, ax_start, ax_end, &|_, _| None) {
                 flush_tree(sink, &mut self.stats, &t, false)?;
                 self.done = true;
                 return Ok(Some(self.stats));
@@ -1036,41 +1062,60 @@ impl StreamEvaluator {
     }
 }
 
-impl StreamRun {
+/// The scratch stacks of a buffered rule's execution.
+#[derive(Default)]
+struct Exec {
+    vals: Vec<Tree>,
+    frames: Vec<(Symbol, u32, u32)>,
+}
+
+impl Exec {
     /// Executes the instruction range `[start, end)` with `resolve`
-    /// supplying the value of every `⟨q, x_child⟩` call. Iterative; reuses
-    /// scratch stacks.
-    fn exec_range(
+    /// supplying the value of every `⟨q, x_child⟩` call. Iterative.
+    fn run(
         &mut self,
         c: &CompiledDtop,
         start: u32,
         end: u32,
         resolve: &dyn Fn(u16, usize) -> Option<Tree>,
     ) -> Option<Tree> {
-        self.exec_vals.clear();
-        self.exec_frames.clear();
+        self.vals.clear();
+        self.frames.clear();
         for instr in &c.code()[start as usize..end as usize] {
             match *instr {
-                Instr::Out { sym, arity: 0 } => self.exec_vals.push(Tree::leaf(sym)),
-                Instr::Out { sym, arity } => {
-                    self.exec_frames
-                        .push((sym, self.exec_vals.len() as u32, arity))
-                }
-                Instr::Call { q, child } => self.exec_vals.push(resolve(q, usize::from(child))?),
+                Instr::Out { sym, arity: 0 } => self.vals.push(Tree::leaf(sym)),
+                Instr::Out { sym, arity } => self.frames.push((sym, self.vals.len() as u32, arity)),
+                Instr::Call { q, child } => self.vals.push(resolve(q, usize::from(child))?),
             }
-            while let Some(&(sym, base, arity)) = self.exec_frames.last() {
-                if self.exec_vals.len() as u32 != base + arity {
+            while let Some(&(sym, base, arity)) = self.frames.last() {
+                if self.vals.len() as u32 != base + arity {
                     break;
                 }
-                self.exec_frames.pop();
-                let children = self.exec_vals.split_off(base as usize);
-                self.exec_vals.push(Tree::new(sym, children));
+                self.frames.pop();
+                let children = self.vals.split_off(base as usize);
+                self.vals.push(Tree::new(sym, children));
             }
         }
-        debug_assert!(self.exec_frames.is_empty());
-        debug_assert_eq!(self.exec_vals.len(), 1);
-        self.exec_vals.pop()
+        debug_assert!(self.frames.is_empty());
+        debug_assert_eq!(self.vals.len(), 1);
+        self.vals.pop()
     }
+}
+
+/// Child `child`'s `(state, result)` pairs, of a buffered frame whose
+/// closed children end at `ends` and whose first child's results start
+/// at offset `first` of `results`; `None` if the child has not closed.
+fn child_results<'r>(
+    (results, ends): (&'r [(u16, Tree)], &[usize]),
+    first: usize,
+    child: usize,
+) -> Option<&'r [(u16, Tree)]> {
+    let end = *ends.get(child)?;
+    let start = match child {
+        0 => first,
+        _ => ends[child - 1],
+    };
+    Some(&results[start..end])
 }
 
 fn lookup(results: &[(u16, Tree)], q: u16) -> Option<Tree> {

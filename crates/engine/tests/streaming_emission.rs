@@ -1,10 +1,11 @@
 //! Property tests for event-driven emission: `eval_streaming` must hand
 //! the sink **exactly** the pre-order events of the batch output tree —
 //! event for event, in order — across all four input encodings (term
-//! events, raw ranked XML, fc/ns, DTD-based) and both pcdata modes; and
-//! on deep order-preserving corpora the first output event must leave
+//! events, raw ranked XML, fc/ns, DTD-based) and both pcdata modes; on
+//! deep order-preserving corpora the first output event must leave
 //! before the input is 10% consumed (tree-at-root-close pays 100% by
-//! definition).
+//! definition); and an evaluator reused after a rejected, truncated or
+//! unbalanced document answers the next one as a fresh evaluator does.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -12,11 +13,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use xtt_engine::{
-    compile, tree_to_xml, CompiledDtop, FnSink, IterEvents, StreamEvaluator, TreeEventSource,
-    XmlRankedEvents,
+    compile, tree_to_xml, CompiledDtop, DocFormat, EmitStats, Engine, EvalMode, FnSink, IterEvents,
+    Request, StreamEvaluator, TreeEventSource, XmlRankedEvents,
 };
 use xtt_transducer::{parse_dtop, random_partial_dtop, Dtop, RandomDtopConfig};
 use xtt_trees::{gen, RankedAlphabet, TreeEvent};
@@ -34,6 +35,24 @@ fn streamed_events(c: &CompiledDtop, source: &mut impl TreeEventSource) -> Optio
             .expect("FnSink cannot fail")
     };
     outcome.map(|_| events)
+}
+
+/// Everything one streaming run shows: its verdict and every event it
+/// handed the sink, a rejected run's partial prefix included.
+fn run_events(
+    ev: &mut StreamEvaluator,
+    c: &CompiledDtop,
+    events: &[TreeEvent],
+) -> (Option<EmitStats>, Vec<TreeEvent>) {
+    let mut out = Vec::new();
+    let verdict = ev
+        .eval_streaming(
+            c,
+            &mut IterEvents(events.iter().copied()),
+            &mut FnSink(|e| out.push(e)),
+        )
+        .expect("FnSink cannot fail");
+    (verdict, out)
 }
 
 /// The batch reference: materialize the output tree, take its pre-order
@@ -165,6 +184,36 @@ proptest! {
             let streamed = streamed_events(&c, &mut IterEvents(t.events()));
             let batch = batch_events(&c, &mut IterEvents(t.events()));
             prop_assert_eq!(streamed, batch, "on {}", t);
+        }
+    }
+
+    /// One evaluator runs a random sequence of documents — in the
+    /// domain, rejected mid-spine, truncated, or with an event dropped
+    /// or a `Close` added — and answers each exactly as a fresh
+    /// evaluator does: nothing a dead run leaves on the run-wide stacks
+    /// reaches the next document.
+    #[test]
+    fn reused_evaluator_matches_a_fresh_one(seed in any::<u64>(), keep in 35u32..95) {
+        let input = RankedAlphabet::from_pairs([("f", 2), ("g", 1), ("h", 3), ("a", 0), ("b", 0)]);
+        let output = RankedAlphabet::from_pairs([("u", 2), ("v", 1), ("c", 0), ("d", 0)]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = random_partial_dtop(&mut rng, &input, &output, &config(), keep);
+        let c = compile(&m).unwrap();
+        let mut reused = StreamEvaluator::new();
+        for _ in 0..24 {
+            let t = gen::random_tree(&input, 60, &mut rng);
+            let mut events: Vec<TreeEvent> = t.events().collect();
+            let at = rng.gen_range(0..events.len());
+            match rng.gen_range(0..4) {
+                0 => {}
+                1 => events.truncate(at),
+                2 => {
+                    events.remove(at);
+                }
+                _ => events.insert(at, TreeEvent::Close),
+            }
+            let fresh = run_events(&mut StreamEvaluator::new(), &c, &events);
+            prop_assert_eq!(run_events(&mut reused, &c, &events), fresh, "on {:?}", events);
         }
     }
 
@@ -311,5 +360,42 @@ proptest! {
             at_first * 10 <= total,
             "first output event only after {at_first} of {total} input events"
         );
+    }
+}
+
+/// `stream`-mode batches run their documents on one evaluator: a deep
+/// fc/ns document rejected near the bottom of its spine (a node's next
+/// sibling is its second child, so 2,000 siblings make a spine 2,000
+/// deep) leaves the next document's answer as it would be alone, with
+/// and without the guard.
+#[test]
+fn a_batch_answers_after_a_deep_rejection_as_alone() {
+    let prune = parse_dtop(
+        "ax = <q0,x0>\n\
+         q0(root(x1,x2)) -> root(<q,x1>,<q,x2>)\n\
+         q(a(x1,x2)) -> a(<q,x1>,<q,x2>)\n\
+         q(b(x1,x2)) -> <q,x2>\n\
+         q(#) -> #",
+    )
+    .unwrap();
+    // The rejected name is one the transducer interns: an uninterned
+    // name reads as unknown only until another test thread interns it,
+    // which would change the error between the two runs.
+    let rejected = format!("<root>{}<root/><a/></root>", "<a/>".repeat(2_000));
+    let accepted = "<root><a><b/></a><b><a/></b><a/></root>".to_owned();
+    let engine = Engine::default();
+    let format = DocFormat::parse("fcns").unwrap();
+    for validate in [false, true] {
+        let (machine, guard) = engine.resolve(&prune, validate).unwrap();
+        let run = |docs: &[String]| {
+            let req = Request::new(&machine, guard.as_deref(), &format, EvalMode::Streaming);
+            engine.run_batch(docs, req)
+        };
+        let alone: Vec<_> = [&rejected, &accepted]
+            .into_iter()
+            .flat_map(|d| run(std::slice::from_ref(d)))
+            .collect();
+        assert!(alone[0].is_err() && alone[1].is_ok(), "{alone:?}");
+        assert_eq!(run(&[rejected.clone(), accepted.clone()]), alone);
     }
 }

@@ -3,6 +3,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::io;
 use std::sync::Arc;
 
 use xtt_trees::{tree_from_events, Symbol, Tree, TreeEvent};
@@ -132,9 +133,13 @@ impl XmlCodec {
     /// An incremental decoder for this codec's *output* side; feed it
     /// ranked events (a whole tree's, or a prefix as it is produced).
     pub fn writer(&self) -> XmlWriter {
-        match self {
-            XmlCodec::Fcns { .. } => XmlWriter::Fcns(FcnsXmlWriter::new()),
-            XmlCodec::Dtd { output, .. } => XmlWriter::Dtd(DtdXmlWriter::new(Arc::clone(output))),
+        let decoder = match self {
+            XmlCodec::Fcns { .. } => Decoder::Fcns(FcnsXmlWriter::new()),
+            XmlCodec::Dtd { output, .. } => Decoder::Dtd(DtdXmlWriter::new(Arc::clone(output))),
+        };
+        XmlWriter {
+            text: String::new(),
+            decoder,
         }
     }
 }
@@ -292,7 +297,11 @@ impl Iterator for UnrankedEvents<'_> {
                     return Some(Err(UnrankedError::Xml(e)));
                 }
                 Ok(event) => {
-                    if let Err(e) = self.encoder.feed(&event, &mut self.queue) {
+                    let fed = self.encoder.feed(&event, &mut self.queue);
+                    if let xtt_xml::XmlEvent::Start { attrs, .. } = event {
+                        self.reader.recycle_attrs(attrs);
+                    }
+                    if let Err(e) = fed {
                         self.failed = true;
                         return Some(Err(UnrankedError::Encode(e)));
                     }
@@ -302,34 +311,49 @@ impl Iterator for UnrankedEvents<'_> {
     }
 }
 
-/// Incremental ranked-events → XML writer (either encoding).
-pub enum XmlWriter {
+/// Incremental ranked-events → XML writer (either encoding). The
+/// decoder appends each event's text to one buffer, which the caller
+/// drains by reference ([`XmlWriter::drain_to`]): after warm-up, a
+/// streamed document allocates nothing per event.
+pub struct XmlWriter {
+    text: String,
+    decoder: Decoder,
+}
+
+enum Decoder {
     Fcns(FcnsXmlWriter),
     Dtd(DtdXmlWriter),
 }
 
 impl XmlWriter {
     pub fn feed(&mut self, event: TreeEvent) -> Result<(), UnrankedError> {
-        match self {
-            XmlWriter::Fcns(w) => w.feed(event).map_err(UnrankedError::Encode),
-            XmlWriter::Dtd(w) => w.feed(event).map_err(UnrankedError::Encode),
-        }
+        let fed = match &mut self.decoder {
+            Decoder::Fcns(w) => w.feed(event, &mut self.text),
+            Decoder::Dtd(w) => w.feed(event, &mut self.text),
+        };
+        fed.map_err(UnrankedError::Encode)
     }
 
-    /// Drains the XML text produced so far (the committed output
-    /// prefix). Concatenating every drain with the remainder returned by
-    /// [`XmlWriter::finish`] yields exactly the batch output.
-    pub fn pending(&mut self) -> String {
-        match self {
-            XmlWriter::Fcns(w) => w.pending(),
-            XmlWriter::Dtd(w) => w.pending(),
-        }
+    /// Writes the XML text decoded since the last drain (the committed
+    /// output prefix) to `out` and empties the buffer, keeping its
+    /// capacity; the number of bytes written. Every drain followed by the
+    /// remainder [`XmlWriter::finish`] returns is exactly the batch
+    /// output.
+    pub fn drain_to(&mut self, out: &mut dyn io::Write) -> io::Result<usize> {
+        out.write_all(self.text.as_bytes())?;
+        let n = self.text.len();
+        self.text.clear();
+        Ok(n)
     }
 
+    /// Checks that the events formed one whole encoded document and
+    /// returns the text not yet drained.
     pub fn finish(self) -> Result<String, UnrankedError> {
-        match self {
-            XmlWriter::Fcns(w) => w.finish().map_err(UnrankedError::Encode),
-            XmlWriter::Dtd(w) => w.finish().map_err(UnrankedError::Encode),
-        }
+        let finished = match &self.decoder {
+            Decoder::Fcns(w) => w.finish(),
+            Decoder::Dtd(w) => w.finish(),
+        };
+        finished.map_err(UnrankedError::Encode)?;
+        Ok(self.text)
     }
 }

@@ -23,7 +23,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use xtt_trees::{Symbol, TreeEvent};
-use xtt_xml::{Content, EncodeError, Encoding, EncodingStyle, Regex, Tok, XmlEvent};
+use xtt_xml::{
+    escape_text, is_xml_name, Content, EncodeError, Encoding, EncodingStyle, Regex, Tok, XmlEvent,
+};
 
 /// One token of lookahead, by reference — the hot path never clones an
 /// element name into a [`Tok`].
@@ -36,8 +38,6 @@ enum Look<'a> {
     /// A child element start.
     Elem(&'a str),
 }
-
-use crate::util::{escape_text, is_xml_name};
 
 /// What a [`ModelParse::consume`] call matched.
 enum Consumed {
@@ -79,11 +79,15 @@ enum CKind {
     Seq(Vec<NodeId>),
 }
 
-/// The compiled content models of one DTD: an arena of [`CNode`]s plus
-/// each element's root node (`None` = `EMPTY`).
+/// The compiled content models of one DTD: an arena of [`CNode`]s, each
+/// element's symbol and root node (`None` = `EMPTY`), and the symbol of
+/// each text value.
 struct Models {
     nodes: Vec<CNode>,
-    content: std::collections::HashMap<String, Option<NodeId>>,
+    content: std::collections::HashMap<String, (Symbol, Option<NodeId>)>,
+    /// The pcdata symbols with the text each stands for (`None` = any
+    /// text); see [`Models::text_symbol`].
+    texts: Vec<(Option<String>, Symbol)>,
 }
 
 impl Models {
@@ -91,15 +95,31 @@ impl Models {
         let mut models = Models {
             nodes: Vec::new(),
             content: std::collections::HashMap::new(),
+            texts: (enc.mode().symbols().into_iter())
+                .map(|(name, value)| (value, Symbol::new(&name)))
+                .collect(),
         };
         for (name, content) in enc.dtd().elements() {
             let root = match content {
                 Content::Empty => None,
                 Content::Model(r) => Some(models.add(r)),
             };
-            models.content.insert(name.clone(), root);
+            models
+                .content
+                .insert(name.clone(), (Symbol::new(name), root));
         }
         models
+    }
+
+    /// The symbol a text node encodes to, as
+    /// [`xtt_xml::PcDataMode::symbol_for`] names it; `None` outside a
+    /// valued universe.
+    fn text_symbol(&self, text: &str) -> Option<Symbol> {
+        let matches = |value: &Option<String>| value.as_deref().map_or(true, |v| v == text);
+        self.texts
+            .iter()
+            .find(|(value, _)| matches(value))
+            .map(|&(_, sym)| sym)
     }
 
     fn add(&mut self, r: &Regex) -> NodeId {
@@ -174,9 +194,12 @@ enum RFrame {
     Wrap,
 }
 
-/// The incremental LL(1) derivation of one element's content model.
+/// The incremental LL(1) derivation of one element's content model. Its
+/// open frames are `frames[base..]` of the encoder's one frame stack:
+/// an element's derivation completes before its parent's resumes, so
+/// the derivations nest like the elements.
 struct ModelParse {
-    stack: Vec<RFrame>,
+    base: usize,
     /// The node the derivation is about to enter (None while a child
     /// subtree is in flight or the model is complete).
     entering: Option<NodeId>,
@@ -194,22 +217,24 @@ fn describe(look: Look<'_>) -> String {
 }
 
 impl ModelParse {
-    fn new(root: NodeId) -> ModelParse {
+    /// A derivation whose frames go on `frames` above its current top.
+    fn new(root: NodeId, frames: &[RFrame]) -> ModelParse {
         ModelParse {
-            stack: Vec::new(),
+            base: frames.len(),
             entering: Some(root),
             root,
             complete: false,
         }
     }
 
-    fn frames(&self) -> usize {
-        self.stack.len()
+    /// This derivation's innermost open frame.
+    fn top<'f>(&self, frames: &'f mut [RFrame]) -> Option<&'f mut RFrame> {
+        frames[self.base..].last_mut()
     }
 
     /// No token consumed yet (the element just opened).
-    fn is_fresh(&self) -> bool {
-        self.stack.is_empty() && !self.complete && self.entering == Some(self.root)
+    fn is_fresh(&self, frames: &[RFrame]) -> bool {
+        frames.len() == self.base && !self.complete && self.entering == Some(self.root)
     }
 
     /// Emits the encoding of an empty iteration — `R*(#,#)` in the
@@ -238,9 +263,14 @@ impl ModelParse {
 
     /// A child subtree of the derivation completed: cascade closes of
     /// every frame this finishes.
-    fn child_done(&mut self, models: &Models, out: &mut VecDeque<TreeEvent>) {
+    fn child_done(
+        &mut self,
+        frames: &mut Vec<RFrame>,
+        models: &Models,
+        out: &mut VecDeque<TreeEvent>,
+    ) {
         loop {
-            match self.stack.last_mut() {
+            match self.top(frames) {
                 None => {
                     self.complete = true;
                     return;
@@ -254,11 +284,11 @@ impl ModelParse {
                         return; // next part awaits the next token
                     }
                     out.push_back(TreeEvent::Close);
-                    self.stack.pop();
+                    frames.pop();
                 }
                 Some(RFrame::Wrap) => {
                     out.push_back(TreeEvent::Close);
-                    self.stack.pop();
+                    frames.pop();
                 }
                 Some(RFrame::Star { .. } | RFrame::Plus { .. }) => {
                     return; // a head completed; the tail decision needs a token
@@ -273,6 +303,7 @@ impl ModelParse {
     /// atom; with `End`, drives the model to completion.
     fn consume(
         &mut self,
+        frames: &mut Vec<RFrame>,
         models: &Models,
         look: Look<'_>,
         style: EncodingStyle,
@@ -304,30 +335,30 @@ impl ModelParse {
                     CKind::Star(inner) => {
                         if models.starts(*inner, look) {
                             out.push_back(TreeEvent::Open(node.sym));
-                            self.stack.push(RFrame::Star { node: id, tails: 1 });
+                            frames.push(RFrame::Star { node: id, tails: 1 });
                             self.entering = Some(*inner);
                         } else {
                             Self::emit_empty_star(node.sym, style, hash, out);
-                            self.child_done(models, out);
+                            self.child_done(frames, models, out);
                         }
                     }
                     CKind::Plus(inner) => {
                         // The head is mandatory; mismatches surface when
                         // the inner expression's atom is entered.
                         out.push_back(TreeEvent::Open(node.sym));
-                        self.stack.push(RFrame::Plus { node: id, tails: 1 });
+                        frames.push(RFrame::Plus { node: id, tails: 1 });
                         self.entering = Some(*inner);
                     }
                     CKind::Opt(inner) => {
                         out.push_back(TreeEvent::Open(node.sym));
                         if models.starts(*inner, look) {
-                            self.stack.push(RFrame::Wrap);
+                            frames.push(RFrame::Wrap);
                             self.entering = Some(*inner);
                         } else {
                             out.push_back(TreeEvent::Open(hash));
                             out.push_back(TreeEvent::Close);
                             out.push_back(TreeEvent::Close);
-                            self.child_done(models, out);
+                            self.child_done(frames, models, out);
                         }
                     }
                     CKind::Alt(branches) => {
@@ -344,13 +375,13 @@ impl ModelParse {
                                 ))
                             })?;
                         out.push_back(TreeEvent::Open(node.sym));
-                        self.stack.push(RFrame::Wrap);
+                        frames.push(RFrame::Wrap);
                         self.entering = Some(branch);
                     }
                     CKind::Seq(parts) => {
                         out.push_back(TreeEvent::Open(node.sym));
                         let first = parts[0];
-                        self.stack.push(RFrame::Seq { node: id, idx: 0 });
+                        frames.push(RFrame::Seq { node: id, idx: 0 });
                         self.entering = Some(first);
                     }
                 }
@@ -366,7 +397,7 @@ impl ModelParse {
                     ))),
                 };
             }
-            match self.stack.last_mut() {
+            match self.top(frames) {
                 None => unreachable!("incomplete derivation always has a frame or an entry"),
                 Some(RFrame::Seq { node, idx }) => {
                     let CKind::Seq(parts) = &models.node(*node).kind else {
@@ -393,8 +424,8 @@ impl ModelParse {
                         for _ in 0..tails {
                             out.push_back(TreeEvent::Close);
                         }
-                        self.stack.pop();
-                        self.child_done(models, out);
+                        frames.pop();
+                        self.child_done(frames, models, out);
                     }
                 }
                 Some(RFrame::Plus { node, tails }) => {
@@ -413,8 +444,8 @@ impl ModelParse {
                         for _ in 0..tails {
                             out.push_back(TreeEvent::Close);
                         }
-                        self.stack.pop();
-                        self.child_done(models, out);
+                        frames.pop();
+                        self.child_done(frames, models, out);
                     }
                 }
                 Some(RFrame::Wrap) => {
@@ -427,7 +458,7 @@ impl ModelParse {
 
 /// One open XML element.
 struct ElemFrame {
-    label: String,
+    label: Symbol,
     /// `None` for `EMPTY` content.
     model: Option<ModelParse>,
 }
@@ -440,11 +471,11 @@ pub struct DtdStreamEncoder {
     models: Models,
     hash: Symbol,
     elems: Vec<ElemFrame>,
+    /// The open regex frames of every open element's derivation, one
+    /// stack for all of them (see [`ModelParse`]).
+    frames: Vec<RFrame>,
     started: bool,
     done: bool,
-    /// Live frame count, maintained incrementally (open elements plus
-    /// open regex groups across all their derivations).
-    live: usize,
     peak: usize,
 }
 
@@ -457,9 +488,9 @@ impl DtdStreamEncoder {
             models,
             hash,
             elems: Vec::new(),
+            frames: Vec::new(),
             started: false,
             done: false,
-            live: 0,
             peak: 0,
         }
     }
@@ -467,7 +498,11 @@ impl DtdStreamEncoder {
     /// Live derivation frames (open elements plus open regex groups) —
     /// the O(depth) claim, measured by experiment E12.
     pub fn live_frames(&self) -> usize {
-        self.live
+        self.elems.len() + self.frames.len()
+    }
+
+    fn note_peak(&mut self) {
+        self.peak = self.peak.max(self.live_frames());
     }
 
     /// High-water mark of [`DtdStreamEncoder::live_frames`].
@@ -487,10 +522,9 @@ impl DtdStreamEncoder {
     /// [`DtdStreamEncoder::skip_open_element`].
     pub fn just_opened_element(&self) -> bool {
         !self.done
-            && self
-                .elems
-                .last()
-                .is_some_and(|e| e.model.as_ref().map_or(true, ModelParse::is_fresh))
+            && self.elems.last().is_some_and(|e| {
+                (e.model.as_ref()).map_or(true, |model| model.is_fresh(&self.frames))
+            })
     }
 
     /// Fast-forward bookkeeping for a skipped element subtree: the caller
@@ -503,17 +537,19 @@ impl DtdStreamEncoder {
     pub fn skip_open_element(&mut self, out: &mut VecDeque<TreeEvent>) {
         debug_assert!(self.just_opened_element());
         self.elems.pop().expect("skipped element frame");
-        self.live -= 1;
-        if let Some(parent) = self.elems.last_mut() {
-            let model = parent
+        self.child_done(out);
+    }
+
+    /// The top element's child completed: advance the parent derivation,
+    /// or end the document after the root.
+    fn child_done(&mut self, out: &mut VecDeque<TreeEvent>) {
+        match self.elems.last_mut() {
+            Some(parent) => parent
                 .model
                 .as_mut()
-                .expect("an element child implies a content model");
-            let before = model.frames();
-            model.child_done(&self.models, out);
-            self.live = self.live + model.frames() - before;
-        } else {
-            self.done = true;
+                .expect("an element child implies a content model")
+                .child_done(&mut self.frames, &self.models, out),
+            None => self.done = true,
         }
     }
 
@@ -522,18 +558,15 @@ impl DtdStreamEncoder {
         label: &str,
         out: &mut VecDeque<TreeEvent>,
     ) -> Result<(), EncodeError> {
-        let Some(root) = self.models.content.get(label) else {
+        let Some(&(sym, root)) = self.models.content.get(label) else {
             return Err(EncodeError::NotValid(format!(
                 "undeclared element <{label}>"
             )));
         };
-        out.push_back(TreeEvent::Open(Symbol::new(label)));
-        self.elems.push(ElemFrame {
-            label: label.to_owned(),
-            model: root.map(ModelParse::new),
-        });
-        self.live += 1;
-        self.peak = self.peak.max(self.live);
+        out.push_back(TreeEvent::Open(sym));
+        let model = root.map(|root| ModelParse::new(root, &self.frames));
+        self.elems.push(ElemFrame { label: sym, model });
+        self.note_peak();
         Ok(())
     }
 
@@ -562,72 +595,60 @@ impl DtdStreamEncoder {
                     }
                     return self.open_element(label, out);
                 }
-                let top = self.elems.last_mut().expect("tokenizer balances events");
-                let Some(model) = top.model.as_mut() else {
-                    return Err(EncodeError::NotValid(format!(
-                        "<{}> is EMPTY but has children",
-                        top.label
-                    )));
-                };
-                let before = model.frames();
-                let consumed = model.consume(&self.models, Look::Elem(label), style, hash, out)?;
-                let after = model.frames();
+                let model = top_model(&mut self.elems)?;
+                let consumed = model.consume(
+                    &mut self.frames,
+                    &self.models,
+                    Look::Elem(label),
+                    style,
+                    hash,
+                    out,
+                )?;
                 debug_assert!(matches!(consumed, Some(Consumed::Element)));
-                self.live = self.live + after - before;
-                self.peak = self.peak.max(self.live);
+                self.note_peak();
                 self.open_element(label, out)?;
             }
             XmlEvent::Text(text) => {
-                let top = self.elems.last_mut().expect("tokenizer balances events");
-                let Some(model) = top.model.as_mut() else {
-                    return Err(EncodeError::NotValid(format!(
-                        "<{}> is EMPTY but has children",
-                        top.label
-                    )));
-                };
-                let before = model.frames();
-                let consumed = model.consume(&self.models, Look::Text, style, hash, out)?;
+                let model = top_model(&mut self.elems)?;
+                let consumed =
+                    model.consume(&mut self.frames, &self.models, Look::Text, style, hash, out)?;
                 debug_assert!(matches!(consumed, Some(Consumed::Text)));
-                let sym = self
-                    .enc
-                    .mode()
-                    .symbol_for(text)
+                let sym = (self.models.text_symbol(text))
                     .ok_or_else(|| EncodeError::UnknownText(text.to_string()))?;
-                out.push_back(TreeEvent::Open(Symbol::new(&sym)));
+                out.push_back(TreeEvent::Open(sym));
                 out.push_back(TreeEvent::Close);
-                model.child_done(&self.models, out);
-                let after = model.frames();
-                self.live = self.live + after - before;
-                self.peak = self.peak.max(self.live);
+                model.child_done(&mut self.frames, &self.models, out);
+                self.note_peak();
             }
             XmlEvent::End(_) => {
                 let mut top = self.elems.pop().expect("tokenizer balances events");
                 if let Some(model) = top.model.as_mut() {
-                    let before = model.frames();
                     let end = model
-                        .consume(&self.models, Look::End, style, hash, out)
-                        .map_err(|e| annotate_elem(e, &top.label))?;
+                        .consume(&mut self.frames, &self.models, Look::End, style, hash, out)
+                        .map_err(|e| annotate_elem(e, top.label.name()))?;
                     debug_assert!(end.is_none());
-                    debug_assert_eq!(model.frames(), 0, "completed derivation holds no frames");
-                    self.live -= before;
+                    debug_assert_eq!(
+                        self.frames.len(),
+                        model.base,
+                        "completed derivation holds no frames"
+                    );
                 }
-                self.live -= 1; // the element itself
                 out.push_back(TreeEvent::Close);
-                if let Some(parent) = self.elems.last_mut() {
-                    let model = parent
-                        .model
-                        .as_mut()
-                        .expect("an element child implies a content model");
-                    let before = model.frames();
-                    model.child_done(&self.models, out);
-                    self.live = self.live + model.frames() - before;
-                } else {
-                    self.done = true;
-                }
+                self.child_done(out);
             }
         }
         Ok(())
     }
+}
+
+/// The derivation of the innermost open element, which a child token is
+/// about to advance.
+fn top_model(elems: &mut [ElemFrame]) -> Result<&mut ModelParse, EncodeError> {
+    let top = elems.last_mut().expect("tokenizer balances events");
+    let label = top.label;
+    top.model.as_mut().ok_or_else(|| {
+        EncodeError::NotValid(format!("<{}> is EMPTY but has children", label.name()))
+    })
 }
 
 /// Prefixes an end-of-children diagnostic with the element it occurred in.
@@ -651,7 +672,8 @@ enum DFrame {
 }
 
 /// Incremental DTD-encoding → XML writer; feed it the pre-order events
-/// of an encoded tree, then [`DtdXmlWriter::finish`]. Symbols are
+/// of an encoded tree, then [`DtdXmlWriter::finish`]. Each event's XML
+/// text is appended to the caller's buffer. Symbols are
 /// classified against the encoding (elements / pcdata constants / `#` /
 /// sibling groups); unknown symbols and text in element position are
 /// rejected. Content models are *not* re-validated — that is the batch
@@ -660,7 +682,6 @@ enum DFrame {
 pub struct DtdXmlWriter {
     enc: Arc<Encoding>,
     hash: Symbol,
-    out: String,
     stack: Vec<DFrame>,
     done: bool,
 }
@@ -671,39 +692,32 @@ impl DtdXmlWriter {
         DtdXmlWriter {
             enc,
             hash,
-            out: String::new(),
             stack: Vec::new(),
             done: false,
         }
     }
 
-    /// Feeds one event of the encoded tree.
-    pub fn feed(&mut self, event: TreeEvent) -> Result<(), EncodeError> {
+    /// Feeds one event of the encoded tree, appending the XML text it
+    /// commits to `out`.
+    pub fn feed(&mut self, event: TreeEvent, out: &mut String) -> Result<(), EncodeError> {
         if self.done {
             return Err(EncodeError::Malformed(
                 "events after the encoded document closed".into(),
             ));
         }
         match event {
-            TreeEvent::Open(sym) => self.open(sym),
-            TreeEvent::Close => self.close(),
+            TreeEvent::Open(sym) => self.open(sym, out),
+            TreeEvent::Close => self.close(out),
         }
     }
 
-    /// Drains the XML text produced so far (the committed output prefix).
-    /// Concatenating every drain with [`DtdXmlWriter::finish`]'s
-    /// remainder yields exactly the batch output.
-    pub fn pending(&mut self) -> String {
-        std::mem::take(&mut self.out)
-    }
-
-    fn close_head(&mut self) {
+    fn close_head(&mut self, out: &mut String) {
         for frame in self.stack.iter_mut().rev() {
             match frame {
                 DFrame::Structure => continue,
                 DFrame::Elem { head_open, .. } => {
                     if *head_open {
-                        self.out.push('>');
+                        out.push('>');
                         *head_open = false;
                     }
                     return;
@@ -713,7 +727,7 @@ impl DtdXmlWriter {
         }
     }
 
-    fn open(&mut self, sym: Symbol) -> Result<(), EncodeError> {
+    fn open(&mut self, sym: Symbol, out: &mut String) -> Result<(), EncodeError> {
         if matches!(self.stack.last(), Some(DFrame::Leaf)) {
             return Err(EncodeError::Malformed(format!(
                 "{} node has children",
@@ -727,9 +741,9 @@ impl DtdXmlWriter {
                     "element symbol {name} is not an XML name"
                 )));
             }
-            self.close_head();
-            self.out.push('<');
-            self.out.push_str(name);
+            self.close_head(out);
+            out.push('<');
+            out.push_str(name);
             self.stack.push(DFrame::Elem {
                 label: sym,
                 head_open: true,
@@ -741,8 +755,8 @@ impl DtdXmlWriter {
             return Ok(());
         }
         if let Some(value) = self.enc.mode().value_of(name) {
-            self.close_head();
-            self.out.push_str(&escape_text(&value));
+            self.close_head(out);
+            escape_text(value, out);
             self.stack.push(DFrame::Leaf);
             return Ok(());
         }
@@ -755,18 +769,18 @@ impl DtdXmlWriter {
         )))
     }
 
-    fn close(&mut self) -> Result<(), EncodeError> {
+    fn close(&mut self, out: &mut String) -> Result<(), EncodeError> {
         let frame = self
             .stack
             .pop()
             .ok_or_else(|| EncodeError::Malformed("unbalanced close event".into()))?;
         if let DFrame::Elem { label, head_open } = frame {
             if head_open {
-                self.out.push_str("/>");
+                out.push_str("/>");
             } else {
-                self.out.push_str("</");
-                self.out.push_str(label.name());
-                self.out.push('>');
+                out.push_str("</");
+                out.push_str(label.name());
+                out.push('>');
             }
         }
         if self.stack.is_empty() {
@@ -775,13 +789,14 @@ impl DtdXmlWriter {
         Ok(())
     }
 
-    /// Finishes the document and returns the XML text.
-    pub fn finish(self) -> Result<String, EncodeError> {
+    /// Checks that the events fed so far form one whole encoded
+    /// document (its text is complete once this holds).
+    pub fn finish(&self) -> Result<(), EncodeError> {
         if !self.done || !self.stack.is_empty() {
             return Err(EncodeError::Malformed(
                 "encoded event stream ended early".into(),
             ));
         }
-        Ok(self.out)
+        Ok(())
     }
 }

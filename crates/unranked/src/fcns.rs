@@ -20,9 +20,7 @@
 use std::collections::VecDeque;
 
 use xtt_trees::{Symbol, TreeEvent};
-use xtt_xml::{EncodeError, XmlEvent};
-
-use crate::util::{escape_text, is_xml_name};
+use xtt_xml::{escape_text, is_xml_name, EncodeError, XmlEvent};
 
 /// The text symbol of the fc/ns encoding (`xtt_xml::fcns::PCDATA`).
 const PCDATA: &str = "pcdata";
@@ -222,12 +220,12 @@ enum WFrame {
 }
 
 /// Incremental fc/ns → XML writer; feed it the pre-order events of an
-/// fc/ns-encoded tree, then [`FcnsXmlWriter::finish`]. Output is
-/// byte-identical to `write_xml(fcns_decode(t))` and the writer rejects
+/// fc/ns-encoded tree, then [`FcnsXmlWriter::finish`]. Each event's XML
+/// text is appended to the caller's buffer; the concatenated text is
+/// byte-identical to `write_xml(fcns_decode(t))`. The writer rejects
 /// trees that are not fc/ns encodings (non-binary nodes, `#` with
 /// children, forests of more than one document).
 pub struct FcnsXmlWriter {
-    out: String,
     stack: Vec<WFrame>,
     hash: Symbol,
     pcdata: Symbol,
@@ -237,7 +235,6 @@ pub struct FcnsXmlWriter {
 impl FcnsXmlWriter {
     pub fn new() -> FcnsXmlWriter {
         FcnsXmlWriter {
-            out: String::new(),
             stack: Vec::new(),
             hash: Symbol::new("#"),
             pcdata: Symbol::new(PCDATA),
@@ -245,27 +242,21 @@ impl FcnsXmlWriter {
         }
     }
 
-    /// Feeds one event of the encoded tree.
-    pub fn feed(&mut self, event: TreeEvent) -> Result<(), EncodeError> {
+    /// Feeds one event of the encoded tree, appending the XML text it
+    /// commits to `out`.
+    pub fn feed(&mut self, event: TreeEvent, out: &mut String) -> Result<(), EncodeError> {
         if self.done {
             return Err(EncodeError::Malformed(
                 "events after the encoded document closed".into(),
             ));
         }
         match event {
-            TreeEvent::Open(sym) => self.open(sym),
-            TreeEvent::Close => self.close(),
+            TreeEvent::Open(sym) => self.open(sym, out),
+            TreeEvent::Close => self.close(out),
         }
     }
 
-    /// Drains the XML text produced so far (the committed output prefix).
-    /// Concatenating every drain with [`FcnsXmlWriter::finish`]'s
-    /// remainder yields exactly the batch output.
-    pub fn pending(&mut self) -> String {
-        std::mem::take(&mut self.out)
-    }
-
-    fn open(&mut self, sym: Symbol) -> Result<(), EncodeError> {
+    fn open(&mut self, sym: Symbol, out: &mut String) -> Result<(), EncodeError> {
         let is_hash = sym == self.hash;
         // Validate the position this node occupies.
         match self.stack.last() {
@@ -308,12 +299,12 @@ impl FcnsXmlWriter {
         }) = self.stack.last_mut()
         {
             if *head_open {
-                self.out.push('>');
+                out.push('>');
                 *head_open = false;
             }
         }
         if sym == self.pcdata {
-            self.out.push_str(&escape_text(PCDATA));
+            escape_text(PCDATA, out);
             self.stack.push(WFrame::Pcdata { slot: 0 });
         } else {
             let name = sym.name();
@@ -322,8 +313,8 @@ impl FcnsXmlWriter {
                     "symbol {name} is not an XML element name"
                 )));
             }
-            self.out.push('<');
-            self.out.push_str(name);
+            out.push('<');
+            out.push_str(name);
             self.stack.push(WFrame::Elem {
                 label: sym,
                 slot: 0,
@@ -333,7 +324,7 @@ impl FcnsXmlWriter {
         Ok(())
     }
 
-    fn close(&mut self) -> Result<(), EncodeError> {
+    fn close(&mut self, out: &mut String) -> Result<(), EncodeError> {
         let frame = self
             .stack
             .pop()
@@ -361,12 +352,12 @@ impl FcnsXmlWriter {
                     // the sibling forest (which is XML-level sibling
                     // text, not nested content).
                     if *head_open {
-                        self.out.push_str("/>");
+                        out.push_str("/>");
                         *head_open = false;
                     } else {
-                        self.out.push_str("</");
-                        self.out.push_str(label.name());
-                        self.out.push('>');
+                        out.push_str("</");
+                        out.push_str(label.name());
+                        out.push('>');
                     }
                 }
                 *slot += 1;
@@ -377,14 +368,15 @@ impl FcnsXmlWriter {
         Ok(())
     }
 
-    /// Finishes the document and returns the XML text.
-    pub fn finish(self) -> Result<String, EncodeError> {
+    /// Checks that the events fed so far form one whole encoded
+    /// document (its text is complete once this holds).
+    pub fn finish(&self) -> Result<(), EncodeError> {
         if !self.done || !self.stack.is_empty() {
             return Err(EncodeError::Malformed(
                 "encoded event stream ended early".into(),
             ));
         }
-        Ok(self.out)
+        Ok(())
     }
 }
 

@@ -33,7 +33,6 @@ pub mod codec;
 pub mod dtd;
 pub mod error;
 pub mod fcns;
-mod util;
 
 pub use codec::{UnrankedEvents, XmlCodec, XmlWriter};
 pub use dtd::{DtdStreamEncoder, DtdXmlWriter};

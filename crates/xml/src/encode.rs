@@ -62,7 +62,9 @@ pub enum PcDataMode {
 }
 
 impl PcDataMode {
-    fn symbols(&self) -> Vec<(String, Option<String>)> {
+    /// Every pcdata symbol name with the text value it stands for
+    /// (`None` = any text: the abstract `pcdata`).
+    pub fn symbols(&self) -> Vec<(String, Option<String>)> {
         match self {
             PcDataMode::Abstract => vec![("pcdata".to_owned(), None)],
             PcDataMode::Valued(vals) => vals
@@ -84,14 +86,13 @@ impl PcDataMode {
     }
 
     /// The text value a pcdata symbol name decodes to, if it is one.
-    pub fn value_of(&self, symbol_name: &str) -> Option<String> {
+    pub fn value_of<'a>(&self, symbol_name: &'a str) -> Option<&'a str> {
         match self {
-            PcDataMode::Abstract => (symbol_name == "pcdata").then(|| "pcdata".to_owned()),
+            PcDataMode::Abstract => (symbol_name == "pcdata").then_some(symbol_name),
             PcDataMode::Valued(vals) => symbol_name
                 .strip_prefix('\'')
                 .and_then(|s| s.strip_suffix('\''))
-                .filter(|v| vals.iter().any(|u| u == v))
-                .map(str::to_owned),
+                .filter(|v| vals.iter().any(|u| u == v)),
         }
     }
 }

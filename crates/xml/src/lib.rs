@@ -39,7 +39,8 @@ pub use fcns::{fcns_alphabet, fcns_decode, fcns_encode};
 pub use infer::{XmlLearnError, XmlLearner, XmlTransformation};
 pub use utree::UTree;
 pub use xmlparse::{
-    parse_xml, parse_xml_strict, parse_xml_with, split_qname, write_xml, write_xml_pretty,
-    xml_events, xml_events_with, Attr, XmlError, XmlEvent, XmlEventReader, XmlOptions,
+    escape_attr, escape_text, is_xml_name, parse_xml, parse_xml_strict, parse_xml_with,
+    split_qname, write_xml, write_xml_pretty, xml_events, xml_events_with, Attr, XmlError,
+    XmlEvent, XmlEventReader, XmlOptions,
 };
 pub use xslt::to_xslt;

@@ -182,6 +182,10 @@ pub struct XmlEventReader<'a> {
     ns: Vec<NsBinding<'a>>,
     /// Queued implicit close for self-closing tags (`Start` then `End`).
     pending_end: Option<&'a str>,
+    /// An emptied attribute list handed back by the consumer
+    /// ([`XmlEventReader::recycle_attrs`]); the next start tag with
+    /// attributes fills it instead of allocating.
+    spare_attrs: Vec<Attr<'a>>,
     started: bool,
     finished: bool,
 }
@@ -201,6 +205,7 @@ pub fn xml_events_with(input: &str, opts: XmlOptions) -> XmlEventReader<'_> {
         open: Vec::new(),
         ns: Vec::new(),
         pending_end: None,
+        spare_attrs: Vec::new(),
         started: false,
         finished: false,
     }
@@ -316,7 +321,11 @@ impl<'a> XmlEventReader<'a> {
     /// without (the subtree-skip fast path), the tag is only validated —
     /// quote-aware, no decoding, no allocation.
     fn attributes(&mut self, collect: bool) -> Result<Vec<Attr<'a>>, XmlError> {
-        let mut attrs = Vec::new();
+        let mut attrs = if collect {
+            std::mem::take(&mut self.spare_attrs)
+        } else {
+            Vec::new()
+        };
         let depth = self.open.len() + 1;
         loop {
             self.skip_ws();
@@ -376,6 +385,14 @@ impl<'a> XmlEventReader<'a> {
                 }
             }
         }
+    }
+
+    /// Hands a `Start` event's attribute list back once the consumer is
+    /// done with it: the next start tag with attributes reuses its
+    /// capacity, so a streaming consumer allocates nothing per element.
+    pub fn recycle_attrs(&mut self, mut attrs: Vec<Attr<'a>>) {
+        attrs.clear();
+        self.spare_attrs = attrs;
     }
 
     /// Pops namespace bindings scoped to elements no longer open.
@@ -885,22 +902,54 @@ fn entity(s: &str) -> Result<(char, usize), String> {
     Ok((c, used))
 }
 
-/// Escapes `&`, `<`, `>` for text content; borrows when nothing needs
-/// escaping.
-fn escape(s: &str) -> Cow<'_, str> {
-    if !s.bytes().any(|b| matches!(b, b'&' | b'<' | b'>')) {
-        return Cow::Borrowed(s);
+/// True iff `s` can be written as an XML element or attribute name:
+/// an ASCII letter or `_`, then ASCII letters, digits, `_`, `-`, `.`
+/// and `:`. Every writer in the workspace decides element-or-text with
+/// it.
+pub fn is_xml_name(s: &str) -> bool {
+    let mut chars = s.chars();
+    match chars.next() {
+        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
+        _ => return false,
     }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
+    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':'))
+}
+
+/// Appends `s` to `out` as character data: `&`, `<` and `>` escaped.
+pub fn escape_text(s: &str, out: &mut String) {
+    escape_into(s, out, |b| match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        _ => None,
+    });
+}
+
+/// Appends `s` to `out` as a double-quoted attribute value: `&`, `<` and
+/// `"` escaped.
+pub fn escape_attr(s: &str, out: &mut String) {
+    escape_into(s, out, |b| match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'"' => Some("&quot;"),
+        _ => None,
+    });
+}
+
+/// Appends `s` with each byte `entity` maps replaced, copying the runs
+/// between them whole. The escaped bytes are ASCII, so every run ends on
+/// a character boundary.
+#[inline]
+fn escape_into(s: &str, out: &mut String, entity: impl Fn(u8) -> Option<&'static str>) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = entity(b) {
+            out.push_str(&s[run..i]);
+            out.push_str(e);
+            run = i + 1;
         }
     }
-    Cow::Owned(out)
+    out.push_str(&s[run..]);
 }
 
 /// Parses a document (a single root element) leniently: comments,
@@ -989,7 +1038,7 @@ pub fn write_xml_pretty(t: &UTree) -> String {
 
 fn write_node(t: &UTree, out: &mut String) {
     match t {
-        UTree::Text(s) => out.push_str(&escape(s)),
+        UTree::Text(s) => escape_text(s, out),
         UTree::Elem { label, children } => {
             if children.is_empty() {
                 out.push_str(&format!("<{label}/>"));
@@ -1009,7 +1058,7 @@ fn write_pretty(t: &UTree, indent: usize, out: &mut String) {
     match t {
         UTree::Text(s) => {
             out.push_str(&pad);
-            out.push_str(&escape(s));
+            escape_text(s, out);
             out.push('\n');
         }
         UTree::Elem { label, children } => {
@@ -1017,7 +1066,9 @@ fn write_pretty(t: &UTree, indent: usize, out: &mut String) {
                 out.push_str(&format!("{pad}<{label}/>\n"));
             } else if children.len() == 1 && children[0].is_text() {
                 if let UTree::Text(s) = &children[0] {
-                    out.push_str(&format!("{pad}<{label}>{}</{label}>\n", escape(s)));
+                    out.push_str(&format!("{pad}<{label}>"));
+                    escape_text(s, out);
+                    out.push_str(&format!("</{label}>\n"));
                 }
             } else {
                 out.push_str(&format!("{pad}<{label}>\n"));
